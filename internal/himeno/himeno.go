@@ -77,60 +77,74 @@ const (
 	ScrambledInit
 )
 
-// initCell returns the initial pressure at global (i,j,k).
-func initCell(mode InitMode, s Size, i, j, k int) float32 {
+// initRow fills row (the K cells of global row (i, j)) with the initial
+// pressure field. Its conversions forbid fused multiply-adds, as in
+// stencilRow.
+func initRow(mode InitMode, s Size, i, j int, row []float32) {
 	x := float32(i) / float32(s.I-1)
-	v := x * x
-	if mode == ScrambledInit {
-		// Cheap deterministic hash → [0, 0.25) perturbation.
-		h := uint32(i*73856093) ^ uint32(j*19349663) ^ uint32(k*83492791)
-		v += float32(h%1024) / 4096
+	v := float32(x * x)
+	if mode != ScrambledInit {
+		for k := range row {
+			row[k] = v
+		}
+		return
 	}
-	return v
+	// Cheap deterministic hash → [0, 0.25) perturbation.
+	hij := uint32(i*73856093) ^ uint32(j*19349663)
+	for k := range row {
+		h := hij ^ uint32(k*83492791)
+		row[k] = v + float32(float32(h%1024)/4096)
+	}
 }
 
-// stencilCell computes the benchmark's update for one interior cell of p
-// (dimensions J×K per plane) and returns the new value and the squared
-// residual contribution. Every implementation — the host reference and all
-// device kernels — funnels through this function, which is what makes
-// bitwise agreement between them a meaningful test.
-func stencilCell(p []float32, J, K, i, j, k int) (float32, float64) {
-	at := func(i, j, k int) float32 { return p[(i*J+j)*K+k] }
+// stencilRow applies the benchmark's update to the interior cells of row
+// (i, j) of src (dimensions ·×J×K), writing them to dst, and returns gosa
+// plus each cell's squared residual, added in k order (a per-row partial
+// sum would round the float64 residual differently). Every implementation
+// — the host reference and all device kernels — funnels through this
+// function, which is what makes bitwise agreement between them a meaningful
+// test.
+//
+// The explicit float32/float64 conversions round every product before it
+// is added, which by the Go spec forbids fused multiply-adds: the results
+// are the same bits on every architecture.
+func stencilRow(src, dst []float32, J, K, i, j int, gosa float64) float64 {
+	n := K - 2
+	c := (i*J+j)*K + 1 // cell (i, j, 1)
+	ctr := src[c:][:n]
+	kp, km := src[c+1:][:n], src[c-1:][:n]
+	jp, jm := src[c+K:][:n], src[c-K:][:n]
+	ip, im := src[c+J*K:][:n], src[c-J*K:][:n]
+	out := dst[c:][:n]
 	// Official constant coefficients: a0..a2 = 1, a3 = 1/6, b = 0, c = 1,
 	// wrk1 = 0, bnd = 1.
-	s0 := at(i+1, j, k) + at(i, j+1, k) + at(i, j, k+1) +
-		at(i-1, j, k) + at(i, j-1, k) + at(i, j, k-1)
-	ss := s0*float32(1.0/6.0) - at(i, j, k)
-	nv := at(i, j, k) + Omega*ss
-	return nv, float64(ss) * float64(ss)
+	for k := 0; k < n; k++ {
+		s0 := ip[k] + jp[k] + kp[k] + im[k] + jm[k] + km[k]
+		ss := float32(s0*float32(1.0/6.0)) - ctr[k]
+		out[k] = ctr[k] + float32(Omega*ss)
+		gosa += float64(float64(ss) * float64(ss))
+	}
+	return gosa
 }
 
 // Reference runs the solver on the host only and returns the final grid and
 // the residual (gosa) of the last iteration. It is the ground truth the
 // distributed implementations are verified against.
 func Reference(s Size, iters int, mode InitMode) ([]float32, float64) {
-	n := s.I * s.J * s.K
-	p := make([]float32, n)
-	wrk := make([]float32, n)
+	p := make([]float32, s.I*s.J*s.K)
 	for i := 0; i < s.I; i++ {
 		for j := 0; j < s.J; j++ {
-			for k := 0; k < s.K; k++ {
-				v := initCell(mode, s, i, j, k)
-				p[idx(s.J, s.K, i, j, k)] = v
-				wrk[idx(s.J, s.K, i, j, k)] = v
-			}
+			initRow(mode, s, i, j, p[idx(s.J, s.K, i, j, 0):][:s.K])
 		}
 	}
+	wrk := make([]float32, len(p))
+	copy(wrk, p)
 	var gosa float64
 	for it := 0; it < iters; it++ {
 		gosa = 0
 		for i := 1; i < s.I-1; i++ {
 			for j := 1; j < s.J-1; j++ {
-				for k := 1; k < s.K-1; k++ {
-					nv, ss := stencilCell(p, s.J, s.K, i, j, k)
-					wrk[idx(s.J, s.K, i, j, k)] = nv
-					gosa += ss
-				}
+				gosa = stencilRow(p, wrk, s.J, s.K, i, j, gosa)
 			}
 		}
 		p, wrk = wrk, p

@@ -136,13 +136,6 @@ func decompose(s Size, n, r int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // newRank builds the local state for rank r of n.
 func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt *clmpi.Runtime) (*rank, error) {
 	lo, hi := decompose(s, n, ep.Rank())
@@ -157,20 +150,17 @@ func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt
 	}
 	local := (own + 2) * s.J * s.K
 	rk.p = make([]float32, local)
-	rk.wrk = make([]float32, local)
 	for li := 0; li < own+2; li++ {
 		gi := lo - 1 + li
 		if gi < 0 || gi >= s.I {
 			continue // beyond the global domain (edge ranks)
 		}
 		for j := 0; j < s.J; j++ {
-			for k := 0; k < s.K; k++ {
-				v := initCell(mode, s, gi, j, k)
-				rk.p[idx(s.J, s.K, li, j, k)] = v
-				rk.wrk[idx(s.J, s.K, li, j, k)] = v
-			}
+			initRow(mode, s, gi, j, rk.p[idx(s.J, s.K, li, j, 0):][:s.K])
 		}
 	}
+	rk.wrk = make([]float32, local)
+	copy(rk.wrk, rk.p)
 	pb := s.planeBytes()
 	var err error
 	if rk.sendLo, err = ctx.CreateBuffer("sendLo", pb); err != nil {
@@ -216,11 +206,7 @@ func (rk *rank) jacobiKernel(name string, src, dst []float32, liFrom, liTo int) 
 			var gosa float64
 			for li := liFrom; li < liTo; li++ {
 				for j := 1; j < s.J-1; j++ {
-					for k := 1; k < s.K-1; k++ {
-						nv, ss := stencilCell(src, s.J, s.K, li, j, k)
-						dst[idx(s.J, s.K, li, j, k)] = nv
-						gosa += ss
-					}
+					gosa = stencilRow(src, dst, s.J, s.K, li, j, gosa)
 				}
 			}
 			rk.gosa += gosa

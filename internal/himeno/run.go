@@ -188,13 +188,12 @@ func Run(cfg Config) (*Result, error) {
 	res.GFLOPS = cfg.Size.FLOPsPerIter() * float64(cfg.Iters) / res.Elapsed.Seconds() / 1e9
 	if cfg.Verify {
 		res.Grid = make([]float32, cfg.Size.I*cfg.Size.J*cfg.Size.K)
-		// Boundary planes are never updated; take them from the initial
-		// field, then overlay each rank's owned interior.
-		for i := 0; i < cfg.Size.I; i++ {
-			for j := 0; j < cfg.Size.J; j++ {
-				for k := 0; k < cfg.Size.K; k++ {
-					res.Grid[idx(cfg.Size.J, cfg.Size.K, i, j, k)] = initCell(cfg.Mode, cfg.Size, i, j, k)
-				}
+		// The boundary planes are never updated; take them from the
+		// initial field, then overlay each rank's owned interior planes.
+		s := cfg.Size
+		for _, i := range []int{0, s.I - 1} {
+			for j := 0; j < s.J; j++ {
+				initRow(cfg.Mode, s, i, j, res.Grid[idx(s.J, s.K, i, j, 0):][:s.K])
 			}
 		}
 		for _, rk := range ranks {

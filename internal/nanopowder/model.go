@@ -87,14 +87,19 @@ type model struct {
 	p     Params
 	temp  []float64 // cell temperature, evolved serially by the master
 	state []cellState
+	cbrt  []float64 // cbrt[i] = ∛(i+1), the radius scale of size bin i
 }
 
 func newModel(p Params) *model {
-	m := &model{p: p, temp: make([]float64, p.Cells), state: make([]cellState, p.Cells)}
+	m := &model{p: p, temp: make([]float64, p.Cells), state: make([]cellState, p.Cells),
+		cbrt: make([]float64, p.Bins)}
+	for i := range m.cbrt {
+		m.cbrt[i] = math.Cbrt(float64(i + 1))
+	}
 	for c := 0; c < p.Cells; c++ {
 		// Hot core, cooler edges.
 		x := float64(c)/float64(p.Cells-1) - 0.5
-		m.temp[c] = 3000 - 1500*x*x
+		m.temp[c] = 3000 - float64(1500*x*x)
 		n := make([]float64, p.Bins)
 		// Initial monomer-rich population with a tail.
 		for k := 0; k < p.Bins; k++ {
@@ -119,22 +124,23 @@ func (m *model) advanceScalars(step int) []float64 {
 
 // buildCoeffs computes one cell's coefficient tables for the current
 // temperature and serializes them to wire format (little-endian float64,
-// K table then E table).
+// K table then E table). Like newModel and coagulateCell, it converts each
+// product that feeds an addition explicitly: by the Go spec that rounds the
+// product and so forbids a fused multiply-add, which keeps the model's bits
+// the same on every architecture.
 func (m *model) buildCoeffs(c int, out []byte) {
 	p := m.p
 	t := m.temp[c]
 	kern0 := 1e-3 * math.Sqrt(t/3000)
-	eff0 := 0.6 + 0.4*math.Exp(-t/3000)
+	eff0 := 0.6 + float64(0.4*math.Exp(-t/3000))
 	b := p.Bins
 	for i := 0; i < b; i++ {
 		si := float64(i + 1)
-		ri := math.Cbrt(si)
 		for j := 0; j < b; j++ {
 			sj := float64(j + 1)
-			rj := math.Cbrt(sj)
-			sum := ri + rj
+			sum := m.cbrt[i] + m.cbrt[j]
 			k := kern0 * sum * sum * math.Sqrt(1/si+1/sj)
-			e := eff0 / (1 + 0.01*math.Abs(si-sj))
+			e := eff0 / (1 + float64(0.01*math.Abs(si-sj)))
 			binary.LittleEndian.PutUint64(out[(i*b+j)*8:], math.Float64bits(k))
 			binary.LittleEndian.PutUint64(out[(b*b+i*b+j)*8:], math.Float64bits(e))
 		}
@@ -183,12 +189,12 @@ func coagulateCell(p Params, n []float64, coeffs []byte, source float64) {
 		}
 	}
 	for k := 0; k < b; k++ {
-		n[k] += dt * (gain[k] - loss[k])
+		n[k] += float64(dt * (gain[k] - loss[k]))
 		if n[k] < 0 {
 			n[k] = 0
 		}
 	}
-	n[0] += dt * source
+	n[0] += float64(dt * source)
 }
 
 // mass reports Σ size·n over one population.
