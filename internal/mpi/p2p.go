@@ -128,21 +128,16 @@ func (ep *Endpoint) postSend(buf []byte, dest, tag int, comm *Comm) *Request {
 		msg.arrived.Init(w.eng, "eager-msg")
 		if ps := w.part; ps != nil && ps.parts() > 1 {
 			// Partitioned runs route intra-shard eager transfers through the
-			// source node's resident NIC daemon: the same wire charges and
-			// completion order as the transient process below, without a
-			// goroutine + channel + formatted name per message.
+			// source node's resident NIC daemon. Its wire sequence is the
+			// same as wireXfer's, but the daemon serializes every eager send
+			// of a node in post order before it queues on the links, so
+			// under contention (an N->1 incast) the charges and completion
+			// order differ from the serial engine's per-message transfers.
 			ps.enqueueTx(ep.rank, txJob{kind: txEagerLocal, msg: msg})
 			break
 		}
-		w.eng.SpawnLazy(func() string { return fmt.Sprintf("eager %d->%d", msg.src, msg.dst) },
-			func(tp *sim.Proc) {
-				ep.wireTransfer(tp, dest, int64(msg.size))
-				w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
-					Seq: msg.seq, Bytes: msg.size, Eager: true, At: tp.Now()})
-				// The NIC has the data: the sender's buffer is free.
-				msg.req.complete(Status{}, nil)
-				msg.arrived.FireAfter(w.clus.Sys.NIC.WireLatency, nil)
-			})
+		x := &wireXfer{w: w, msg: msg}
+		w.eng.SpawnStep(x.name, x.step)
 	default:
 		msg.sendBuf = buf // rendezvous: transfer happens at match time
 	}

@@ -330,9 +330,11 @@ func (ps *partShard) enqueueRx(rank int, job rxJob) {
 	q.Put(job)
 }
 
-// txLoop drains one node's transmit queue. Jobs serialize on the node's
-// transmit path in post order, exactly as the per-message transient
-// processes of the serial engine serialize on the tx link FIFO.
+// txLoop drains one node's transmit queue. Jobs run one at a time in post
+// order, so a job waits for the previous one to release the links before
+// it queues on the backplane or a receiver's rx path. The serial engine's
+// per-message wireXfer step processes all queue at once; the two agree
+// without contention but not under it.
 func (ps *partShard) txLoop(p *sim.Proc, ep *Endpoint, q *sim.Queue[txJob]) {
 	for {
 		job, ok := q.Get(p)
@@ -352,9 +354,9 @@ func (ps *partShard) txLoop(p *sim.Proc, ep *Endpoint, q *sim.Queue[txJob]) {
 	}
 }
 
-// runEagerLocal performs an intra-shard eager wire transfer — the daemon
-// replica of the serial engine's transient "eager src->dst" process, with
-// the charge name synthesized only when someone is watching the links.
+// runEagerLocal performs an intra-shard eager wire transfer: wireXfer's
+// sequence and tail run in the node's tx daemon, with the charge name
+// synthesized only when someone is watching the links.
 func (ps *partShard) runEagerLocal(p *sim.Proc, ep *Endpoint, msg *message) {
 	w := ps.w
 	pname := ""
@@ -382,10 +384,8 @@ func (ps *partShard) txCharge(p *sim.Proc, src int, n int64, pname string) sim.T
 	if d > 0 {
 		p.Sleep(d)
 	}
-	mid := start.Add(ov)
 	end := p.Now()
-	tx.ChargeTagged("mpi.sw", pname, 0, start, mid)
-	tx.ChargeTagged("wire", pname, n, mid, end)
+	chargeWire(pname, n, start, end, ov, tx)
 	tx.Unlock(p)
 	return end
 }

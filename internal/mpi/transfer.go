@@ -22,30 +22,30 @@ func (ep *Endpoint) checkArgs(dest, tag int) error {
 	return nil
 }
 
-// wireTransfer charges n bytes across the fabric from this rank to dest:
+// chargeWire accounts one NIC occupancy [start, end) on each link, in
+// order, as two differently-classed legs: the per-message software overhead
+// ov first, then wire serialization of n bytes.
+func chargeWire(pname string, n int64, start, end sim.Time, ov time.Duration, links ...*sim.Link) {
+	mid := start.Add(ov)
+	for _, l := range links {
+		l.ChargeTagged("mpi.sw", pname, 0, start, mid)
+		l.ChargeTagged("wire", pname, n, mid, end)
+	}
+}
+
+// wireTransferProc charges n bytes across the fabric from this rank to dest:
 // the sender's transmit path and the receiver's receive path are held
 // concurrently for the serialization time (cut-through), preceded by the
 // per-message software overhead. It returns when the last byte has left.
-func (ep *Endpoint) wireTransfer(p *sim.Proc, dest int, n int64) {
-	w := ep.world
-	pname := ""
-	if w.Node(ep.rank).TX.Observed() || w.Node(dest).RX.Observed() {
-		pname = p.Name()
-	}
-	ep.wireTransferProc(p, dest, n, pname)
-}
-
-// wireTransferProc is wireTransfer with the charge's process name supplied by
-// the caller, so resident transport daemons (partition.go) can charge under a
-// synthetic per-message identity — and skip formatting it entirely when the
-// links are unobserved.
+// The resident transport daemons of a partitioned world (partition.go) call
+// it with a synthetic per-message charge name, formatted only when the
+// links are observed; wireXfer is the same sequence as a step process.
 func (ep *Endpoint) wireTransferProc(p *sim.Proc, dest int, n int64, pname string) {
 	w := ep.world
 	tx := w.Node(ep.rank).TX
 	rx := w.Node(dest).RX
 	ov := w.clus.Sys.NIC.MsgOverhead
-	ser := tx.SerializationTime(n)
-	d := ov + ser
+	d := ov + tx.SerializationTime(n)
 	// A switch path is taken first (FIFO), then the endpoints; the strict
 	// resource ordering (backplane → tx → rx) keeps the model cycle-free.
 	if bp := w.clus.Backplane; bp != nil {
@@ -58,16 +58,115 @@ func (ep *Endpoint) wireTransferProc(p *sim.Proc, dest int, n int64, pname strin
 	if d > 0 {
 		p.Sleep(d)
 	}
-	// One occupancy interval, accounted as two differently-classed legs:
-	// per-message software overhead first, then wire serialization.
-	mid := start.Add(ov)
-	end := p.Now()
-	tx.ChargeTagged("mpi.sw", pname, 0, start, mid)
-	tx.ChargeTagged("wire", pname, n, mid, end)
-	rx.ChargeTagged("mpi.sw", pname, 0, start, mid)
-	rx.ChargeTagged("wire", pname, n, mid, end)
+	chargeWire(pname, n, start, p.Now(), ov, tx, rx)
 	rx.Unlock(p)
 	tx.Unlock(p)
+}
+
+// wireXfer is one message's NIC wire transfer in the serial transport, run
+// as a goroutine-free step process (sim.Engine.SpawnStep): the eager body
+// of a send, or the data phase of a matched rendezvous. It performs
+// wireTransferProc's sequence — backplane, then tx, then rx, a sleep for
+// the overhead plus serialization, the charges, then rx, tx and backplane
+// released — and then runs its tail.
+type wireXfer struct {
+	w     *World
+	msg   *message
+	state uint8
+	start sim.Time // the occupancy's first instant, once tx and rx are held
+	// Rendezvous only: the matched receive (not recycled on this path) and
+	// its queue depths sampled at match time. rop is nil for eager.
+	rop    *recvOp
+	pd, ud int
+}
+
+// wireXfer states: each names what the next step call must do first.
+const (
+	xferBackplane uint8 = iota
+	xferTx
+	xferRx
+	xferWire
+	xferDone
+)
+
+// name is the process name, formatted only if someone observes it.
+func (x *wireXfer) name() string {
+	kind := "eager"
+	if x.rop != nil {
+		kind = "rndv"
+	}
+	return fmt.Sprintf("%s %d->%d", kind, x.msg.src, x.msg.dst)
+}
+
+// step advances the transfer until it parks or finishes.
+func (x *wireXfer) step(p *sim.Proc) {
+	w, msg := x.w, x.msg
+	bp := w.clus.Backplane
+	tx, rx := w.Node(msg.src).TX, w.Node(msg.dst).RX
+	ov := w.clus.Sys.NIC.MsgOverhead
+	switch x.state {
+	case xferBackplane:
+		x.state = xferTx
+		if bp != nil && !bp.AcquireStep(p, 1) {
+			return
+		}
+		fallthrough
+	case xferTx:
+		x.state = xferRx
+		if !tx.LockStep(p) {
+			return
+		}
+		fallthrough
+	case xferRx:
+		x.state = xferWire
+		if !rx.LockStep(p) {
+			return
+		}
+		fallthrough
+	case xferWire:
+		x.start = p.Now()
+		x.state = xferDone
+		if d := ov + tx.SerializationTime(int64(msg.size)); d > 0 && !p.SleepStep(d) {
+			return
+		}
+	}
+	pname := ""
+	if tx.Observed() || rx.Observed() {
+		pname = p.Name()
+	}
+	chargeWire(pname, int64(msg.size), x.start, p.Now(), ov, tx, rx)
+	rx.Unlock(p)
+	tx.Unlock(p)
+	if bp != nil {
+		bp.Release(p, 1)
+	}
+	if x.rop != nil {
+		x.rndvDone(p.Now())
+		return
+	}
+	w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
+		Seq: msg.seq, Bytes: msg.size, Eager: true, At: p.Now()})
+	// The NIC has the data: the sender's buffer is free.
+	msg.req.complete(Status{}, nil)
+	msg.arrived.FireAfter(w.clus.Sys.NIC.WireLatency, nil)
+}
+
+// rndvDone is a rendezvous data phase's tail, once the last byte left at
+// instant now: the payload lands, the sender completes, and the receive
+// completes one wire latency later.
+func (x *wireXfer) rndvDone(now sim.Time) {
+	w, msg, rop := x.w, x.msg, x.rop
+	w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
+		Seq: msg.seq, RecvSeq: rop.seq, Bytes: msg.size, At: now,
+		PostedDepth: x.pd, UnexpectedDepth: x.ud})
+	copy(rop.buf, msg.sendBuf)
+	// Sender's buffer is reusable once the NIC is done with it.
+	msg.req.complete(Status{}, nil)
+	lat := w.clus.Sys.NIC.WireLatency
+	rop.req.completeAfter(lat, Status{Source: msg.src, Tag: msg.tag, Count: msg.size}, nil)
+	w.observe(MsgEvent{Kind: MsgDelivered, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
+		Seq: msg.seq, RecvSeq: rop.seq, Bytes: msg.size, Eager: msg.eager, At: now.Add(lat),
+		PostedDepth: x.pd, UnexpectedDepth: x.ud})
 }
 
 // deliver finalizes a matched (message, receive) pair.
@@ -183,19 +282,8 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 		return
 	}
 	// Rendezvous: run the wire transfer now that both sides exist.
-	lat := w.clus.Sys.NIC.WireLatency
-	w.eng.SpawnLazy(func() string { return fmt.Sprintf("rndv %d->%d", msg.src, msg.dst) }, func(tp *sim.Proc) {
-		src := w.Endpoint(msg.src)
-		src.wireTransfer(tp, msg.dst, int64(msg.size))
-		w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
-			Seq: msg.seq, RecvSeq: rseq, Bytes: msg.size, At: tp.Now(),
-			PostedDepth: pd, UnexpectedDepth: ud})
-		copy(rop.buf, msg.sendBuf)
-		// Sender's buffer is reusable once the NIC is done with it.
-		msg.req.complete(Status{}, nil)
-		rop.req.completeAfter(lat, st, nil)
-		w.observe(delivered(tp.Now().Add(lat)))
-	})
+	x := &wireXfer{w: w, msg: msg, rop: rop, pd: pd, ud: ud}
+	w.eng.SpawnStep(x.name, x.step)
 }
 
 // Send is the blocking send, like MPI_Send: it returns when the send buffer

@@ -11,9 +11,9 @@ import (
 // Engine drives a single simulation. Create one with NewEngine, add processes
 // with Spawn, then call Run. The zero Engine is not usable.
 //
-// Exactly one process goroutine executes at any moment, so simulation code
-// may share data structures without host-level locking. The engine lock only
-// guards the scheduler's own state.
+// Exactly one process executes at any moment, so simulation code may share
+// data structures without host-level locking. The engine lock only guards
+// the scheduler's own state.
 type Engine struct {
 	mu  sync.Mutex
 	now Time
@@ -27,13 +27,17 @@ type Engine struct {
 	ready     procRing  // FIFO of processes runnable at the current instant
 	alive     int       // processes spawned and not yet finished
 	daemons   int       // subset of alive that are daemons
-	running   bool      // true while some process goroutine is executing
+	running   bool      // true while some process is executing
 	cur       *Proc     // the process currently executing (valid while running)
 	started   bool      // Run has been called
 	stopped   bool      // simulation has ended (normally or by abort)
 	err       error
 	done      chan struct{}
-	procs     []*Proc // every process ever spawned, for diagnostics
+	// live holds the unfinished processes, for diagnostics and teardown.
+	// A finished process is swap-removed (Proc.idx is its slot), so nothing
+	// it captured stays reachable; spawned counts every process ever made.
+	live    []*Proc
+	spawned int
 
 	// Windowed mode (see RunWindow): the engine executes events strictly
 	// before limit, then parks itself by signalling idle instead of
@@ -219,6 +223,22 @@ func (e *Engine) SpawnLazy(nameFn func() string, fn func(p *Proc)) *Proc {
 	return e.spawnProc(&Proc{nameFn: nameFn}, fn, false)
 }
 
+// SpawnStep registers a goroutine-free step process with a lazy name. It
+// takes the ready-queue slot a SpawnLazy process would, but when the
+// scheduler pops it, it calls step inline instead of handing off to a
+// goroutine. A step keeps the rule in the package doc: it never blocks, and
+// parks only through a *Step primitive, which reports false after queueing
+// the process exactly where the blocking twin would have parked it; the
+// step then returns and is called again, from the state it recorded, once
+// the process is woken. A step that returns without parking has finished.
+func (e *Engine) SpawnStep(nameFn func() string, step func(p *Proc)) *Proc {
+	p := &Proc{nameFn: nameFn, step: step}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.addLocked(p, false)
+	return p
+}
+
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	return e.spawnProc(&Proc{name: name}, fn, daemon)
 }
@@ -226,18 +246,40 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 func (e *Engine) spawnProc(p *Proc, fn func(p *Proc), daemon bool) *Proc {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	p.resume = make(chan struct{}, 1)
+	e.addLocked(p, daemon)
+	go e.runProc(p, fn)
+	return p
+}
+
+// addLocked registers a new process and queues it to run.
+func (e *Engine) addLocked(p *Proc, daemon bool) {
 	if e.stopped {
 		panic("sim: Spawn after simulation ended")
 	}
-	p.eng, p.resume, p.state, p.daemon = e, make(chan struct{}, 1), stateReady, daemon
+	p.eng, p.state, p.daemon = e, stateReady, daemon
 	e.alive++
 	if daemon {
 		e.daemons++
 	}
-	e.procs = append(e.procs, p)
+	e.spawned++
+	p.idx = len(e.live)
+	e.live = append(e.live, p)
 	e.ready.push(p)
-	go e.runProc(p, fn)
-	return p
+}
+
+// finishLocked retires a process: it leaves the live set and the counts.
+func (e *Engine) finishLocked(p *Proc) {
+	p.state = stateFinished
+	e.alive--
+	if p.daemon {
+		e.daemons--
+	}
+	last := len(e.live) - 1
+	moved := e.live[last]
+	e.live[p.idx], moved.idx = moved, p.idx
+	e.live[last] = nil
+	e.live = e.live[:last]
 }
 
 // runProc is the goroutine body wrapping a process function.
@@ -263,11 +305,7 @@ func (e *Engine) runProc(p *Proc, fn func(p *Proc)) {
 		}()
 	}
 	e.mu.Lock()
-	p.state = stateFinished
-	e.alive--
-	if p.daemon {
-		e.daemons--
-	}
+	e.finishLocked(p)
 	if e.stopped {
 		if e.alive == 0 {
 			e.closeDoneLocked()
@@ -382,7 +420,7 @@ func (e *Engine) aliveNonDaemons() int {
 // deadlock report does, sorted. Callers must hold e.mu.
 func (e *Engine) blockedLocked() []string {
 	var blocked []string
-	for _, p := range e.procs {
+	for _, p := range e.live {
 		if p.state == stateParked && !p.daemon {
 			label := p.waitLabel
 			if label == "" && p.waitLblr != nil {
@@ -444,7 +482,8 @@ func (e *Engine) Err() error {
 
 // Stats summarizes a simulation's size.
 type Stats struct {
-	// Procs is the total number of processes ever spawned.
+	// Procs is the total number of processes ever spawned, step processes
+	// included.
 	Procs int
 	// Timers is the total number of timer events scheduled.
 	Timers uint64
@@ -456,7 +495,7 @@ type Stats struct {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Stats{Procs: len(e.procs), Timers: e.seq, Now: e.now}
+	return Stats{Procs: e.spawned, Timers: e.seq, Now: e.now}
 }
 
 // atLocked schedules fn to run (with the engine lock held) at instant t.
@@ -616,6 +655,11 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // Callers must hold e.mu.
 func (e *Engine) wakeLocked(p *Proc) {
 	if p.state != stateParked {
+		if e.stopped && p.state == stateFinished {
+			// A step process retired by teardown, woken by a goroutine
+			// that releases a primitive while it unwinds.
+			return
+		}
 		panic(fmt.Sprintf("sim: wake of process %q in state %v", p.Name(), p.state))
 	}
 	p.state = stateReady
@@ -636,6 +680,10 @@ func (e *Engine) scheduleLocked() {
 			p := e.ready.pop()
 			e.running = true
 			e.cur = p
+			if p.step != nil {
+				e.runStepLocked(p)
+				continue
+			}
 			p.resume <- struct{}{}
 			return
 		}
@@ -687,17 +735,38 @@ func (e *Engine) scheduleLocked() {
 	}
 }
 
-// abortLocked tears the simulation down: every blocked process is resumed so
-// it can unwind via abortPanic, guaranteeing no goroutine leaks. Callers must
-// hold e.mu.
+// runStepLocked runs one step of a step process inline, with the engine
+// lock released and p marked as the running process, exactly as a goroutine
+// process would run between two parks. A step that did not park has
+// finished. Callers must hold e.mu and have set e.running and e.cur.
+func (e *Engine) runStepLocked(p *Proc) {
+	p.state = stateRunning
+	e.mu.Unlock()
+	p.step(p)
+	e.mu.Lock()
+	if p.state == stateRunning {
+		e.finishLocked(p)
+	}
+	e.running = false
+}
+
+// abortLocked tears the simulation down. Step processes have no goroutine
+// to unwind, so parked or ready ones are retired here; every other blocked
+// process is resumed so it can unwind via abortPanic, guaranteeing no
+// goroutine leaks. Callers must hold e.mu.
 func (e *Engine) abortLocked(err error) {
 	e.stopped = true
 	e.err = err
+	for i := len(e.live) - 1; i >= 0; i-- {
+		if p := e.live[i]; p.step != nil {
+			e.finishLocked(p)
+		}
+	}
 	if e.alive == 0 {
 		e.closeDoneLocked()
 		return
 	}
-	for _, p := range e.procs {
+	for _, p := range e.live {
 		if p.state == stateParked || p.state == stateReady {
 			select {
 			case p.resume <- struct{}{}:
@@ -715,6 +784,17 @@ func (e *Engine) closeDoneLocked() {
 	default:
 		close(e.done)
 	}
+}
+
+// parkStepLocked parks the running step process p. The caller has already
+// arranged its wakeup; the scheduler moves on once the step returns, and the
+// waker's wakeLocked queues p to run its step again. Callers must hold e.mu.
+func (e *Engine) parkStepLocked(p *Proc, label string) {
+	if p.step == nil {
+		panic(fmt.Sprintf("sim: *Step primitive called by goroutine process %q", p.Name()))
+	}
+	p.state = stateParked
+	p.waitLabel = label
 }
 
 // park blocks the calling process p until it is woken. The caller must have

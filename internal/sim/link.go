@@ -15,7 +15,7 @@ type Link struct {
 	eng   *Engine
 	name  string
 	bw    float64 // bytes per second; 0 means infinitely fast
-	mu    *Mutex
+	mu    Mutex
 	busy  time.Duration // total occupied time, for utilization reporting
 	moved int64         // total bytes transferred
 	obs   LinkObserver  // optional occupancy observer
@@ -52,7 +52,7 @@ func NewLink(e *Engine, name string, bytesPerSecond float64) *Link {
 	if bytesPerSecond < 0 {
 		panic("sim: negative link bandwidth")
 	}
-	return &Link{eng: e, name: name, bw: bytesPerSecond, mu: NewMutex(e, "link "+name)}
+	return &Link{eng: e, name: name, bw: bytesPerSecond, mu: Mutex{eng: e, label: name, link: true}}
 }
 
 // Name reports the link's name.
@@ -138,13 +138,15 @@ func (l *Link) OccupyTagged(p *Proc, d time.Duration, tag string, bytes int64) {
 // the same interval. Prefer Transfer or Occupy for single-link charges.
 func (l *Link) Lock(p *Proc) { l.mu.Lock(p) }
 
+// LockStep is Lock for a step process (see Mutex.LockStep).
+func (l *Link) LockStep(p *Proc) bool { return l.mu.LockStep(p) }
+
 // Unlock releases the link.
 func (l *Link) Unlock(p *Proc) { l.mu.Unlock(p) }
 
 // AddBusy records utilization accounting for externally timed occupancy.
 // The occupancy interval reported to an observer is the d preceding the
-// current instant, matching how callers charge after sleeping (see
-// mpi wireTransfer).
+// current instant, matching how callers charge after sleeping.
 func (l *Link) AddBusy(d time.Duration, bytes int64) {
 	l.eng.mu.Lock()
 	l.busy += d
@@ -160,7 +162,7 @@ func (l *Link) AddBusy(d time.Duration, bytes int64) {
 // explicitly intervalled occupancy, reported with a resource-class tag and
 // the charging process's name. Unlike AddBusy the caller supplies the
 // interval, so one sleep can be split into adjacent differently-tagged legs
-// (see mpi wireTransfer) without changing virtual time.
+// (see mpi chargeWire) without changing virtual time.
 func (l *Link) ChargeTagged(tag, proc string, bytes int64, start, end Time) {
 	d := end.Sub(start)
 	if d < 0 {

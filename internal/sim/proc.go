@@ -44,7 +44,9 @@ type Proc struct {
 	eng       *Engine
 	name      string
 	nameFn    func() string // lazy name (SpawnLazy); resolved on first Name
-	resume    chan struct{}
+	resume    chan struct{} // goroutine processes only
+	step      func(p *Proc) // step processes only (SpawnStep)
+	idx       int           // slot in the engine's live set
 	state     procState
 	daemon    bool
 	waitLabel string  // what the process is blocked on, for deadlock reports
@@ -72,24 +74,45 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 // durations yield the processor to other ready processes at the same instant
 // without advancing the clock for this process.
 func (p *Proc) Sleep(d time.Duration) {
+	e := p.eng
+	e.mu.Lock()
+	if !p.sleepLocked(d) {
+		// A sleeping process always has its wakeup timer pending, so it can
+		// never appear in a deadlock report; a constant label avoids
+		// formatting on the hot path.
+		e.park(p, "sleep")
+	}
+	e.mu.Unlock()
+}
+
+// SleepStep is Sleep for a step process: it reports true if the sleep was a
+// no-op, or arms the same wakeup timer, parks p and reports false.
+func (p *Proc) SleepStep(d time.Duration) bool {
+	e := p.eng
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if p.sleepLocked(d) {
+		return true
+	}
+	e.parkStepLocked(p, "sleep")
+	return false
+}
+
+// sleepLocked reports true when a sleep of d is a no-op, and otherwise arms
+// p's wakeup timer. Callers must hold the engine lock.
+func (p *Proc) sleepLocked(d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
 	e := p.eng
-	e.mu.Lock()
 	if d == 0 && !e.stopped && e.ready.len() == 0 && !e.timerAtNowLocked() && !e.crossAtNowLocked() {
 		// Nothing else can run at this instant, so the yield is a no-op:
 		// return without the park/resume channel round-trip. Event order is
 		// unchanged — any process or timer due now takes the slow path.
-		e.mu.Unlock()
-		return
+		return true
 	}
 	e.atProcLocked(e.now.Add(d), p)
-	// A sleeping process always has its wakeup timer pending, so it can
-	// never appear in a deadlock report; a constant label avoids formatting
-	// on the hot path.
-	e.park(p, "sleep")
-	e.mu.Unlock()
+	return false
 }
 
 // Yield lets every other process that is ready at the current instant run

@@ -1,12 +1,22 @@
 // Package sim implements a deterministic virtual-time discrete-event
 // simulation (DES) kernel.
 //
-// Simulated activities ("processes") are ordinary goroutines that cooperate
-// with a virtual clock: at any instant exactly one process executes, so
-// process code may freely share data structures without host-level locking.
-// When the running process blocks on a simulation primitive (Sleep, a
-// Trigger, a Mutex, ...), the engine resumes the next ready process, or, when
-// none is ready, advances the virtual clock to the earliest pending timer.
+// Simulated activities ("processes") cooperate with a virtual clock: at any
+// instant exactly one process executes, so process code may freely share
+// data structures without host-level locking. When the running process
+// blocks on a simulation primitive (Sleep, a Trigger, a Mutex, ...), the
+// engine resumes the next ready process, or, when none is ready, advances
+// the virtual clock to the earliest pending timer.
+//
+// A process is either a goroutine (Spawn, SpawnLazy, SpawnDaemon), which
+// may block anywhere, or an inline step process (SpawnStep), which the
+// scheduler calls on its own stack. Both kinds share one ready queue, one
+// timer order and the same waiter queues, so the kind never changes the
+// event order. A step must keep one rule: it never blocks. It parks only
+// through the *Step primitives (Mutex.LockStep, Link.LockStep,
+// Semaphore.AcquireStep, Proc.SleepStep), then returns, and is called again
+// from the state it recorded once it is woken. Simulated programs are
+// goroutines; per-message runtime machinery can be steps.
 //
 // The engine is the substrate for every other subsystem in this repository:
 // the OpenCL-like device runtime (internal/cl), the MPI-like message-passing

@@ -6,31 +6,67 @@ import "fmt"
 // waiters acquire the lock in the order they requested it, which keeps
 // simulations deterministic.
 type Mutex struct {
-	eng       *Engine
-	label     string
-	waitLabel string // precomputed park label, off the Lock hot path
-	locked    bool
-	waiters   []*Proc
+	eng     *Engine
+	label   string
+	link    bool // a Link's own mutex, named "link <label>"
+	locked  bool
+	waiters []*Proc
 }
 
 // NewMutex creates an unlocked virtual mutex.
 func NewMutex(e *Engine, label string) *Mutex {
-	return &Mutex{eng: e, label: label, waitLabel: "mutex " + label}
+	return &Mutex{eng: e, label: label}
 }
+
+// name reports the mutex's diagnostic name. It is built on demand, so a
+// cluster's thousands of link mutexes cost no label strings up front.
+func (m *Mutex) name() string {
+	if m.link {
+		return "link " + m.label
+	}
+	return m.label
+}
+
+// WaitLabel implements Labeler: the deadlock-report annotation of a process
+// blocked on this mutex.
+func (m *Mutex) WaitLabel() string { return "mutex " + m.name() }
 
 // Lock blocks process p until it holds the mutex.
 func (m *Mutex) Lock(p *Proc) {
 	e := m.eng
 	e.mu.Lock()
+	if !m.lockLocked(p) {
+		p.waitLblr = m
+		e.park(p, "")
+		// Ownership was transferred to us by Unlock before we were woken.
+	}
+	e.mu.Unlock()
+}
+
+// LockStep is Lock for a step process: it reports true if p now holds the
+// mutex, or queues p as a waiter, parks it and reports false. Ownership is
+// handed to p before it is woken, exactly as for a blocked Lock.
+func (m *Mutex) LockStep(p *Proc) bool {
+	e := m.eng
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if m.lockLocked(p) {
+		return true
+	}
+	p.waitLblr = m
+	e.parkStepLocked(p, "")
+	return false
+}
+
+// lockLocked takes the mutex if it is free, and otherwise queues p as the
+// newest waiter. Callers must hold the engine lock.
+func (m *Mutex) lockLocked(p *Proc) bool {
 	if !m.locked {
 		m.locked = true
-		e.mu.Unlock()
-		return
+		return true
 	}
 	m.waiters = append(m.waiters, p)
-	e.park(p, m.waitLabel)
-	// Ownership was transferred to us by Unlock before we were woken.
-	e.mu.Unlock()
+	return false
 }
 
 // Unlock releases the mutex, handing it directly to the longest-waiting
@@ -40,7 +76,7 @@ func (m *Mutex) Unlock(p *Proc) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !m.locked {
-		panic(fmt.Sprintf("sim: unlock of unlocked mutex %q", m.label))
+		panic(fmt.Sprintf("sim: unlock of unlocked mutex %q", m.name()))
 	}
 	if len(m.waiters) > 0 {
 		next := m.waiters[0]
@@ -82,15 +118,38 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 	}
 	e := s.eng
 	e.mu.Lock()
+	if !s.acquireLocked(p, n) {
+		e.park(p, s.waitLabel)
+	}
+	e.mu.Unlock()
+}
+
+// AcquireStep is Acquire for a step process: it reports true if p now holds
+// the n permits, or queues p in FIFO order, parks it and reports false. The
+// permits are taken for p before it is woken, as for a blocked Acquire.
+func (s *Semaphore) AcquireStep(p *Proc, n int) bool {
+	if n <= 0 {
+		return true
+	}
+	e := s.eng
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if s.acquireLocked(p, n) {
+		return true
+	}
+	e.parkStepLocked(p, s.waitLabel)
+	return false
+}
+
+// acquireLocked takes n permits if no one is queued ahead and enough are
+// free, and otherwise queues p. Callers must hold the engine lock.
+func (s *Semaphore) acquireLocked(p *Proc, n int) bool {
 	if len(s.waiters) == 0 && s.count >= n {
 		s.count -= n
-		e.mu.Unlock()
-		return
+		return true
 	}
-	w := &semWaiter{p: p, n: n}
-	s.waiters = append(s.waiters, w)
-	e.park(p, s.waitLabel)
-	e.mu.Unlock()
+	s.waiters = append(s.waiters, &semWaiter{p: p, n: n})
+	return false
 }
 
 // Release returns n permits and wakes as many FIFO waiters as can now be
