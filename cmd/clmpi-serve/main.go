@@ -65,7 +65,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "clmpi-serve: %v\n", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Addr: *addr, Handler: serve.NewServer(mgr)}
+	// A client that trickles its headers or parks an idle keep-alive
+	// connection must not hold a connection forever. There is deliberately
+	// no WriteTimeout: POST /v1/jobs?wait=1 holds its response until the
+	// job finishes, however long the sweep takes.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           serve.NewServer(mgr),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -32,6 +33,49 @@ func TestMeasureP2PSane(t *testing.T) {
 	}
 	if bw <= 0 || bw > sys.NIC.BW {
 		t.Fatalf("bandwidth %.0f MB/s outside (0, wire rate %.0f]", bw/1e6, sys.NIC.BW/1e6)
+	}
+}
+
+// TestFig8CellMovesNoBytes pins the lazy data plane's gain: a 64 MiB Fig. 8
+// cell moves a buffer that nobody writes, so no layer may clear or copy it.
+// Each cell must allocate under 1 MiB of heap (two 64 MiB device buffers
+// used to be taken and cleared per cell) and report the bandwidth it
+// reported before the data plane became lazy, bit for bit.
+func TestFig8CellMovesNoBytes(t *testing.T) {
+	want := map[string]map[string]float64{
+		"Cichlid": {
+			"pinned":       1.141371644031211e+08,
+			"mapped":       1.1244669396524067e+08,
+			"pipelined(1)": 1.1624814808983608e+08,
+			"pipelined(4)": 1.1665448695100045e+08,
+		},
+		"RICC": {
+			"pinned":       1.0382783392086297e+09,
+			"mapped":       4.947743869860175e+08,
+			"pipelined(1)": 1.2443745890142765e+09,
+			"pipelined(4)": 1.2673817809850159e+09,
+		},
+	}
+	for _, sys := range []cluster.System{cluster.Cichlid(), cluster.RICC()} {
+		for _, im := range Fig8Impls() {
+			// Two collections empty the byte pool, so a recycled block
+			// cannot hide an allocation.
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			bw, err := MeasureP2P(sys, im.St, im.Block, 64<<20)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s %s: %v", sys.Name, im.Name, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("%s %s: cell allocated %d bytes, want < 1 MiB", sys.Name, im.Name, got)
+			}
+			if w := want[sys.Name][im.Name]; bw != w {
+				t.Errorf("%s %s: bandwidth %v B/s, want %v", sys.Name, im.Name, bw, w)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,10 @@
 // Slices are pooled in power-of-two size classes backed by sync.Pool, so the
 // pool is safe for concurrent use from parallel sweep workers and shrinks
 // under GC pressure like any sync.Pool.
+//
+// Store and Seg (store.go) build the data plane on the pool: device memory
+// that takes a block only when first written, and the copy rules that let
+// never-written memory cross the transport without a clear or a copy.
 package bytepool
 
 import (
@@ -44,7 +48,7 @@ func unbox(v any) []byte {
 }
 
 // Get returns a slice of length n. The contents are arbitrary bytes from a
-// previous use; callers that need zeroed memory must use GetZero.
+// previous use; zeroed memory comes from a Store.
 func Get(n int) []byte {
 	c := class(n)
 	if c < 0 {
@@ -56,22 +60,7 @@ func Get(n int) []byte {
 	return make([]byte, n, 1<<c)
 }
 
-// GetZero returns a zeroed slice of length n, like make([]byte, n). Only
-// recycled blocks pay for the clear; fresh allocations are already zero.
-func GetZero(n int) []byte {
-	c := class(n)
-	if c < 0 {
-		return make([]byte, n)
-	}
-	if v := classes[c].Get(); v != nil {
-		b := unbox(v)[:n]
-		clear(b)
-		return b
-	}
-	return make([]byte, n, 1<<c)
-}
-
-// Put recycles a slice obtained from Get/GetZero. The caller must not retain
+// Put recycles a slice obtained from Get. The caller must not retain
 // any alias to b. Slices whose capacity is not an exact size class (they did
 // not come from this pool) are dropped.
 func Put(b []byte) {

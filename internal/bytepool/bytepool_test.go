@@ -15,16 +15,16 @@ func TestGetLenAndClassCap(t *testing.T) {
 	}
 }
 
-func TestGetZeroAfterDirtyPut(t *testing.T) {
+func TestStoreZeroAfterDirtyPut(t *testing.T) {
 	b := Get(1024)
 	for i := range b {
 		b[i] = 0xAB
 	}
 	Put(b)
-	z := GetZero(1000)
+	z := NewStore(1000).Bytes()
 	for i, v := range z {
 		if v != 0 {
-			t.Fatalf("GetZero: byte %d = %#x, want 0", i, v)
+			t.Fatalf("Store: byte %d = %#x, want 0", i, v)
 		}
 	}
 }

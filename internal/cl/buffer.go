@@ -11,18 +11,21 @@ import (
 // the simulating process, but virtual-time charges model them as resident in
 // the GPU's memory: host access goes through the PCIe cost model.
 type Buffer struct {
-	ctx      *Context
-	label    string
-	data     []byte
-	mapped   bool
-	mapOff   int64
-	mapLen   int64
-	mapWrite bool
-	released bool
-	parent   *Buffer // non-nil for sub-buffers (see CreateSubBuffer)
+	ctx   *Context
+	label string
+	// st holds the bytes; a sub-buffer is the window [off, off+size) of its
+	// parent's store. The store stays unmaterialized until first written.
+	st        *bytepool.Store
+	off, size int64
+	mapped    bool
+	mapOff    int64
+	mapLen    int64
+	mapWrite  bool
+	released  bool
+	parent    *Buffer // non-nil for sub-buffers (see CreateSubBuffer)
 	// hasSub records that a sub-buffer was ever created over this buffer's
-	// storage. Sub-buffers alias data with independent slice headers, so a
-	// parent with sub-buffers can never return its block to the pool.
+	// storage. Sub-buffers share the store, so a parent with sub-buffers can
+	// never return its block to the pool.
 	hasSub bool
 }
 
@@ -40,10 +43,10 @@ func (c *Context) CreateBuffer(label string, size int64) (*Buffer, error) {
 			ErrOutOfResources, size, d.allocated, d.GlobalMemSize())
 	}
 	d.allocated += size
-	// Backing bytes come from the shared pool: a sweep re-creating the same
-	// device buffers thousands of times recycles the same blocks instead of
-	// re-allocating (and re-zeroing via GC) them each point.
-	return &Buffer{ctx: c, label: label, data: bytepool.GetZero(int(size))}, nil
+	// The store takes a pooled block only when first written, so memory
+	// that is only ever moved (a bandwidth benchmark's payload) is never
+	// cleared or copied.
+	return &Buffer{ctx: c, label: label, st: bytepool.NewStore(int(size)), size: size}, nil
 }
 
 // MustCreateBuffer is CreateBuffer that panics on error, for examples and
@@ -57,7 +60,7 @@ func (c *Context) MustCreateBuffer(label string, size int64) *Buffer {
 }
 
 // Size reports the buffer capacity in bytes.
-func (b *Buffer) Size() int64 { return int64(len(b.data)) }
+func (b *Buffer) Size() int64 { return b.size }
 
 // Label reports the buffer's diagnostic name.
 func (b *Buffer) Label() string { return b.label }
@@ -75,13 +78,12 @@ func (b *Buffer) Release() error {
 	}
 	b.released = true
 	if b.parent == nil {
-		b.ctx.Device.allocated -= int64(len(b.data))
+		b.ctx.Device.allocated -= b.size
 		if !b.hasSub && !b.mapped {
 			// No sub-buffer or mapped region can alias the block: recycle
-			// it. Dropping the reference also makes stale post-release
-			// Bytes() use fail loudly instead of reading pooled memory.
-			bytepool.Put(b.data)
-			b.data = nil
+			// it, if one was taken. Stale post-release Bytes() use then
+			// fails loudly instead of reading pooled memory.
+			b.st.Release()
 		}
 	}
 	return nil
@@ -90,8 +92,14 @@ func (b *Buffer) Release() error {
 // Bytes exposes the raw device bytes for kernels and for the verification
 // paths of tests. Simulation code that is *modelling host access* must not
 // use it directly — that is what Read/Write/Map commands with their PCIe
-// charges are for.
-func (b *Buffer) Bytes() []byte { return b.data }
+// charges are for. It materializes the buffer's store.
+func (b *Buffer) Bytes() []byte { return b.Seg(0, b.size).Bytes() }
+
+// Seg returns the window [offset, offset+size) of the buffer as a transport
+// segment, without materializing the store.
+func (b *Buffer) Seg(offset, size int64) bytepool.Seg {
+	return b.st.Seg(int(b.off+offset), int(size))
+}
 
 // check validates the buffer and an access window.
 func (b *Buffer) check(offset, size int64) error {
@@ -101,7 +109,7 @@ func (b *Buffer) check(offset, size int64) error {
 	if b.released {
 		return ErrReleasedObject
 	}
-	return rangeCheck(offset, size, int64(len(b.data)))
+	return rangeCheck(offset, size, b.size)
 }
 
 // node and device report the owning hardware.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
@@ -26,7 +27,7 @@ func (q *CommandQueue) EnqueueReadBuffer(p *sim.Proc, buf *Buffer, blocking bool
 	label := fmt.Sprintf("read %s[%d:%d]", buf.label, offset, offset+size)
 	ev, err := q.Enqueue(label, waits, func(wp *sim.Proc) error {
 		buf.device().DeviceToHost(wp, size, kind)
-		copy(dst[:size], buf.data[offset:offset+size])
+		bytepool.Copy(bytepool.Host(dst[:size]), buf.Seg(offset, size))
 		return nil
 	})
 	if err != nil {
@@ -54,7 +55,7 @@ func (q *CommandQueue) EnqueueWriteBuffer(p *sim.Proc, buf *Buffer, blocking boo
 	label := fmt.Sprintf("write %s[%d:%d]", buf.label, offset, offset+size)
 	ev, err := q.Enqueue(label, waits, func(wp *sim.Proc) error {
 		buf.device().HostToDevice(wp, size, kind)
-		copy(buf.data[offset:offset+size], src[:size])
+		bytepool.Copy(buf.Seg(offset, size), bytepool.Host(src[:size]))
 		return nil
 	})
 	if err != nil {
@@ -82,7 +83,7 @@ func (q *CommandQueue) EnqueueCopyBuffer(src, dst *Buffer, srcOff, dstOff, size 
 	return q.Enqueue(label, waits, func(wp *sim.Proc) error {
 		g := src.node().Sys.GPU
 		wp.Sleep(g.DMALatency + secondsToDur(float64(size)/(g.PinnedBW*20)))
-		copy(dst.data[dstOff:dstOff+size], src.data[srcOff:srcOff+size])
+		bytepool.Copy(dst.Seg(dstOff, size), src.Seg(srcOff, size))
 		return nil
 	})
 }
@@ -120,7 +121,7 @@ func (q *CommandQueue) EnqueueMapBuffer(p *sim.Proc, buf *Buffer, blocking bool,
 		buf.device().DeviceToHost(wp, size, cluster.Mapped)
 		// The host view aliases the device bytes: reads see device data,
 		// writes are published at unmap (when the copy-back is charged).
-		region.Bytes = buf.data[offset : offset+size]
+		region.Bytes = buf.Bytes()[offset : offset+size]
 		return nil
 	})
 	if err != nil {

@@ -27,7 +27,9 @@ func (b *Buffer) CreateSubBuffer(label string, origin, size int64) (*Buffer, err
 	return &Buffer{
 		ctx:    b.ctx,
 		label:  label,
-		data:   b.data[origin : origin+size : origin+size],
+		st:     b.st,
+		off:    origin,
+		size:   size,
 		parent: b,
 	}, nil
 }
@@ -52,7 +54,7 @@ func (q *CommandQueue) EnqueueFillBuffer(buf *Buffer, pattern []byte, offset, si
 	return q.Enqueue(label, waits, func(wp *sim.Proc) error {
 		g := buf.node().Sys.GPU
 		wp.Sleep(g.DMALatency + secondsToDur(float64(size)/(g.PinnedBW*20)))
-		dst := buf.data[offset : offset+size]
+		dst := buf.Bytes()[offset : offset+size]
 		for i := range dst {
 			dst[i] = pattern[i%len(pattern)]
 		}

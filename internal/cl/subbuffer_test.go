@@ -71,6 +71,63 @@ func TestSubBufferWorksWithCommands(t *testing.T) {
 	}
 }
 
+// TestSubBufferOverUnwrittenParent: windows of a parent nobody has written
+// read as zeros through every command, a copy between them moves zeros,
+// and the first real write lands in the parent's storage.
+func TestSubBufferOverUnwrittenParent(t *testing.T) {
+	e, ctx := testRig(t)
+	q := ctx.NewQueue("q")
+	parent := ctx.MustCreateBuffer("parent", 256)
+	lo, _ := parent.CreateSubBuffer("lo", 0, 64)
+	hi, _ := parent.CreateSubBuffer("hi", 128, 64)
+	got := bytes.Repeat([]byte{0xEE}, 64)
+	run(t, e, func(p *sim.Proc) {
+		if _, err := q.EnqueueReadBuffer(p, hi, true, 0, 64, got, cluster.Pinned, nil); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if _, err := q.EnqueueCopyBuffer(hi, lo, 0, 0, 64, nil); err != nil {
+			t.Fatalf("copy: %v", err)
+		}
+		if _, err := q.EnqueueWriteBuffer(p, hi, true, 0, 64, bytes.Repeat([]byte{7}, 64), cluster.Pinned, nil); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if _, err := q.EnqueueCopyBuffer(hi, lo, 0, 0, 64, nil); err != nil {
+			t.Fatalf("copy: %v", err)
+		}
+		if err := q.Finish(p); err != nil {
+			t.Fatalf("finish: %v", err)
+		}
+	})
+	if !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatalf("read of an unwritten window = %v, want zeros", got)
+	}
+	want := append(bytes.Repeat([]byte{7}, 64), make([]byte, 64)...)
+	want = append(want, bytes.Repeat([]byte{7}, 64)...)
+	want = append(want, make([]byte, 64)...)
+	if !bytes.Equal(parent.Bytes(), want) {
+		t.Fatalf("parent = %v", parent.Bytes())
+	}
+}
+
+// TestReleasedBufferHasNoBytes: after Release, Bytes returns nil whether or
+// not the buffer was ever written, so stale use fails loudly instead of
+// reading pooled memory or materializing a fresh block.
+func TestReleasedBufferHasNoBytes(t *testing.T) {
+	_, ctx := testRig(t)
+	for _, written := range []bool{false, true} {
+		b := ctx.MustCreateBuffer("b", 4096)
+		if written {
+			b.Bytes()[0] = 1
+		}
+		if err := b.Release(); err != nil {
+			t.Fatalf("release: %v", err)
+		}
+		if b.Bytes() != nil {
+			t.Errorf("written=%v: Bytes after Release is not nil", written)
+		}
+	}
+}
+
 func TestFillBuffer(t *testing.T) {
 	e, ctx := testRig(t)
 	q := ctx.NewQueue("q")

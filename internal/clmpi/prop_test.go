@@ -7,13 +7,18 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/mpi"
 	"repro/internal/sim"
 )
 
 // TestPropTransfersByteExact: for random strategies, sizes, offsets, block
 // sizes and ring depths, EnqueueSendBuffer → EnqueueRecvBuffer delivers
 // byte-identical payloads into the requested window and touches nothing
-// outside it.
+// outside it. Three random choices widen the property over the data
+// plane: the sender may be left never written (a zero source), the
+// receiver may be left untouched instead of pre-filled with 0xEE, and
+// either side may be a host buffer driven through the CLMem hook
+// (IsendCLMem / IrecvCLMem).
 func TestPropTransfersByteExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -26,41 +31,75 @@ func TestPropTransfersByteExact(t *testing.T) {
 			PipelineBlock: int64(rng.Intn(2<<20) + 1024),
 			RingBuffers:   rng.Intn(4) + 1,
 		}
+		zeroSrc := rng.Intn(3) == 0
+		untouchedDst := rng.Intn(3) == 0
+		hook := rng.Intn(3) == 0
+		hostSends := rng.Intn(2) == 0
 		r := newRig(t, cluster.RICC(), 2, opts)
+		comm := r.w.Comm()
 		payload := make([]byte, size)
-		rng.Read(payload)
-		var got, guardLo, guardHi []byte
+		if !zeroSrc {
+			rng.Read(payload)
+		}
+		fill := byte(0xEE)
+		if untouchedDst {
+			fill = 0
+		}
+		var dst []byte // the receiver's whole buffer after the transfer
 		r.run(t, func(p *sim.Proc, rank int) {
+			ep := r.w.Endpoint(rank)
 			q := r.ctxs[rank].NewQueue("q")
-			buf := r.ctxs[rank].MustCreateBuffer("b", size+1024)
-			if rank == 0 {
-				copy(buf.Bytes()[sendOff:], payload)
-				if _, err := r.rts[0].EnqueueSendBuffer(p, q, buf, true, sendOff, size, 1, 0, r.w.Comm(), nil); err != nil {
+			switch {
+			case rank == 0 && hook && hostSends:
+				req, err := ep.Isend(p, payload, 1, 0, mpi.CLMem, comm)
+				if err == nil {
+					_, err = req.Wait(p)
+				}
+				if err != nil {
+					t.Errorf("host send: %v", err)
+				}
+			case rank == 0:
+				buf := r.ctxs[0].MustCreateBuffer("b", size+1024)
+				if !zeroSrc {
+					copy(buf.Bytes()[sendOff:], payload)
+				}
+				if _, err := r.rts[0].EnqueueSendBuffer(p, q, buf, true, sendOff, size, 1, 0, comm, nil); err != nil {
 					t.Errorf("send: %v", err)
 				}
-			} else {
-				for i := range buf.Bytes() {
-					buf.Bytes()[i] = 0xEE
+			case hook && !hostSends:
+				host := bytes.Repeat([]byte{fill}, int(size+1024))
+				req, err := ep.Irecv(p, host[recvOff:recvOff+size], 0, 0, mpi.CLMem, comm)
+				if err == nil {
+					_, err = req.Wait(p)
 				}
-				if _, err := r.rts[1].EnqueueRecvBuffer(p, q, buf, true, recvOff, size, 0, 0, r.w.Comm(), nil); err != nil {
+				if err != nil {
+					t.Errorf("host recv: %v", err)
+				}
+				dst = host
+			default:
+				buf := r.ctxs[1].MustCreateBuffer("b", size+1024)
+				if !untouchedDst {
+					for i := range buf.Bytes() {
+						buf.Bytes()[i] = fill
+					}
+				}
+				if _, err := r.rts[1].EnqueueRecvBuffer(p, q, buf, true, recvOff, size, 0, 0, comm, nil); err != nil {
 					t.Errorf("recv: %v", err)
 				}
-				got = append([]byte(nil), buf.Bytes()[recvOff:recvOff+size]...)
-				guardLo = append([]byte(nil), buf.Bytes()[:recvOff]...)
-				guardHi = append([]byte(nil), buf.Bytes()[recvOff+size:]...)
+				dst = append([]byte(nil), buf.Bytes()...)
 			}
 		})
-		if !bytes.Equal(got, payload) {
+		if !bytes.Equal(dst[recvOff:recvOff+size], payload) {
 			return false
 		}
-		for _, g := range append(guardLo, guardHi...) {
-			if g != 0xEE {
+		for _, g := range append(dst[:recvOff:recvOff], dst[recvOff+size:]...) {
+			if g != fill {
 				return false // wrote outside the window
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

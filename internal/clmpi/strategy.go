@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cl"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -20,9 +21,9 @@ import (
 
 // xferArgs packages one resolved transfer for the pipeline builders.
 type xferArgs struct {
-	lane string // trace lane / helper-process prefix
-	data []byte // the backing host view of the device buffer
-	peer int    // destination (send) or source (recv) rank
+	lane string       // trace lane / helper-process prefix
+	data bytepool.Seg // the whole device buffer as a transport window
+	peer int          // destination (send) or source (recv) rank
 	tag  int
 	comm *mpi.Comm
 	wins []xfer.Window
@@ -98,7 +99,7 @@ func (rt *Runtime) h2dStage(kind cluster.HostMemKind) xfer.Stage {
 // wireSendStage hands one window to the MPI transport.
 func (rt *Runtime) wireSendStage(a *xferArgs) xfer.Stage {
 	return xfer.Stage{Name: "wire.send", Run: func(p *sim.Proc, w xfer.Window) error {
-		req, err := rt.ep.Isend(p, a.data[w.Off:w.Off+w.N], a.peer, a.tag, wireDatatype, a.comm)
+		req, err := rt.ep.IsendSeg(p, a.data.Slice(int(w.Off), int(w.N)), a.peer, a.tag, wireDatatype, a.comm)
 		if err != nil {
 			return err
 		}
@@ -116,7 +117,7 @@ func (rt *Runtime) wireSendStage(a *xferArgs) xfer.Stage {
 func (rt *Runtime) wireRecvStage(a *xferArgs) xfer.Stage {
 	src := a.peer
 	return xfer.Stage{Name: "wire.recv", Run: func(p *sim.Proc, w xfer.Window) error {
-		req, err := rt.ep.Irecv(p, a.data[w.Off:w.Off+w.N], src, a.tag, wireDatatype, a.comm)
+		req, err := rt.ep.IrecvSeg(p, a.data.Slice(int(w.Off), int(w.N)), src, a.tag, wireDatatype, a.comm)
 		if err != nil {
 			return err
 		}
@@ -251,7 +252,7 @@ func (rt *Runtime) newXferArgs(kind string, buf *cl.Buffer, offset int64, peer, 
 	rt.seq++
 	return &xferArgs{
 		lane: fmt.Sprintf("rank%d.%s.t%d", rt.ep.Rank(), kind, seq),
-		data: buf.Bytes(),
+		data: buf.Seg(0, buf.Size()),
 		peer: peer,
 		tag:  tag,
 		comm: comm,

@@ -441,9 +441,16 @@ var loadRegistry = sync.OnceValue(func() *registry {
 	return r
 })
 
+// Preset returns the built-in preset with the given lower-case name.
+// Unlike Systems it copies nothing, so per-request lookups stay cheap.
+func Preset(name string) (System, bool) {
+	sys, ok := loadRegistry().systems[name]
+	return sys, ok
+}
+
 // mustPreset returns one built-in preset by lower-case name.
 func mustPreset(name string) System {
-	sys, ok := loadRegistry().systems[name]
+	sys, ok := Preset(name)
 	if !ok {
 		panic(fmt.Sprintf("cluster: no embedded preset %q", name))
 	}

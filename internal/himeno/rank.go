@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/cl"
@@ -136,6 +137,30 @@ func decompose(s Size, n, r int) (lo, hi int) {
 	return lo, hi
 }
 
+// gridPools recycles local grids across runs, one sync.Pool per exact
+// length. A sweep re-runs the same decompositions, and each run's grids are
+// megabytes of garbage that would otherwise set the collector's pace.
+var gridPools sync.Map // int -> *sync.Pool of *[]float32
+
+// getGrid returns a grid of n cells with arbitrary contents.
+func getGrid(n int) []float32 {
+	if v, ok := gridPools.Load(n); ok {
+		if g, _ := v.(*sync.Pool).Get().(*[]float32); g != nil {
+			return *g
+		}
+	}
+	return make([]float32, n)
+}
+
+// putGrid recycles a grid; the caller must hold no alias to it.
+func putGrid(g []float32) {
+	v, ok := gridPools.Load(len(g))
+	if !ok {
+		v, _ = gridPools.LoadOrStore(len(g), new(sync.Pool))
+	}
+	v.(*sync.Pool).Put(&g)
+}
+
 // newRank builds the local state for rank r of n.
 func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt *clmpi.Runtime) (*rank, error) {
 	lo, hi := decompose(s, n, ep.Rank())
@@ -149,17 +174,20 @@ func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt
 		lo: lo, hi: hi, own: own, half: own / 2,
 	}
 	local := (own + 2) * s.J * s.K
-	rk.p = make([]float32, local)
+	rk.p = getGrid(local)
 	for li := 0; li < own+2; li++ {
 		gi := lo - 1 + li
 		if gi < 0 || gi >= s.I {
-			continue // beyond the global domain (edge ranks)
+			// Beyond the global domain (edge ranks): zero, as the grid may
+			// be recycled.
+			clear(rk.p[idx(s.J, s.K, li, 0, 0):][:s.J*s.K])
+			continue
 		}
 		for j := 0; j < s.J; j++ {
 			initRow(mode, s, gi, j, rk.p[idx(s.J, s.K, li, j, 0):][:s.K])
 		}
 	}
-	rk.wrk = make([]float32, local)
+	rk.wrk = getGrid(local)
 	copy(rk.wrk, rk.p)
 	pb := s.planeBytes()
 	var err error

@@ -200,5 +200,11 @@ func Run(cfg Config) (*Result, error) {
 			rk.gatherInterior(res.Grid)
 		}
 	}
+	// The simulation has finished, so no kernel or transfer still holds
+	// the grids.
+	for _, rk := range ranks {
+		putGrid(rk.p)
+		putGrid(rk.wrk)
+	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bytepool"
 	"repro/internal/sim"
 )
 
@@ -36,8 +37,8 @@ func (ep *Endpoint) Barrier(p *sim.Proc, comm *Comm) error {
 		to := (me + dist) % n
 		from := (me - dist + n) % n
 		tag := tagBarrier - round
-		sreq := ep.postSend(one, to, tag, comm)
-		rreq := ep.postRecv(in, from, tag, comm)
+		sreq := ep.postSend(bytepool.Host(one), to, tag, comm)
+		rreq := ep.postRecv(bytepool.Host(in), from, tag, comm)
 		if _, err := sreq.Wait(p); err != nil {
 			return fmt.Errorf("mpi: barrier round %d: %w", round, err)
 		}
@@ -66,7 +67,7 @@ func (ep *Endpoint) Bcast(p *sim.Proc, buf []byte, root int, comm *Comm) error {
 	for mask < n {
 		if vrank&mask != 0 {
 			parent := (vrank - mask + root) % n
-			if _, err := ep.postRecv(buf, parent, tagBcast, comm).Wait(p); err != nil {
+			if _, err := ep.postRecv(bytepool.Host(buf), parent, tagBcast, comm).Wait(p); err != nil {
 				return fmt.Errorf("mpi: bcast recv: %w", err)
 			}
 			break
@@ -76,7 +77,7 @@ func (ep *Endpoint) Bcast(p *sim.Proc, buf []byte, root int, comm *Comm) error {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vrank+mask < n {
 			child := (vrank + mask + root) % n
-			if err := ep.Wait(p, ep.postSend(buf, child, tagBcast, comm)); err != nil {
+			if err := ep.Wait(p, ep.postSend(bytepool.Host(buf), child, tagBcast, comm)); err != nil {
 				return fmt.Errorf("mpi: bcast send: %w", err)
 			}
 		}
@@ -109,11 +110,11 @@ func (ep *Endpoint) Gather(p *sim.Proc, contrib []byte, out []byte, root int, co
 			if r == root {
 				continue
 			}
-			reqs = append(reqs, ep.postRecv(out[r*sz:(r+1)*sz], r, tagGather, comm))
+			reqs = append(reqs, ep.postRecv(bytepool.Host(out[r*sz:(r+1)*sz]), r, tagGather, comm))
 		}
 		return Waitall(p, reqs...)
 	}
-	return ep.Wait(p, ep.postSend(contrib, root, tagGather, comm))
+	return ep.Wait(p, ep.postSend(bytepool.Host(contrib), root, tagGather, comm))
 }
 
 // AllreduceSum sums one float64 across all ranks and returns the total on
@@ -136,9 +137,9 @@ func (ep *Endpoint) AllreduceSum(p *sim.Proc, x float64, comm *Comm) (float64, e
 		from := (me - 1 + n) % n
 		tag := tagReduce - step
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(cur))
-		sreq := ep.postSend(buf, to, tag, comm)
+		sreq := ep.postSend(bytepool.Host(buf), to, tag, comm)
 		in := make([]byte, 8)
-		rreq := ep.postRecv(in, from, tag, comm)
+		rreq := ep.postRecv(bytepool.Host(in), from, tag, comm)
 		if _, err := sreq.Wait(p); err != nil {
 			return 0, fmt.Errorf("mpi: allreduce step %d: %w", step, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bytepool"
 	"repro/internal/sim"
 )
 
@@ -36,8 +37,8 @@ func (ep *Endpoint) Allgather(p *sim.Proc, contrib []byte, out []byte, comm *Com
 		sendBlock := (me - step + n) % n
 		recvBlock := (me - step - 1 + n) % n
 		tag := tagAllgather - step
-		sreq := ep.postSend(out[sendBlock*sz:(sendBlock+1)*sz], right, tag, comm)
-		rreq := ep.postRecv(out[recvBlock*sz:(recvBlock+1)*sz], left, tag, comm)
+		sreq := ep.postSend(bytepool.Host(out[sendBlock*sz:(sendBlock+1)*sz]), right, tag, comm)
+		rreq := ep.postRecv(bytepool.Host(out[recvBlock*sz:(recvBlock+1)*sz]), left, tag, comm)
 		if err := Waitall(p, sreq, rreq); err != nil {
 			return fmt.Errorf("mpi: allgather step %d: %w", step, err)
 		}
@@ -66,8 +67,8 @@ func (ep *Endpoint) Alltoall(p *sim.Proc, in []byte, out []byte, blockSize int, 
 			continue
 		}
 		reqs = append(reqs,
-			ep.postSend(in[r*blockSize:(r+1)*blockSize], r, tagAlltoall, comm),
-			ep.postRecv(out[r*blockSize:(r+1)*blockSize], r, tagAlltoall, comm))
+			ep.postSend(bytepool.Host(in[r*blockSize:(r+1)*blockSize]), r, tagAlltoall, comm),
+			ep.postRecv(bytepool.Host(out[r*blockSize:(r+1)*blockSize]), r, tagAlltoall, comm))
 	}
 	if err := Waitall(p, reqs...); err != nil {
 		return fmt.Errorf("mpi: alltoall: %w", err)
@@ -99,7 +100,7 @@ func (ep *Endpoint) ReduceSumVec(p *sim.Proc, vec []float64, root int, comm *Com
 			for i, v := range acc {
 				binary.LittleEndian.PutUint64(wire[i*8:], math.Float64bits(v))
 			}
-			if err := ep.Wait(p, ep.postSend(wire, parent, tagReduceVec-mask, comm)); err != nil {
+			if err := ep.Wait(p, ep.postSend(bytepool.Host(wire), parent, tagReduceVec-mask, comm)); err != nil {
 				return nil, fmt.Errorf("mpi: reduce send: %w", err)
 			}
 			return nil, nil // non-root contribution delivered
@@ -107,7 +108,7 @@ func (ep *Endpoint) ReduceSumVec(p *sim.Proc, vec []float64, root int, comm *Com
 		child := vrank + mask
 		if child < n {
 			from := (child + root) % n
-			if _, err := ep.postRecv(wire, from, tagReduceVec-mask, comm).Wait(p); err != nil {
+			if _, err := ep.postRecv(bytepool.Host(wire), from, tagReduceVec-mask, comm).Wait(p); err != nil {
 				return nil, fmt.Errorf("mpi: reduce recv: %w", err)
 			}
 			for i := range acc {

@@ -32,8 +32,8 @@ type message struct {
 	seq           uint64
 	size          int
 	eager         bool
-	payload       []byte // eager: pooled captured copy; rendezvous/direct: nil
-	sendBuf       []byte // rendezvous (and direct self-sends): the live send buffer
+	payload       bytepool.Seg // eager: captured copy (bytepool.Capture); rendezvous/direct: empty
+	sendBuf       bytepool.Seg // rendezvous (and direct self-sends): the live send buffer
 	// direct marks an intra-node copy elision: a matching receive was
 	// already posted when the send arrived, so delivery fills the
 	// receiver-owned buffer straight from the sender's (no intermediate
@@ -61,7 +61,7 @@ type recvOp struct {
 	owner    int // the rank that posted the receive
 	src, tag int // may be AnySource / AnyTag
 	seq      uint64
-	buf      []byte
+	buf      bytepool.Seg
 	req      *Request
 
 	// Intrusive matcher links: the literal (src, tag) lane FIFO.
@@ -76,6 +76,13 @@ type recvOp struct {
 // receiver. Larger messages use rendezvous: the request completes only after
 // the matching receive is posted and the wire transfer has finished.
 func (ep *Endpoint) Isend(p *sim.Proc, buf []byte, dest, tag int, dtype Datatype, comm *Comm) (*Request, error) {
+	return ep.IsendSeg(p, bytepool.Host(buf), dest, tag, dtype, comm)
+}
+
+// IsendSeg is Isend from a data-plane segment, such as a window of device
+// memory: a window that was never written travels as zeros without being
+// materialized. The CLMem hook receives the segment's bytes.
+func (ep *Endpoint) IsendSeg(p *sim.Proc, buf bytepool.Seg, dest, tag int, dtype Datatype, comm *Comm) (*Request, error) {
 	if err := ep.checkArgs(dest, tag); err != nil {
 		return nil, err
 	}
@@ -83,14 +90,14 @@ func (ep *Endpoint) Isend(p *sim.Proc, buf []byte, dest, tag int, dtype Datatype
 		if ep.world.hook == nil {
 			return nil, ErrNoCLMemHook
 		}
-		return ep.world.hook.IsendCLMem(p, ep, buf, dest, tag, comm)
+		return ep.world.hook.IsendCLMem(p, ep, buf.Bytes(), dest, tag, comm)
 	}
 	return ep.postSend(buf, dest, tag, comm), nil
 }
 
 // postSend is the transport-level send, shared by user sends and internal
 // collective traffic (which uses negative tags).
-func (ep *Endpoint) postSend(buf []byte, dest, tag int, comm *Comm) *Request {
+func (ep *Endpoint) postSend(buf bytepool.Seg, dest, tag int, comm *Comm) *Request {
 	w := ep.world
 	if ps := w.part; ps != nil && !ps.local(dest) && dest != ep.rank {
 		// Destination lives on another partition: route through the
@@ -99,7 +106,7 @@ func (ep *Endpoint) postSend(buf []byte, dest, tag int, comm *Comm) *Request {
 	}
 	msg := w.getMsg()
 	msg.src, msg.dst, msg.tag, msg.seq = ep.rank, dest, tag, w.nextSeq()
-	msg.size = len(buf)
+	msg.size = buf.Len()
 	msg.req = newReqCoded(w.eng, reqIsend, ep.rank, dest, tag)
 	msg.req.seq = msg.seq
 	switch {
@@ -107,7 +114,7 @@ func (ep *Endpoint) postSend(buf []byte, dest, tag int, comm *Comm) *Request {
 		// Self-message: a shared-memory copy, no NIC involved.
 		msg.eager = true
 		msg.arrived.Init(w.eng, "self-msg")
-		if rop := comm.firstMatch(msg); rop != nil && msg.size <= len(rop.buf) {
+		if rop := comm.firstMatch(msg); rop != nil && msg.size <= rop.buf.Len() {
 			// Copy elision: the receive is already posted, and matching
 			// happens synchronously below, so delivery can fill the
 			// receiver's buffer directly from the (still untouched) send
@@ -115,16 +122,14 @@ func (ep *Endpoint) postSend(buf []byte, dest, tag int, comm *Comm) *Request {
 			msg.direct = true
 			msg.sendBuf = buf
 		} else {
-			msg.payload = bytepool.Get(len(buf))
-			copy(msg.payload, buf)
+			msg.payload = bytepool.Capture(buf)
 		}
-		d := localOverhead + secondsToDur(float64(len(buf))/ep.Node().Sys.CPU.MemBW)
+		d := localOverhead + secondsToDur(float64(msg.size)/ep.Node().Sys.CPU.MemBW)
 		msg.arrived.FireAfter(d, nil)
 		msg.req.completeAfter(d, Status{}, nil)
-	case len(buf) <= EagerThreshold:
+	case msg.size <= EagerThreshold:
 		msg.eager = true
-		msg.payload = bytepool.Get(len(buf))
-		copy(msg.payload, buf)
+		msg.payload = bytepool.Capture(buf)
 		msg.arrived.Init(w.eng, "eager-msg")
 		if ps := w.part; ps != nil && ps.parts() > 1 {
 			// Partitioned runs route intra-shard eager transfers through the
@@ -154,6 +159,13 @@ func (ep *Endpoint) postSend(buf []byte, dest, tag int, comm *Comm) *Request {
 // with the given tag (or AnyTag), like MPI_Irecv. With dtype CLMem the
 // registered hook takes over.
 func (ep *Endpoint) Irecv(p *sim.Proc, buf []byte, src, tag int, dtype Datatype, comm *Comm) (*Request, error) {
+	return ep.IrecvSeg(p, bytepool.Host(buf), src, tag, dtype, comm)
+}
+
+// IrecvSeg is Irecv into a data-plane segment, such as a window of device
+// memory: zeros arriving into a window that was never written leave it
+// unmaterialized. The CLMem hook receives the segment's bytes.
+func (ep *Endpoint) IrecvSeg(p *sim.Proc, buf bytepool.Seg, src, tag int, dtype Datatype, comm *Comm) (*Request, error) {
 	if src != AnySource {
 		if src < 0 || src >= ep.world.size {
 			return nil, fmt.Errorf("%w: source %d", ErrRankRange, src)
@@ -166,14 +178,14 @@ func (ep *Endpoint) Irecv(p *sim.Proc, buf []byte, src, tag int, dtype Datatype,
 		if ep.world.hook == nil {
 			return nil, ErrNoCLMemHook
 		}
-		return ep.world.hook.IrecvCLMem(p, ep, buf, src, tag, comm)
+		return ep.world.hook.IrecvCLMem(p, ep, buf.Bytes(), src, tag, comm)
 	}
 	return ep.postRecv(buf, src, tag, comm), nil
 }
 
 // postRecv is the transport-level receive, shared by user receives and
 // internal collective traffic.
-func (ep *Endpoint) postRecv(buf []byte, src, tag int, comm *Comm) *Request {
+func (ep *Endpoint) postRecv(buf bytepool.Seg, src, tag int, comm *Comm) *Request {
 	w := ep.world
 	rop := w.getRop()
 	rop.owner = ep.rank
@@ -191,7 +203,7 @@ func (ep *Endpoint) postRecv(buf []byte, src, tag int, comm *Comm) *Request {
 	}
 	pd, ud := comm.match.depths(ep.rank)
 	w.observe(MsgEvent{Kind: MsgRecvPosted, Src: src, Dst: ep.rank, Tag: tag,
-		Seq: seq, Bytes: len(buf), At: w.eng.Now(),
+		Seq: seq, Bytes: buf.Len(), At: w.eng.Now(),
 		PostedDepth: pd, UnexpectedDepth: ud})
 	if msg != nil {
 		comm.deliver(msg, rop)

@@ -227,9 +227,9 @@ type rxJob struct {
 	src, dst, tag int
 	seq           uint64
 	size          int
-	wire          int64  // bytes occupying the rx path (0 for headers)
-	payload       []byte // rxEager / rxData
-	recvSeq       uint64 // rxData: the matched receive's sequence
+	wire          int64        // bytes occupying the rx path (0 for headers)
+	payload       bytepool.Seg // rxEager / rxData: a bytepool.Capture copy
+	recvSeq       uint64       // rxData: the matched receive's sequence
 }
 
 const (
@@ -246,8 +246,8 @@ type xsend struct {
 	src, dst, tag int
 	seq           uint64
 	size          int
-	payload       []byte // eager: captured copy
-	sendBuf       []byte // rendezvous: live buffer until the data phase
+	payload       bytepool.Seg // eager: captured copy
+	sendBuf       bytepool.Seg // rendezvous: live buffer until the data phase
 	req           *Request
 	recvSeq       uint64 // set by the clear-to-send grant
 }
@@ -259,7 +259,7 @@ type xawait struct {
 	src, dst, tag int
 	seq           uint64
 	size          int
-	buf           []byte
+	buf           bytepool.Seg
 	req           *Request
 	st            Status
 	recvSeq       uint64
@@ -268,22 +268,21 @@ type xawait struct {
 
 // crossSend posts a send whose destination lives on another partition.
 // Called in the sending rank's process context.
-func (ps *partShard) crossSend(ep *Endpoint, buf []byte, dest, tag int, comm *Comm, ssend bool) *Request {
+func (ps *partShard) crossSend(ep *Endpoint, buf bytepool.Seg, dest, tag int, comm *Comm, ssend bool) *Request {
 	w := ps.w
 	if comm != w.world {
 		panic("mpi: cross-partition traffic is only supported on MPI_COMM_WORLD")
 	}
-	x := &xsend{src: ep.rank, dst: dest, tag: tag, seq: w.nextSeq(), size: len(buf)}
+	x := &xsend{src: ep.rank, dst: dest, tag: tag, seq: w.nextSeq(), size: buf.Len()}
 	kind := reqIsend
 	if ssend {
 		kind = reqSsend
 	}
 	x.req = newReqCoded(w.eng, kind, ep.rank, dest, tag)
 	x.req.seq = x.seq
-	eager := !ssend && len(buf) <= EagerThreshold
+	eager := !ssend && x.size <= EagerThreshold
 	if eager {
-		x.payload = bytepool.Get(len(buf))
-		copy(x.payload, buf)
+		x.payload = bytepool.Capture(buf)
 	} else {
 		x.sendBuf = buf
 		ps.pend[x.seq] = x
@@ -414,7 +413,7 @@ func (ps *partShard) runXEager(p *sim.Proc, x *xsend) {
 		kind: rxEager, src: x.src, dst: x.dst, tag: x.tag,
 		seq: x.seq, size: x.size, wire: int64(x.size), payload: x.payload,
 	})
-	x.payload = nil
+	x.payload = bytepool.Seg{}
 }
 
 // runRTS transmits a cross rendezvous header. The sender's request stays
@@ -436,9 +435,8 @@ func (ps *partShard) runRTS(p *sim.Proc, x *xsend) {
 // land, the sender completes, and the payload crosses.
 func (ps *partShard) runData(p *sim.Proc, x *xsend) {
 	w := ps.w
-	payload := bytepool.Get(x.size)
-	copy(payload, x.sendBuf)
-	x.sendBuf = nil
+	payload := bytepool.Capture(x.sendBuf)
+	x.sendBuf = bytepool.Seg{}
 	pname := ""
 	if w.Node(x.src).TX.Observed() {
 		pname = fmt.Sprintf("rndv %d->%d", x.src, x.dst)
@@ -549,7 +547,7 @@ func (ps *partShard) handleCTS(seq uint64, want bool, recvSeq uint64) {
 	}
 	delete(ps.pend, seq)
 	if !want {
-		x.sendBuf = nil
+		x.sendBuf = bytepool.Seg{}
 		x.req.complete(Status{}, nil)
 		return
 	}
@@ -566,8 +564,8 @@ func (ps *partShard) completeData(p *sim.Proc, job rxJob) {
 		panic(fmt.Sprintf("mpi: data phase for unknown message seq %d", job.seq))
 	}
 	delete(ps.await, job.seq)
-	copy(a.buf, job.payload)
-	bytepool.Put(job.payload)
+	bytepool.Copy(a.buf, job.payload)
+	bytepool.Free(job.payload)
 	a.req.complete(a.st, nil)
 	ps.w.observe(MsgEvent{Kind: MsgDelivered, Src: a.src, Dst: a.dst, Tag: a.tag,
 		Seq: a.seq, RecvSeq: a.recvSeq, Bytes: a.size, At: p.Now(),

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"repro/internal/bytepool"
 	"repro/internal/sim"
 )
 
@@ -91,14 +92,14 @@ func (ep *Endpoint) Ssend(p *sim.Proc, buf []byte, dest, tag int, comm *Comm) er
 	}
 	w := ep.world
 	if ps := w.part; ps != nil && !ps.local(dest) {
-		req := ps.crossSend(ep, buf, dest, tag, comm, true)
+		req := ps.crossSend(ep, bytepool.Host(buf), dest, tag, comm, true)
 		_, err := req.Wait(p)
 		return err
 	}
 	msg := w.getMsg()
 	msg.src, msg.dst, msg.tag, msg.seq = ep.rank, dest, tag, w.nextSeq()
 	msg.size = len(buf)
-	msg.sendBuf = buf // rendezvous path: completes only on match
+	msg.sendBuf = bytepool.Host(buf) // rendezvous path: completes only on match
 	msg.req = newReqCoded(w.eng, reqSsend, ep.rank, dest, tag)
 	msg.req.seq = msg.seq
 	comm.match.addMsg(msg)

@@ -159,7 +159,7 @@ func (x *wireXfer) rndvDone(now sim.Time) {
 	w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
 		Seq: msg.seq, RecvSeq: rop.seq, Bytes: msg.size, At: now,
 		PostedDepth: x.pd, UnexpectedDepth: x.ud})
-	copy(rop.buf, msg.sendBuf)
+	bytepool.Copy(rop.buf, msg.sendBuf)
 	// Sender's buffer is reusable once the NIC is done with it.
 	msg.req.complete(Status{}, nil)
 	lat := w.clus.Sys.NIC.WireLatency
@@ -189,10 +189,10 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 		Seq: msg.seq, RecvSeq: rseq, Bytes: msg.size, Eager: msg.eager, At: now,
 		PostedDepth: pd, UnexpectedDepth: ud})
 	st := Status{Source: msg.src, Tag: msg.tag, Count: msg.size}
-	if msg.size > len(rop.buf) {
+	if msg.size > rop.buf.Len() {
 		// Truncation is the receiver's error; the sender completes
 		// normally (its data was accepted by the transport).
-		err := fmt.Errorf("%w: %d bytes into %d-byte buffer", ErrTruncate, msg.size, len(rop.buf))
+		err := fmt.Errorf("%w: %d bytes into %d-byte buffer", ErrTruncate, msg.size, rop.buf.Len())
 		switch {
 		case msg.xRndv:
 			// Cross-partition rendezvous: grant a negative clear-to-send so
@@ -206,11 +206,9 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 			msg.req.complete(Status{}, nil)
 			rop.req.complete(st, err)
 		}
-		if msg.payload != nil {
-			// Nothing will read the captured copy: recycle it now.
-			bytepool.Put(msg.payload)
-			msg.payload = nil
-		}
+		// Nothing will read the captured copy: recycle it now.
+		bytepool.Free(msg.payload)
+		msg.payload = bytepool.Seg{}
 		w.observe(delivered(now))
 		if msg.xArrived || msg.xRndv {
 			w.putMsg(msg)
@@ -222,9 +220,9 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 		// Cross-partition eager: the payload arrived with the injected
 		// envelope, so delivery is immediate (the injection instant is never
 		// later than the match instant).
-		copy(rop.buf, msg.payload)
-		bytepool.Put(msg.payload)
-		msg.payload = nil
+		bytepool.Copy(rop.buf, msg.payload)
+		bytepool.Free(msg.payload)
+		msg.payload = bytepool.Seg{}
 		rop.req.complete(st, nil)
 		w.observe(delivered(now))
 		w.putRop(rop)
@@ -250,15 +248,15 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 			// Intra-node copy elision: matching is synchronous with the
 			// send, so the sender's buffer still holds the payload — fill
 			// the receiver-owned buffer directly, skipping the staged copy.
-			copy(buf, msg.sendBuf)
-			msg.sendBuf = nil
+			bytepool.Copy(buf, msg.sendBuf)
+			msg.sendBuf = bytepool.Seg{}
 		}
 		msg.arrived.OnFire(func(at sim.Time, _ any) {
-			if msg.payload != nil {
-				copy(buf, msg.payload)
-				bytepool.Put(msg.payload)
-				msg.payload = nil
-			}
+			// A direct delivery has no payload; copying and freeing the
+			// empty segment is a no-op.
+			bytepool.Copy(buf, msg.payload)
+			bytepool.Free(msg.payload)
+			msg.payload = bytepool.Seg{}
 			req.status = st
 			if at < now {
 				// Payload beat the receive: delivery is at match time.
@@ -275,7 +273,7 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 	if msg.src == msg.dst {
 		// Local rendezvous (synchronous self-send): a memory copy.
 		d := localOverhead + secondsToDur(float64(msg.size)/w.Node(msg.src).Sys.CPU.MemBW)
-		copy(rop.buf, msg.sendBuf)
+		bytepool.Copy(rop.buf, msg.sendBuf)
 		msg.req.completeAfter(d, Status{}, nil)
 		rop.req.completeAfter(d, st, nil)
 		w.observe(delivered(now.Add(d)))

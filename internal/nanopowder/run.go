@@ -126,6 +126,8 @@ func Run(cfg Config) (*Result, error) {
 			fail(err)
 			return
 		}
+		// Every command on q has finished.
+		coefBuf.Release()
 		if cfg.Verify {
 			for i := 0; i < cpn; i++ {
 				res.Final[me*cpn+i] = append([]float64(nil), myCells[i]...)
@@ -152,11 +154,13 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 	cellB := p.cellCoeffBytes()
 	nodes := cfg.Nodes
 	cpu := ep.Node().Sys.CPU
-	// Wire buffers for each worker's slice, reused across steps.
+	// Wire buffers for each worker's slice, reused across steps. The
+	// coefficient slices are fully rewritten every step, so they come from
+	// the pool.
 	coeffWire := make([][]byte, nodes)
 	srcWire := make([][]byte, nodes)
 	for r := 1; r < nodes; r++ {
-		coeffWire[r] = make([]byte, int64(cpn)*cellB)
+		coeffWire[r] = bytepool.Get(int(int64(cpn) * cellB))
 		srcWire[r] = make([]byte, cpn*8)
 	}
 	summaries := make([][]byte, nodes)
@@ -238,6 +242,10 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 		res.DistCompute += hp.Now().Sub(t1)
 	}
 	res.Elapsed = hp.Now().Sub(start)
+	// Every send has completed: nothing reads the wire buffers any more.
+	for _, b := range coeffWire {
+		bytepool.Put(b)
+	}
 	return nil
 }
 

@@ -158,7 +158,7 @@ func Normalize(spec JobSpec) (JobSpec, error) {
 	} else {
 		n.SystemSpec = nil
 		var ok bool
-		if sys, ok = cluster.Systems()[n.System]; !ok {
+		if sys, ok = cluster.Preset(n.System); !ok {
 			return JobSpec{}, fmt.Errorf("serve: unknown system %q (presets: %s; or submit an inline system_spec)",
 				spec.System, strings.Join(cluster.PresetNames(), ", "))
 		}
@@ -295,7 +295,7 @@ func (s JobSpec) ResolveSystem() (cluster.System, error) {
 	if len(s.SystemSpec) > 0 {
 		return cluster.DecodeSpec(s.SystemSpec)
 	}
-	if sys, ok := cluster.Systems()[s.System]; ok {
+	if sys, ok := cluster.Preset(s.System); ok {
 		return sys, nil
 	}
 	return cluster.System{}, fmt.Errorf("serve: unknown system %q", s.System)

@@ -203,7 +203,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 	if name := strings.ToLower(strings.TrimSpace(spec.System)); len(spec.SystemSpec) == 0 {
 		if sys, ok := m.opts.Systems[name]; ok {
-			if _, builtin := cluster.Systems()[name]; !builtin {
+			if _, builtin := cluster.Preset(name); !builtin {
 				compact, err := cluster.EncodeSpecCompact(sys)
 				if err != nil {
 					return nil, fmt.Errorf("serve: registered system %q: %w", name, err)
