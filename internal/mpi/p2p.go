@@ -142,7 +142,7 @@ func (ep *Endpoint) postSend(buf bytepool.Seg, dest, tag int, comm *Comm) *Reque
 			break
 		}
 		x := &wireXfer{w: w, msg: msg}
-		w.eng.SpawnStep(x.name, x.step)
+		w.eng.SpawnStep(x, &x.proc)
 	default:
 		msg.sendBuf = buf // rendezvous: transfer happens at match time
 	}

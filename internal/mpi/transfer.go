@@ -64,12 +64,14 @@ func (ep *Endpoint) wireTransferProc(p *sim.Proc, dest int, n int64, pname strin
 }
 
 // wireXfer is one message's NIC wire transfer in the serial transport, run
-// as a goroutine-free step process (sim.Engine.SpawnStep): the eager body
+// as a coroutine-free step process (sim.Engine.SpawnStep): the eager body
 // of a send, or the data phase of a matched rendezvous. It performs
 // wireTransferProc's sequence — backplane, then tx, then rx, a sleep for
 // the overhead plus serialization, the charges, then rx, tx and backplane
-// released — and then runs its tail.
+// released — and then runs its tail. It carries its own process handle, so
+// a transfer costs one allocation.
 type wireXfer struct {
+	proc  sim.Proc
 	w     *World
 	msg   *message
 	state uint8
@@ -89,8 +91,8 @@ const (
 	xferDone
 )
 
-// name is the process name, formatted only if someone observes it.
-func (x *wireXfer) name() string {
+// StepName is the process name, formatted only if someone observes it.
+func (x *wireXfer) StepName() string {
 	kind := "eager"
 	if x.rop != nil {
 		kind = "rndv"
@@ -98,8 +100,8 @@ func (x *wireXfer) name() string {
 	return fmt.Sprintf("%s %d->%d", kind, x.msg.src, x.msg.dst)
 }
 
-// step advances the transfer until it parks or finishes.
-func (x *wireXfer) step(p *sim.Proc) {
+// Step advances the transfer until it parks or finishes.
+func (x *wireXfer) Step(p *sim.Proc) {
 	w, msg := x.w, x.msg
 	bp := w.clus.Backplane
 	tx, rx := w.Node(msg.src).TX, w.Node(msg.dst).RX
@@ -281,7 +283,7 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 	}
 	// Rendezvous: run the wire transfer now that both sides exist.
 	x := &wireXfer{w: w, msg: msg, rop: rop, pd: pd, ud: ud}
-	w.eng.SpawnStep(x.name, x.step)
+	w.eng.SpawnStep(x, &x.proc)
 }
 
 // Send is the blocking send, like MPI_Send: it returns when the send buffer

@@ -32,20 +32,21 @@ type Engine struct {
 	started   bool      // Run has been called
 	stopped   bool      // simulation has ended (normally or by abort)
 	err       error
-	done      chan struct{}
 	// live holds the unfinished processes, for diagnostics and teardown.
 	// A finished process is swap-removed (Proc.idx is its slot), so nothing
 	// it captured stays reachable; spawned counts every process ever made.
 	live    []*Proc
 	spawned int
+	// free holds the coroutines of finished processes for reuse, by this
+	// engine only: a coroutine keeps its creator's pprof labels (newCoro).
+	free []*coro
 
-	// Windowed mode (see RunWindow): the engine executes events strictly
-	// before limit, then parks itself by signalling idle instead of
+	// Windowed mode (see runWindow): the engine executes events strictly
+	// before limit, then returns to the partition driver instead of
 	// completing or declaring deadlock. A PartitionedEngine drives many
-	// windowed engines in lockstep windows.
+	// windowed engines.
 	windowed bool
 	limit    Time
-	idle     chan struct{}
 
 	// Cross-delivery queue: closures handed over from other partitions,
 	// executed in the resident xdeliver daemon's process context (so they
@@ -109,7 +110,8 @@ func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at %v; blocked: %s", e.Time, strings.Join(e.Blocked, ", "))
 }
 
-// abortPanic unwinds a process goroutine when the simulation is torn down.
+// abortPanic unwinds a parked coroutine process when the simulation is torn
+// down.
 type abortPanic struct{}
 
 // timerEvent wakes a process, fires a trigger, or runs a callback at a
@@ -131,23 +133,27 @@ func timerBefore(a, b timerEvent) bool {
 	return a.seq < b.seq
 }
 
-// timerHeap is a hand-rolled binary min-heap. container/heap would box
-// every timerEvent through an interface on Push and Pop — one allocation per
-// scheduled event, which dominates the allocation profile of large worlds —
-// so the sift operations are written out against the concrete slice.
+// timerHeap is a hand-rolled 4-ary min-heap in (at, seq) order.
+// container/heap would box every timerEvent through an interface on Push
+// and Pop — one allocation per scheduled event, which dominates the
+// allocation profile of large worlds — so the sift operations are written
+// out against the concrete slice. Four children per node halve the depth of
+// a binary heap, and a node's children share a cache line or two, so pop
+// touches fewer lines; sifting moves the hole instead of swapping.
 type timerHeap []timerEvent
 
 func (h *timerHeap) push(ev timerEvent) {
 	s := append(*h, ev)
 	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !timerBefore(s[i], s[parent]) {
+		parent := (i - 1) / 4
+		if !timerBefore(ev, s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 	*h = s
 }
 
@@ -155,38 +161,44 @@ func (h *timerHeap) pop() timerEvent {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = timerEvent{} // release the fn closure
 	s = s[:n]
 	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && timerBefore(s[r], s[l]) {
-			m = r
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if timerBefore(s[j], s[m]) {
+				m = j
+			}
 		}
-		if !timerBefore(s[m], s[i]) {
+		if !timerBefore(s[m], last) {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
+		s[i] = s[m]
 		i = m
 	}
+	s[i] = last
 	return top
 }
 
 // NewEngine returns an empty simulation.
 func NewEngine() *Engine {
-	return &Engine{done: make(chan struct{})}
+	return &Engine{}
 }
 
-// newWindowedEngine returns an engine driven window-by-window via RunWindow
+// newWindowedEngine returns an engine driven window-by-window via runWindow
 // rather than to completion via Run. Only PartitionedEngine creates these.
 func newWindowedEngine() *Engine {
-	return &Engine{done: make(chan struct{}), windowed: true, idle: make(chan struct{}, 1)}
+	return &Engine{windowed: true}
 }
 
 // Now reports the current virtual time. It may be called at any point,
@@ -223,32 +235,35 @@ func (e *Engine) SpawnLazy(nameFn func() string, fn func(p *Proc)) *Proc {
 	return e.spawnProc(&Proc{nameFn: nameFn}, fn, false)
 }
 
-// SpawnStep registers a goroutine-free step process with a lazy name. It
-// takes the ready-queue slot a SpawnLazy process would, but when the
-// scheduler pops it, it calls step inline instead of handing off to a
-// goroutine. A step keeps the rule in the package doc: it never blocks, and
-// parks only through a *Step primitive, which reports false after queueing
-// the process exactly where the blocking twin would have parked it; the
-// step then returns and is called again, from the state it recorded, once
-// the process is woken. A step that returns without parking has finished.
-func (e *Engine) SpawnStep(nameFn func() string, step func(p *Proc)) *Proc {
-	p := &Proc{nameFn: nameFn, step: step}
+// SpawnStep registers s as a coroutine-free step process, on the Proc p
+// that the caller owns — typically embedded in the step's own state, so a
+// step costs its caller one allocation. p is reset here and must not be in
+// use. The process takes the ready-queue slot a SpawnLazy process would,
+// but when the scheduler pops it, it calls s.Step inline instead of
+// resuming a coroutine. A step keeps the rule in the package doc: it never
+// blocks, and parks only through a *Step primitive, which reports false
+// after queueing the process exactly where the blocking twin would have
+// parked it; the step then returns and is called again, from the state it
+// recorded, once the process is woken. A step that returns without parking
+// has finished.
+func (e *Engine) SpawnStep(s Stepper, p *Proc) {
+	*p = Proc{step: s}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.addLocked(p, false)
-	return p
 }
 
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	return e.spawnProc(&Proc{name: name}, fn, daemon)
 }
 
+// spawnProc registers a coroutine process. Its coroutine is made when it
+// first runs (runLocked), so one torn down before that costs none.
 func (e *Engine) spawnProc(p *Proc, fn func(p *Proc), daemon bool) *Proc {
+	p.fn = fn
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	p.resume = make(chan struct{}, 1)
 	e.addLocked(p, daemon)
-	go e.runProc(p, fn)
 	return p
 }
 
@@ -268,9 +283,15 @@ func (e *Engine) addLocked(p *Proc, daemon bool) {
 	e.ready.push(p)
 }
 
-// finishLocked retires a process: it leaves the live set and the counts.
+// finishLocked retires a process: it leaves the live set and the counts,
+// and its coroutine, if it has one, goes to the free list.
 func (e *Engine) finishLocked(p *Proc) {
 	p.state = stateFinished
+	p.fn = nil
+	if c := p.co; c != nil {
+		p.co, c.p = nil, nil
+		e.free = append(e.free, c)
+	}
 	e.alive--
 	if p.daemon {
 		e.daemons--
@@ -282,45 +303,13 @@ func (e *Engine) finishLocked(p *Proc) {
 	e.live = e.live[:last]
 }
 
-// runProc is the goroutine body wrapping a process function.
-func (e *Engine) runProc(p *Proc, fn func(p *Proc)) {
-	<-p.resume // wait to be scheduled for the first time
-	e.mu.Lock()
-	aborted := e.stopped
-	if !aborted {
-		p.state = stateRunning
-	}
-	e.mu.Unlock()
-	if !aborted {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortPanic); ok {
-						return // engine teardown
-					}
-					panic(r)
-				}
-			}()
-			fn(p)
-		}()
-	}
-	e.mu.Lock()
-	e.finishLocked(p)
-	if e.stopped {
-		if e.alive == 0 {
-			e.closeDoneLocked()
-		}
-	} else {
-		e.running = false
-		e.scheduleLocked()
-	}
-	e.mu.Unlock()
-}
-
 // Run executes the simulation until every process has finished, returning
 // nil, or until no progress is possible, returning a *DeadlockError. Run
 // must be called exactly once, from a goroutine that is not itself a
-// simulated process.
+// simulated process; that goroutine runs the scheduler loop and resumes
+// every process. A process that panics (other than through teardown) ends
+// the simulation: the engine is torn down and the panic continues from Run
+// with its original value.
 func (e *Engine) Run() error {
 	e.mu.Lock()
 	if e.started {
@@ -328,17 +317,41 @@ func (e *Engine) Run() error {
 		panic("sim: Run called twice")
 	}
 	e.started = true
-	e.scheduleLocked()
+	e.drive()
+	err := e.err
 	e.mu.Unlock()
-	<-e.done
-	return e.err
+	return err
+}
+
+// drive runs the scheduler loop on the calling goroutine. A panic out of
+// the loop — a process's, through its coroutine or its step, or the
+// scheduler's own — tears the engine down before it continues, so no
+// coroutine is left parked. Callers must hold e.mu.
+func (e *Engine) drive() {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		// The panicking frame may have held the lock; nothing else can, since
+		// the loop and the process it runs are the only holders.
+		e.mu.TryLock()
+		if p := e.cur; e.running && p.co != nil {
+			p.co = nil // its coroutine ended with the panic
+		}
+		e.running = false
+		e.abortLocked(nil)
+		e.mu.Unlock()
+		panic(r)
+	}()
+	e.scheduleLocked()
 }
 
 // CurrentProcName reports the name of the process currently executing, or ""
 // when called from outside any process (scheduler callbacks, before Run, or
-// after the simulation ended). Because exactly one process goroutine runs at
-// a time, runtime layers use this to identify their caller without threading
-// a *Proc through every API — e.g. which host thread enqueued a command.
+// after the simulation ended). Because exactly one process runs at a time,
+// runtime layers use this to identify their caller without threading a
+// *Proc through every API — e.g. which host thread enqueued a command.
 func (e *Engine) CurrentProcName() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -348,24 +361,17 @@ func (e *Engine) CurrentProcName() string {
 	return ""
 }
 
-// runWindow executes every event strictly before limit, then returns once
-// the shard is quiescent at that horizon. Only the partition driver calls
-// this, and only on engines built by newWindowedEngine.
+// runWindow executes every event strictly before limit on the calling
+// goroutine, then returns once the shard is quiescent at that horizon. Only
+// the partition driver calls this, and only on engines built by
+// newWindowedEngine. A process panic tears the shard down and continues
+// from here, as from Run.
 func (e *Engine) runWindow(limit Time) {
 	e.mu.Lock()
-	select {
-	case <-e.idle: // drop a stale signal from the previous window
-	default:
-	}
 	e.limit = limit
 	e.started = true
-	e.scheduleLocked()
-	if e.stopped {
-		e.mu.Unlock()
-		return
-	}
+	e.drive()
 	e.mu.Unlock()
-	<-e.idle
 }
 
 // nextEventTime reports the instant of the shard's earliest pending work —
@@ -397,16 +403,15 @@ func (e *Engine) nextEventTime() (Time, bool) {
 	return t, have
 }
 
-// shutdown tears the simulation down (normally when err is nil) and waits
-// for every process goroutine to unwind. Idempotent; used by the partition
-// driver, which owns the completion decision in windowed mode.
+// shutdown tears the simulation down (normally when err is nil), unwinding
+// every parked process on the calling goroutine. Idempotent; used by the
+// partition driver, which owns the completion decision in windowed mode.
 func (e *Engine) shutdown(err error) {
 	e.mu.Lock()
 	if !e.stopped {
 		e.abortLocked(err)
 	}
 	e.mu.Unlock()
-	<-e.done
 }
 
 // aliveNonDaemons reports how many non-daemon processes have not finished.
@@ -656,8 +661,8 @@ func (e *Engine) After(d time.Duration, fn func()) {
 func (e *Engine) wakeLocked(p *Proc) {
 	if p.state != stateParked {
 		if e.stopped && p.state == stateFinished {
-			// A step process retired by teardown, woken by a goroutine
-			// that releases a primitive while it unwinds.
+			// A process already retired by teardown, woken by one that
+			// releases a primitive while it unwinds.
 			return
 		}
 		panic(fmt.Sprintf("sim: wake of process %q in state %v", p.Name(), p.state))
@@ -668,24 +673,15 @@ func (e *Engine) wakeLocked(p *Proc) {
 	e.ready.push(p)
 }
 
-// scheduleLocked hands execution to the next runnable process, advancing the
-// clock when necessary. Callers must hold e.mu and must have ensured no
-// process is currently marked running (e.running == false).
+// scheduleLocked is the engine's one scheduler loop: it resumes the next
+// runnable process, advancing the clock when necessary, until the
+// simulation ends or, in windowed mode, the window is exhausted. Callers
+// must hold e.mu.
 func (e *Engine) scheduleLocked() {
-	if e.stopped || !e.started || e.running {
-		return
-	}
-	for {
+	for !e.stopped {
 		if e.ready.len() > 0 {
-			p := e.ready.pop()
-			e.running = true
-			e.cur = p
-			if p.step != nil {
-				e.runStepLocked(p)
-				continue
-			}
-			p.resume <- struct{}{}
-			return
+			e.runLocked(e.ready.pop())
+			continue
 		}
 		crossDue, crossAt := e.crossDueLocked()
 		if e.timerDueLocked() && !(crossDue && crossAt < e.earliestTimerAtLocked()) {
@@ -712,20 +708,12 @@ func (e *Engine) scheduleLocked() {
 			// Window exhausted (or nothing runnable before limit): hand
 			// control back to the partition driver. Completion and deadlock
 			// are global properties only the driver can decide.
-			select {
-			case e.idle <- struct{}{}:
-			default:
-			}
-			return
-		}
-		if e.alive == 0 {
-			e.stopped = true
-			e.closeDoneLocked()
 			return
 		}
 		if e.alive == e.daemons {
-			// Only background services remain: normal completion.
-			// Tear the daemons down so no goroutine leaks.
+			// Every process has finished, or only background services
+			// remain: normal completion. Tear the daemons down so no
+			// coroutine leaks.
 			e.abortLocked(nil)
 			return
 		}
@@ -735,55 +723,59 @@ func (e *Engine) scheduleLocked() {
 	}
 }
 
-// runStepLocked runs one step of a step process inline, with the engine
-// lock released and p marked as the running process, exactly as a goroutine
-// process would run between two parks. A step that did not park has
-// finished. Callers must hold e.mu and have set e.running and e.cur.
-func (e *Engine) runStepLocked(p *Proc) {
+// runLocked runs p until it parks or finishes: a step process's step
+// inline, with the engine lock released, and a coroutine process by
+// resuming its coroutine, which takes the lock along (see coro). A process
+// that did not park has finished. Callers must hold e.mu.
+func (e *Engine) runLocked(p *Proc) {
+	e.running, e.cur = true, p
 	p.state = stateRunning
-	e.mu.Unlock()
-	p.step(p)
-	e.mu.Lock()
+	if p.step != nil {
+		e.mu.Unlock()
+		p.step.Step(p)
+		e.mu.Lock()
+	} else {
+		c := p.co
+		if c == nil {
+			if n := len(e.free); n > 0 {
+				c = e.free[n-1]
+				e.free[n-1] = nil
+				e.free = e.free[:n-1]
+				c.p = p
+			} else {
+				c = newCoro(p)
+			}
+			p.co = c
+		}
+		c.next()
+	}
+	e.running = false
 	if p.state == stateRunning {
 		e.finishLocked(p)
 	}
-	e.running = false
 }
 
-// abortLocked tears the simulation down. Step processes have no goroutine
-// to unwind, so parked or ready ones are retired here; every other blocked
-// process is resumed so it can unwind via abortPanic, guaranteeing no
-// goroutine leaks. Callers must hold e.mu.
+// abortLocked ends the simulation with err and tears it down. A coroutine
+// process that has started is resumed once more, so it unwinds through
+// abortPanic (running its deferred calls) and finishes; every other
+// process — a step, or one that never ran — is simply retired. Then the
+// pooled coroutines are stopped, so no goroutine outlives the run. Callers
+// must hold e.mu.
 func (e *Engine) abortLocked(err error) {
 	e.stopped = true
 	e.err = err
-	for i := len(e.live) - 1; i >= 0; i-- {
-		if p := e.live[i]; p.step != nil {
+	for n := len(e.live); n > 0; n = len(e.live) {
+		if p := e.live[n-1]; p.co != nil {
+			e.runLocked(p)
+		} else {
 			e.finishLocked(p)
 		}
 	}
-	if e.alive == 0 {
-		e.closeDoneLocked()
-		return
+	for i, c := range e.free {
+		c.stop()
+		e.free[i] = nil
 	}
-	for _, p := range e.live {
-		if p.state == stateParked || p.state == stateReady {
-			select {
-			case p.resume <- struct{}{}:
-			default:
-			}
-		}
-	}
-	// The last process to observe the stop closes done (see runProc/park).
-}
-
-// closeDoneLocked signals Run exactly once. Callers must hold e.mu.
-func (e *Engine) closeDoneLocked() {
-	select {
-	case <-e.done:
-	default:
-		close(e.done)
-	}
+	e.free = nil
 }
 
 // parkStepLocked parks the running step process p. The caller has already
@@ -791,27 +783,30 @@ func (e *Engine) closeDoneLocked() {
 // waker's wakeLocked queues p to run its step again. Callers must hold e.mu.
 func (e *Engine) parkStepLocked(p *Proc, label string) {
 	if p.step == nil {
-		panic(fmt.Sprintf("sim: *Step primitive called by goroutine process %q", p.Name()))
+		panic(fmt.Sprintf("sim: *Step primitive called by coroutine process %q", p.Name()))
 	}
 	p.state = stateParked
 	p.waitLabel = label
 }
 
-// park blocks the calling process p until it is woken. The caller must have
-// arranged a wakeup (timer, trigger waiter list, ...) while holding e.mu,
-// then call park with e.mu held; park releases and reacquires it.
+// park blocks the calling coroutine process p until it is woken. The
+// caller must have arranged a wakeup (timer, trigger waiter list, ...)
+// while holding e.mu, then call park with e.mu held; park yields to the
+// scheduler loop with the lock and returns holding it again, once the loop
+// resumes p. Resumed by teardown, or called after it, park unwinds p
+// through abortPanic instead.
 func (e *Engine) park(p *Proc, label string) {
-	p.state = stateParked
-	p.waitLabel = label
-	e.running = false
-	e.scheduleLocked()
-	e.mu.Unlock()
-	<-p.resume
-	e.mu.Lock()
+	if p.co == nil {
+		e.mu.Unlock()
+		panic(fmt.Sprintf("sim: blocking primitive called by step process %q", p.Name()))
+	}
+	if !e.stopped {
+		p.state = stateParked
+		p.waitLabel = label
+		p.co.yield(struct{}{})
+	}
 	if e.stopped {
 		e.mu.Unlock()
 		panic(abortPanic{})
 	}
-	p.state = stateRunning
-	// Return with e.mu held, as the caller expects.
 }

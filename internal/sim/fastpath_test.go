@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -162,6 +164,47 @@ func TestYieldSlowPathWithPendingSameInstantTimer(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != "timer" || order[1] != "proc" {
 		t.Fatalf("order %v, want [timer proc]", order)
+	}
+}
+
+// TestTimerHeapMatchesSortedReference drives the 4-ary timer heap with
+// random interleavings of pushes and pops, over a narrow range of instants
+// so most of them tie, and checks every pop against a sorted reference:
+// the heap must yield exactly the (at, seq) order.
+func TestTimerHeapMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		var h timerHeap
+		var ref []timerEvent
+		var seq uint64
+		spread := 1 + rng.Intn(8) // at most 8 distinct instants
+		for op := 0; op < 400; op++ {
+			if len(ref) == 0 || rng.Intn(3) > 0 {
+				seq++
+				ev := timerEvent{at: Time(rng.Intn(spread)), seq: seq}
+				h.push(ev)
+				ref = append(ref, ev)
+				continue
+			}
+			sort.Slice(ref, func(i, j int) bool { return timerBefore(ref[i], ref[j]) })
+			got, want := h.pop(), ref[0]
+			ref = ref[1:]
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("round %d op %d: popped (%v, %d), want (%v, %d)", round, op, got.at, got.seq, want.at, want.seq)
+			}
+			if len(h) != len(ref) {
+				t.Fatalf("round %d op %d: heap holds %d, want %d", round, op, len(h), len(ref))
+			}
+		}
+		sort.Slice(ref, func(i, j int) bool { return timerBefore(ref[i], ref[j]) })
+		for _, want := range ref {
+			if got := h.pop(); got.at != want.at || got.seq != want.seq {
+				t.Fatalf("round %d drain: popped (%v, %d), want (%v, %d)", round, got.at, got.seq, want.at, want.seq)
+			}
+		}
+		if len(h) != 0 {
+			t.Fatalf("round %d: %d timers left after drain", round, len(h))
+		}
 	}
 }
 

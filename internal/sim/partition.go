@@ -193,6 +193,7 @@ type PartitionedEngine struct {
 
 	started bool
 	err     error
+	perr    any // the first process panic a worker caught, guarded by mu
 
 	windows atomic.Uint64 // per-shard horizon windows executed
 	stalls  atomic.Uint64 // shard transitions into the blocked state
@@ -583,7 +584,7 @@ func (pe *PartitionedEngine) worker(wg *sync.WaitGroup) {
 		pe.state[i] = shardRunning
 		pe.dirty[i] = false
 		pe.mu.Unlock()
-		ran := pe.step(i)
+		ran := pe.stepCaught(i)
 		pe.mu.Lock()
 		if pe.stopping {
 			break
@@ -602,6 +603,23 @@ func (pe *PartitionedEngine) worker(wg *sync.WaitGroup) {
 		}
 	}
 	pe.mu.Unlock()
+}
+
+// stepCaught is step for a pool worker. A process panic out of the shard,
+// which runWindow has already torn down, stops the pool; Run raises it
+// again on its caller's goroutine.
+func (pe *PartitionedEngine) stepCaught(i int) (ran bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe.mu.Lock()
+			if pe.perr == nil {
+				pe.perr = r
+			}
+			pe.finishLocked(nil)
+			pe.mu.Unlock()
+		}
+	}()
+	return pe.step(i)
 }
 
 // quiesceLocked runs when every shard is simultaneously stalled: compute
@@ -726,12 +744,19 @@ func (pe *PartitionedEngine) finishLocked(err error) {
 // completion or a merged *DeadlockError when no shard can make progress.
 // In the serial fallback (zero lookahead) the worker count is irrelevant:
 // windows shrink to a single event instant and shards execute in index
-// order on the caller's goroutine.
+// order on the caller's goroutine. A process panic in any shard tears every
+// shard down and continues from Run with its original value.
 func (pe *PartitionedEngine) Run(workers int) error {
 	if pe.started {
 		panic("sim: PartitionedEngine.Run called twice")
 	}
 	pe.started = true
+	defer func() {
+		if r := recover(); r != nil {
+			pe.shutdown(nil)
+			panic(r)
+		}
+	}()
 	if pe.serial {
 		return pe.runSerial()
 	}
@@ -754,6 +779,9 @@ func (pe *PartitionedEngine) Run(workers int) error {
 		go pe.worker(&wg)
 	}
 	wg.Wait()
+	if pe.perr != nil {
+		panic(pe.perr)
+	}
 	pe.shutdown(pe.err)
 	if pe.obs != nil {
 		pe.obs.EngineDone(pe.obs.Now()-runStart, workers)

@@ -37,6 +37,15 @@ type Labeler interface {
 	WaitLabel() string
 }
 
+// Stepper is the body of a step process (SpawnStep). Step advances the
+// process from the state it recorded until it parks through a *Step
+// primitive or finishes; StepName names the process, and is called only if
+// the name is observed.
+type Stepper interface {
+	Step(p *Proc)
+	StepName() string
+}
+
 // Proc is the handle a simulated process uses to interact with virtual time.
 // A Proc is only valid inside the process function it was passed to; sharing
 // it with another process is a bug.
@@ -44,8 +53,9 @@ type Proc struct {
 	eng       *Engine
 	name      string
 	nameFn    func() string // lazy name (SpawnLazy); resolved on first Name
-	resume    chan struct{} // goroutine processes only
-	step      func(p *Proc) // step processes only (SpawnStep)
+	fn        func(p *Proc) // coroutine processes: the body, until it finishes
+	co        *coro         // coroutine processes: created on first resume
+	step      Stepper       // step processes only (SpawnStep)
 	idx       int           // slot in the engine's live set
 	state     procState
 	daemon    bool
@@ -57,9 +67,14 @@ type Proc struct {
 // Safe wherever p is observable: either the process itself calls it, or the
 // scheduler does while no process is executing.
 func (p *Proc) Name() string {
-	if p.name == "" && p.nameFn != nil {
-		p.name = p.nameFn()
-		p.nameFn = nil
+	if p.name == "" {
+		switch {
+		case p.nameFn != nil:
+			p.name = p.nameFn()
+			p.nameFn = nil
+		case p.step != nil:
+			p.name = p.step.StepName()
+		}
 	}
 	return p.name
 }
@@ -107,8 +122,9 @@ func (p *Proc) sleepLocked(d time.Duration) bool {
 	e := p.eng
 	if d == 0 && !e.stopped && e.ready.len() == 0 && !e.timerAtNowLocked() && !e.crossAtNowLocked() {
 		// Nothing else can run at this instant, so the yield is a no-op:
-		// return without the park/resume channel round-trip. Event order is
-		// unchanged — any process or timer due now takes the slow path.
+		// return without a round trip through the scheduler loop. Event
+		// order is unchanged — any process or timer due now takes the slow
+		// path.
 		return true
 	}
 	e.atProcLocked(e.now.Add(d), p)

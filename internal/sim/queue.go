@@ -5,21 +5,24 @@ package sim
 // empty, and blocked getters are served in FIFO order. It is the backbone of
 // every command queue and progress-engine work list in the runtimes above.
 type Queue[T any] struct {
-	eng       *Engine
-	label     string
-	waitLabel string
-	items     []T
-	getters   []*Proc
+	eng     *Engine
+	label   string
+	items   []T
+	getters []*Proc
 	// handoff delivers an item directly to a woken getter, preserving FIFO
-	// pairing between items and getters.
+	// pairing between items and getters. Made on the first such delivery.
 	handoff map[*Proc]T
 	closed  bool
 }
 
 // NewQueue creates an empty queue.
 func NewQueue[T any](e *Engine, label string) *Queue[T] {
-	return &Queue[T]{eng: e, label: label, waitLabel: "queue " + label, handoff: make(map[*Proc]T)}
+	return &Queue[T]{eng: e, label: label}
 }
+
+// WaitLabel implements Labeler: the deadlock-report annotation of a process
+// blocked on this queue, built only when a report needs it.
+func (q *Queue[T]) WaitLabel() string { return "queue " + q.label }
 
 // Len reports the number of items currently buffered.
 func (q *Queue[T]) Len() int {
@@ -40,6 +43,9 @@ func (q *Queue[T]) Put(v T) {
 	if len(q.getters) > 0 {
 		g := q.getters[0]
 		q.getters = q.getters[1:]
+		if q.handoff == nil {
+			q.handoff = make(map[*Proc]T)
+		}
 		q.handoff[g] = v
 		e.wakeLocked(g)
 		return
@@ -65,7 +71,8 @@ func (q *Queue[T]) Get(p *Proc) (T, bool) {
 		return zero, false
 	}
 	q.getters = append(q.getters, p)
-	e.park(p, q.waitLabel)
+	p.waitLblr = q
+	e.park(p, "")
 	v, ok := q.handoff[p]
 	if ok {
 		delete(q.handoff, p)

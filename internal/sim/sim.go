@@ -8,15 +8,31 @@
 // engine resumes the next ready process, or, when none is ready, advances
 // the virtual clock to the earliest pending timer.
 //
-// A process is either a goroutine (Spawn, SpawnLazy, SpawnDaemon), which
+// A process is either a coroutine (Spawn, SpawnLazy, SpawnDaemon), which
 // may block anywhere, or an inline step process (SpawnStep), which the
-// scheduler calls on its own stack. Both kinds share one ready queue, one
-// timer order and the same waiter queues, so the kind never changes the
-// event order. A step must keep one rule: it never blocks. It parks only
-// through the *Step primitives (Mutex.LockStep, Link.LockStep,
-// Semaphore.AcquireStep, Proc.SleepStep), then returns, and is called again
-// from the state it recorded once it is woken. Simulated programs are
-// goroutines; per-message runtime machinery can be steps.
+// scheduler calls on its own stack. One scheduler loop, run by the
+// goroutine that calls Run (or, in a partitioned run, by the worker
+// stepping the shard), pops the next ready process and either calls its
+// step or resumes its coroutine; a blocking primitive parks the process by
+// yielding back to that loop. Control never passes between goroutines
+// through channels, so a switch costs no Go-scheduler wakeup. Both kinds
+// share one ready queue, one timer order and the same waiter queues, so the
+// kind never changes the event order. A step must keep one rule: it never
+// blocks. It parks only through the *Step primitives (Mutex.LockStep,
+// Link.LockStep, Semaphore.AcquireStep, Proc.SleepStep), then returns, and
+// is called again from the state it recorded once it is woken. Simulated
+// programs are coroutines; per-message runtime machinery can be steps.
+//
+// A coroutine is made when its process first runs, not at spawn, and by
+// the loop's goroutine, so it inherits that goroutine's pprof labels: a
+// profile charges process code to whatever entry point drives the
+// simulation. A finished process leaves its coroutine to the engine for
+// the next process to start, and the engine stops the pooled ones when the
+// run ends. Teardown resumes each parked coroutine once more, so it unwinds
+// through its deferred calls; a process that panics tears the engine down
+// and the panic continues from Run. The coroutines come from iter.Pull,
+// whose one call sits in a file built only with Go 1.23 or later, so the
+// module still declares go 1.22.
 //
 // The engine is the substrate for every other subsystem in this repository:
 // the OpenCL-like device runtime (internal/cl), the MPI-like message-passing

@@ -104,6 +104,22 @@ func (s *stepScript) step(p *Proc) {
 	}
 }
 
+// stepFunc adapts a name function and a step body to Stepper.
+type stepFunc struct {
+	name func() string
+	fn   func(p *Proc)
+}
+
+func (s *stepFunc) Step(p *Proc)     { s.fn(p) }
+func (s *stepFunc) StepName() string { return s.name() }
+
+// spawnStep spawns fn as a step process named by nameFn.
+func spawnStep(e *Engine, nameFn func() string, fn func(p *Proc)) *Proc {
+	p := new(Proc)
+	e.SpawnStep(&stepFunc{name: nameFn, fn: fn}, p)
+	return p
+}
+
 // randomScripts builds contended worker scripts. Each round takes a random
 // non-empty subset of the resources in one global order (semaphore, link,
 // mutex), so no run can deadlock, and any of them can queue several
@@ -146,7 +162,7 @@ func runScripts(t *testing.T, scripts [][]scriptOp, asStep func(i int) bool) ([]
 		nameFn := func() string { return name }
 		if asStep(i) {
 			s := &stepScript{r: r, ops: ops}
-			r.e.SpawnStep(nameFn, s.step)
+			spawnStep(r.e, nameFn, s.step)
 		} else {
 			r.e.SpawnLazy(nameFn, func(p *Proc) { r.runBlocking(p, ops) })
 		}
@@ -188,7 +204,7 @@ func TestStepCurrentProcName(t *testing.T) {
 	e := NewEngine()
 	var seen []string
 	calls := 0
-	e.SpawnStep(func() string { return "eager 3->1" }, func(p *Proc) {
+	spawnStep(e, func() string { return "eager 3->1" }, func(p *Proc) {
 		seen = append(seen, e.CurrentProcName())
 		calls++
 		if calls == 1 && !p.SleepStep(time.Microsecond) {
@@ -236,7 +252,7 @@ func stuckWorld(asStep bool) error {
 	for _, w := range waiters {
 		nameFn := func() string { return w.name }
 		if asStep {
-			e.SpawnStep(nameFn, func(p *Proc) {
+			spawnStep(e, nameFn, func(p *Proc) {
 				if !w.park(p) {
 					return
 				}
@@ -296,7 +312,7 @@ func TestStepTeardownDaemonOnly(t *testing.T) {
 			n, _ := q.Get(p)
 			for i := 0; i < n; i++ {
 				state := 0
-				e.SpawnStep(func() string { return "xfer" }, func(p *Proc) {
+				spawnStep(e, func() string { return "xfer" }, func(p *Proc) {
 					if state == 0 {
 						state = 1
 						if !m.LockStep(p) {
@@ -345,18 +361,18 @@ func TestStepTeardownShutdown(t *testing.T) {
 		m.Lock(p)
 		p.Sleep(time.Hour)
 	})
-	e.SpawnStep(func() string { return "locker" }, func(p *Proc) {
+	spawnStep(e, func() string { return "locker" }, func(p *Proc) {
 		if m.LockStep(p) {
 			t.Error("locker acquired a held mutex")
 		}
 	})
-	e.SpawnStep(func() string { return "sleeper" }, func(p *Proc) {
+	spawnStep(e, func() string { return "sleeper" }, func(p *Proc) {
 		if p.SleepStep(time.Hour) {
 			t.Error("hour-long sleep was a no-op")
 		}
 	})
 	waitNoHang(t, "window", func() { e.runWindow(Time(time.Millisecond)) })
-	e.SpawnStep(func() string { return "ready" }, func(*Proc) { t.Error("step ran after shutdown") })
+	spawnStep(e, func() string { return "ready" }, func(*Proc) { t.Error("step ran after shutdown") })
 	waitNoHang(t, "shutdown", func() { e.shutdown(nil) })
 	if e.alive != 0 || len(e.live) != 0 {
 		t.Fatalf("alive %d, live %d after shutdown", e.alive, len(e.live))
@@ -377,7 +393,7 @@ func TestStepTeardownPartitionedDeadlock(t *testing.T) {
 		})
 		name := fmt.Sprintf("eager %d->%d", 1-i, i)
 		slept := false
-		e.SpawnStep(func() string { return name }, func(p *Proc) {
+		spawnStep(e, func() string { return name }, func(p *Proc) {
 			if !slept {
 				slept = true
 				if !p.SleepStep(time.Duration(i+1) * time.Microsecond) {
@@ -412,7 +428,7 @@ func TestStepTeardownDeferredRelease(t *testing.T) {
 		defer m.Unlock(p)
 		never.Wait(p)
 	})
-	e.SpawnStep(func() string { return "eager 1->0" }, func(p *Proc) { m.LockStep(p) })
+	spawnStep(e, func() string { return "eager 1->0" }, func(p *Proc) { m.LockStep(p) })
 	var err error
 	waitNoHang(t, "teardown", func() { err = e.Run() })
 	var dl *DeadlockError
@@ -455,7 +471,7 @@ func TestLiveSetDropsFinishedProcesses(t *testing.T) {
 	e.Spawn("main", func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			slept := false
-			e.SpawnStep(func() string { return "step" }, func(p *Proc) {
+			spawnStep(e, func() string { return "step" }, func(p *Proc) {
 				if !slept {
 					slept = true
 					p.SleepStep(time.Duration(i) * time.Microsecond)
@@ -476,5 +492,37 @@ func TestLiveSetDropsFinishedProcesses(t *testing.T) {
 	}
 	if got := e.Stats().Procs; got != 101 {
 		t.Fatalf("Stats.Procs = %d, want 101", got)
+	}
+}
+
+// ownedStep is a step that carries its own Proc, as mpi.wireXfer does.
+type ownedStep struct {
+	proc Proc
+	ran  bool
+}
+
+func (s *ownedStep) Step(*Proc)       { s.ran = true }
+func (s *ownedStep) StepName() string { return "owned" }
+
+// TestSpawnStepOneAllocation: a step whose Proc is embedded in its state
+// costs exactly the one allocation of that state to spawn, run and retire.
+func TestSpawnStepOneAllocation(t *testing.T) {
+	e := NewEngine()
+	var allocs float64
+	e.Spawn("main", func(p *Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			s := &ownedStep{}
+			e.SpawnStep(s, &s.proc)
+			p.Yield()
+			if !s.ran {
+				t.Error("step did not run")
+			}
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 1 {
+		t.Fatalf("spawning a step allocated %v times, want 1", allocs)
 	}
 }

@@ -10,7 +10,7 @@ type Mutex struct {
 	label   string
 	link    bool // a Link's own mutex, named "link <label>"
 	locked  bool
-	waiters []*Proc
+	waiters procRing // recycles its slots: a busy link allocates no queue
 }
 
 // NewMutex creates an unlocked virtual mutex.
@@ -65,7 +65,7 @@ func (m *Mutex) lockLocked(p *Proc) bool {
 		m.locked = true
 		return true
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p)
 	return false
 }
 
@@ -78,10 +78,8 @@ func (m *Mutex) Unlock(p *Proc) {
 	if !m.locked {
 		panic(fmt.Sprintf("sim: unlock of unlocked mutex %q", m.name()))
 	}
-	if len(m.waiters) > 0 {
-		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		e.wakeLocked(next) // lock stays held, ownership transfers
+	if m.waiters.len() > 0 {
+		e.wakeLocked(m.waiters.pop()) // lock stays held, ownership transfers
 		return
 	}
 	m.locked = false
@@ -89,11 +87,10 @@ func (m *Mutex) Unlock(p *Proc) {
 
 // Semaphore is a counting semaphore in virtual time with FIFO wakeups.
 type Semaphore struct {
-	eng       *Engine
-	label     string
-	waitLabel string
-	count     int
-	waiters   []*semWaiter
+	eng     *Engine
+	label   string
+	count   int
+	waiters []*semWaiter
 }
 
 type semWaiter struct {
@@ -106,8 +103,12 @@ func NewSemaphore(e *Engine, label string, n int) *Semaphore {
 	if n < 0 {
 		panic("sim: negative semaphore count")
 	}
-	return &Semaphore{eng: e, label: label, waitLabel: "semaphore " + label, count: n}
+	return &Semaphore{eng: e, label: label, count: n}
 }
+
+// WaitLabel implements Labeler: the deadlock-report annotation of a process
+// blocked on this semaphore, built only when a report needs it.
+func (s *Semaphore) WaitLabel() string { return "semaphore " + s.label }
 
 // Acquire blocks p until n permits are available and takes them. Waiters are
 // served strictly in FIFO order (no barging), so a large request cannot be
@@ -119,7 +120,8 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 	e := s.eng
 	e.mu.Lock()
 	if !s.acquireLocked(p, n) {
-		e.park(p, s.waitLabel)
+		p.waitLblr = s
+		e.park(p, "")
 	}
 	e.mu.Unlock()
 }
@@ -137,7 +139,8 @@ func (s *Semaphore) AcquireStep(p *Proc, n int) bool {
 	if s.acquireLocked(p, n) {
 		return true
 	}
-	e.parkStepLocked(p, s.waitLabel)
+	p.waitLblr = s
+	e.parkStepLocked(p, "")
 	return false
 }
 

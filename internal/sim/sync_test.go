@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -377,5 +378,51 @@ func TestLinkOccupy(t *testing.T) {
 	}
 	if e.Now() != Time(3*time.Millisecond) {
 		t.Fatalf("occupy+transfer ended at %v, want 3ms", e.Now())
+	}
+}
+
+// lblr is a test Labeler for lazily labelled triggers.
+type lblr string
+
+func (l lblr) WaitLabel() string { return string(l) }
+
+// TestDeadlockLabelsPerPrimitive pins the deadlock report of a process
+// blocked on each primitive byte for byte: labels are built only when a
+// report needs them, and the lazy path must spell them exactly as the
+// eager strings did.
+func TestDeadlockLabelsPerPrimitive(t *testing.T) {
+	e := NewEngine()
+	m := NewMutex(e, "m")
+	s := NewSemaphore(e, "bp", 1)
+	l := NewLink(e, "n0.tx", 1e9)
+	q := NewQueue[int](e, "work")
+	wg := NewWaitGroup(e, "halo")
+	never := NewTrigger(e, "never")
+	lazy := NewTriggerLazy(e, lblr("request 7"))
+	e.Spawn("holder", func(p *Proc) {
+		m.Lock(p)
+		s.Acquire(p, 1)
+		l.Lock(p)
+		wg.Add(1)
+		never.Wait(p)
+	})
+	e.Spawn("on-mutex", func(p *Proc) { m.Lock(p) })
+	e.Spawn("on-semaphore", func(p *Proc) { s.Acquire(p, 1) })
+	e.Spawn("on-link", func(p *Proc) { l.Lock(p) })
+	e.Spawn("on-queue", func(p *Proc) { q.Get(p) })
+	e.Spawn("on-waitgroup", func(p *Proc) { wg.Wait(p) })
+	e.Spawn("on-lazy", func(p *Proc) { lazy.Wait(p) })
+	e.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Microsecond) })
+	err := e.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("got %v, want a deadlock", err)
+	}
+	const want = "sim: deadlock at 1µs; blocked: holder (trigger never), " +
+		"on-lazy (request 7), on-link (mutex link n0.tx), on-mutex (mutex m), " +
+		"on-queue (queue work), on-semaphore (semaphore bp), " +
+		"on-waitgroup (trigger waitgroup halo)"
+	if got := err.Error(); got != want {
+		t.Fatalf("deadlock report\n got %s\nwant %s", got, want)
 	}
 }
