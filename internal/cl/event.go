@@ -111,9 +111,10 @@ func (ev *Event) Wait(p *sim.Proc) error {
 // extension's progress thread, the tracer) can chain on it.
 func (ev *Event) Done() *sim.Trigger { return ev.done }
 
-// OnComplete registers a bookkeeping callback run at completion (or
-// immediately if already complete). The callback runs in scheduler context:
-// it must not block or call simulation APIs. To act on completion, spawn a
+// OnComplete registers a callback run at completion (or immediately if
+// already complete). The callback runs in scheduler context: it must not
+// block, but it may use any non-blocking simulation API (fire a trigger,
+// schedule with After, put to a queue). To block on completion, spawn a
 // process that Waits.
 func (ev *Event) OnComplete(fn func(at sim.Time, err error)) {
 	ev.done.OnFire(func(at sim.Time, payload any) {

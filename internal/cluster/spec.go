@@ -346,8 +346,8 @@ func (d *specDoc) validate() (System, error) {
 	return sys, nil
 }
 
-// DecodeSpec parses a system spec document strictly (unknown fields are
-// errors) and validates it. Validation failures name the full JSON path of
+// DecodeSpec parses a system spec document strictly (unknown fields and
+// anything but whitespace after the document are errors) and validates it. Validation failures name the full JSON path of
 // every offending field.
 func DecodeSpec(data []byte) (System, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -355,6 +355,9 @@ func DecodeSpec(data []byte) (System, error) {
 	var doc specDoc
 	if err := dec.Decode(&doc); err != nil {
 		return System{}, fmt.Errorf("cluster: decode system spec: %w", err)
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return System{}, fmt.Errorf("cluster: decode system spec: trailing data after the document")
 	}
 	return doc.validate()
 }

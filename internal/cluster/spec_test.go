@@ -141,6 +141,23 @@ func TestSpecStrictDecoding(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsTrailingData: a spec is one JSON document. Garbage or a
+// second document after it is a decode error; trailing whitespace is not.
+func TestSpecRejectsTrailingData(t *testing.T) {
+	enc, err := EncodeSpec(Cichlid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{`"garbage!!"`, "x", "{}", "]"} {
+		if _, err := DecodeSpec(append(append([]byte{}, enc...), tail...)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("tail %q: want a trailing-data error, got %v", tail, err)
+		}
+	}
+	if _, err := DecodeSpec(append(append([]byte{}, enc...), " \t\r\n"...)); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
 // TestSpecRoundTrip: decode(encode(sys)) == sys exactly, and re-encoding the
 // decoded system reproduces the same bytes — the canonical-form property the
 // content-addressed cache depends on.

@@ -313,8 +313,8 @@ type Histogram struct {
 	buckets []atomic.Int64
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits, CAS-merged
-	minBits atomic.Uint64
-	maxBits atomic.Uint64
+	minBits atomic.Uint64 // float64 bits; +Inf until the first observation
+	maxBits atomic.Uint64 // float64 bits; -Inf until the first observation
 	hasObs  atomic.Bool
 }
 
@@ -324,10 +324,13 @@ func newHistogram(bounds []float64) *Histogram {
 			panic("obs: histogram bounds must ascend")
 		}
 	}
-	return &Histogram{
+	h := &Histogram{
 		bounds:  bounds,
 		buckets: make([]atomic.Int64, len(bounds)+1), // +Inf overflow
 	}
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // NewHistogram creates a standalone (unregistered) histogram — for tools
@@ -354,13 +357,13 @@ func (h *Histogram) Observe(v float64) {
 	h.hasObs.Store(true)
 }
 
-// casExtreme folds v into an atomic float slot when better(current) says so,
-// seeding the slot on the first observation.
+// casExtreme folds v into an atomic float slot when better(current) says
+// so. The slots start at the infinities, so the first observation always
+// wins, whatever its value — zero included.
 func casExtreme(slot *atomic.Uint64, v float64, better func(float64) bool) {
 	for {
 		old := slot.Load()
-		cur := math.Float64frombits(old)
-		if old != 0 && !better(cur) {
+		if !better(math.Float64frombits(old)) {
 			return
 		}
 		if slot.CompareAndSwap(old, math.Float64bits(v)) {

@@ -150,6 +150,24 @@ func TestHistogramEmptyReadsZero(t *testing.T) {
 	}
 }
 
+// TestHistogramExtremesAfterZero: a zero observation is a real extreme.
+// Min after Observe(0), Observe(5) is 0, and Max after Observe(0),
+// Observe(-1) is 0.
+func TestHistogramExtremesAfterZero(t *testing.T) {
+	h := NewHistogram(DefaultLatencyBounds)
+	h.Observe(0)
+	h.Observe(5)
+	if h.Min() != 0 || h.Max() != 5 {
+		t.Fatalf("after 0, 5: min %v max %v, want 0 and 5", h.Min(), h.Max())
+	}
+	h = NewHistogram(DefaultLatencyBounds)
+	h.Observe(0)
+	h.Observe(-1)
+	if h.Min() != -1 || h.Max() != 0 {
+		t.Fatalf("after 0, -1: min %v max %v, want -1 and 0", h.Min(), h.Max())
+	}
+}
+
 // sampleLine matches one Prometheus text-format sample.
 var sampleLine = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*)(\{[^}]*\})? (NaN|[+-]?Inf|[+-]?[0-9].*)$`)
 

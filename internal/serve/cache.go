@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,10 +15,11 @@ import (
 // are MarshalResult documents and must be treated as immutable by callers.
 //
 // The disk layer is write-through: Put persists before inserting in memory,
-// and a memory miss falls back to the directory (promoting what it finds).
-// Because results are deterministic, a stale or concurrently rewritten file
-// can only ever contain the same bytes, so there is no invalidation
-// protocol — the one luxury of caching a pure function.
+// and a memory miss falls back to the directory, promoting what it finds
+// unless it is not valid JSON. Because results are deterministic, a stale
+// or concurrently rewritten file can only ever contain the same bytes, so
+// there is no invalidation protocol — the one luxury of caching a pure
+// function.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -52,21 +54,27 @@ func NewCache(capEntries int, dir string) (*Cache, error) {
 }
 
 // Get returns the result for key, consulting memory then disk, and promotes
-// the entry to most-recently-used.
+// the entry to most-recently-used. The disk read runs outside c.mu, so a
+// slow disk never stalls memory hits. A file that is not valid JSON — a
+// truncated or torn entry — is a miss and is not promoted.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).data, true
+		data := el.Value.(*cacheEntry).data
+		c.mu.Unlock()
+		return data, true
 	}
+	c.mu.Unlock()
 	if c.dir == "" {
 		return nil, false
 	}
 	data, err := os.ReadFile(c.path(key))
-	if err != nil {
+	if err != nil || !json.Valid(data) {
 		return nil, false
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.insert(key, data)
 	return data, true
 }

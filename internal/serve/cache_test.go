@@ -50,10 +50,10 @@ func TestCacheDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("k1", []byte("r1")); err != nil {
+	if err := c.Put("k1", []byte(`{"r":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("k2", []byte("r2")); err != nil { // evicts k1 from memory
+	if err := c.Put("k2", []byte(`{"r":2}`)); err != nil { // evicts k1 from memory
 		t.Fatal(err)
 	}
 	if _, ok := c.Peek("k1"); ok {
@@ -61,7 +61,7 @@ func TestCacheDisk(t *testing.T) {
 	}
 	// Get falls back to disk and re-promotes.
 	data, ok := c.Get("k1")
-	if !ok || !bytes.Equal(data, []byte("r1")) {
+	if !ok || !bytes.Equal(data, []byte(`{"r":1}`)) {
 		t.Fatalf("disk fallback: %q ok=%v", data, ok)
 	}
 	// A fresh cache over the same directory serves persisted results.
@@ -70,7 +70,7 @@ func TestCacheDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, ok = c2.Get("k2")
-	if !ok || !bytes.Equal(data, []byte("r2")) {
+	if !ok || !bytes.Equal(data, []byte(`{"r":2}`)) {
 		t.Fatalf("restart fallback: %q ok=%v", data, ok)
 	}
 	// No stray temp files left behind.
@@ -79,7 +79,36 @@ func TestCacheDisk(t *testing.T) {
 	}
 	// Files are the raw result bytes.
 	raw, err := os.ReadFile(filepath.Join(dir, "k1.json"))
-	if err != nil || !bytes.Equal(raw, []byte("r1")) {
+	if err != nil || !bytes.Equal(raw, []byte(`{"r":1}`)) {
 		t.Fatalf("disk file: %q err=%v", raw, err)
+	}
+}
+
+// TestCacheTruncatedEntryIsMiss: a persisted entry that is no longer valid
+// JSON — a torn or truncated write — is a miss, and is not promoted into
+// memory, so the job is simulated again instead of serving corrupt bytes.
+func TestCacheTruncatedEntryIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("k1", []byte(`{"points":[1,2,3]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("k2", []byte(`{"points":[4]}`)); err != nil { // evicts k1 from memory
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, "k1.json"), 9); err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := c.Get("k1"); ok {
+		t.Fatalf("truncated entry served as a hit: %q", data)
+	}
+	if _, ok := c.Peek("k1"); ok {
+		t.Fatal("truncated entry promoted into memory")
+	}
+	if _, ok := c.Peek("k2"); !ok {
+		t.Fatal("a miss evicted the resident entry")
 	}
 }

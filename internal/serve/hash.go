@@ -36,7 +36,8 @@ func Hash(norm JobSpec) string {
 
 // DecodeRaw parses a JSON job submission strictly (unknown fields are an
 // error — a misspelled grid field silently meaning "use the default" would
-// poison the content address) without normalizing it. The HTTP path uses
+// poison the content address — and so is anything but whitespace after the
+// document) without normalizing it. The HTTP path uses
 // this: the Manager normalizes on Submit, after resolving daemon-registered
 // system names that plain Normalize does not know about.
 func DecodeRaw(body []byte) (JobSpec, error) {
@@ -45,6 +46,9 @@ func DecodeRaw(body []byte) (JobSpec, error) {
 	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
 		return JobSpec{}, fmt.Errorf("serve: decode job: %w", err)
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return JobSpec{}, fmt.Errorf("serve: decode job: trailing data after the document")
 	}
 	return spec, nil
 }

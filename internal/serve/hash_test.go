@@ -81,6 +81,20 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData: a job body is one JSON document. Junk or
+// a second document after it must not get a hash; trailing whitespace may.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	body := `{"system":"cichlid","strategies":["pinned"]}`
+	for _, tail := range []string{"trailing junk", `{"system":"ricc"}`, "]"} {
+		if _, h, err := Decode([]byte(body + tail)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("tail %q: want a trailing-data error, got hash %q, err %v", tail, h, err)
+		}
+	}
+	if _, _, err := Decode([]byte(body + " \n\t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
 // TestNormalizeValidation exercises the rejection paths.
 func TestNormalizeValidation(t *testing.T) {
 	cases := []struct {

@@ -10,11 +10,10 @@ import "iter"
 // the engine's free list, so the next process to start reuses it, and the
 // engine stops every pooled coroutine when the simulation ends.
 //
-// The engine lock travels with control: the loop holds e.mu when it calls
-// next, a parked process wakes holding it (park returns with e.mu held, as
-// its callers expect), and the coroutine holds it again whenever it yields.
-// Exactly one side runs at a time, so the lock never changes hands under
-// contention.
+// Exactly one side runs at a time: the loop waits in next until the
+// coroutine yields or finishes, and the coroutine waits in yield until the
+// loop resumes it. The engine's state passes between them with control, so
+// neither side takes a lock.
 type coro struct {
 	p     *Proc // the process to run on the next fresh resume
 	next  func() (struct{}, bool)
@@ -43,20 +42,16 @@ func (c *coro) body(yield func(struct{}) bool) {
 	}
 }
 
-// run executes p's function with the engine lock released and takes the
-// lock back once it returns. Teardown's abortPanic ends here; any other
+// run executes p's function. Teardown's abortPanic ends here; any other
 // panic leaves the coroutine, reaches the scheduler loop through next, and
 // continues on the goroutine that drives the simulation.
 func (c *coro) run(p *Proc) {
-	e := p.eng
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortPanic); !ok {
 				panic(r)
 			}
 		}
-		e.mu.Lock()
 	}()
-	e.mu.Unlock()
 	p.fn(p)
 }

@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Engine drives a single simulation. Create one with NewEngine, add processes
 // with Spawn, then call Run. The zero Engine is not usable.
 //
-// Exactly one process executes at any moment, so simulation code may share
-// data structures without host-level locking. The engine lock only guards
-// the scheduler's own state.
+// Exactly one process executes at any moment, and only on the goroutine
+// driving the engine, so neither simulation code nor the scheduler's own
+// state needs a host-level lock.
 type Engine struct {
-	mu  sync.Mutex
 	now Time
 	seq uint64 // tie-breaker for simultaneous events
 	// nextTimer caches the earliest pending timer so the common case — a
@@ -122,7 +120,7 @@ type timerEvent struct {
 	proc        *Proc    // woken if non-nil
 	trig        *Trigger // else fired with trigPayload if non-nil
 	trigPayload any
-	fn          func() // otherwise run with the engine lock held
+	fn          func() // otherwise run in scheduler context
 }
 
 // timerBefore reports whether a fires before b (time, then schedule order).
@@ -203,11 +201,7 @@ func newWindowedEngine() *Engine {
 
 // Now reports the current virtual time. It may be called at any point,
 // including before Run and after the simulation has finished.
-func (e *Engine) Now() Time {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+func (e *Engine) Now() Time { return e.now }
 
 // Spawn registers fn as a new simulated process named name. If the engine is
 // already running, the process becomes runnable at the current virtual
@@ -248,9 +242,7 @@ func (e *Engine) SpawnLazy(nameFn func() string, fn func(p *Proc)) *Proc {
 // has finished.
 func (e *Engine) SpawnStep(s Stepper, p *Proc) {
 	*p = Proc{step: s}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.addLocked(p, false)
+	e.add(p, false)
 }
 
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
@@ -258,17 +250,15 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 }
 
 // spawnProc registers a coroutine process. Its coroutine is made when it
-// first runs (runLocked), so one torn down before that costs none.
+// first runs (runProc), so one torn down before that costs none.
 func (e *Engine) spawnProc(p *Proc, fn func(p *Proc), daemon bool) *Proc {
 	p.fn = fn
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.addLocked(p, daemon)
+	e.add(p, daemon)
 	return p
 }
 
-// addLocked registers a new process and queues it to run.
-func (e *Engine) addLocked(p *Proc, daemon bool) {
+// add registers a new process and queues it to run.
+func (e *Engine) add(p *Proc, daemon bool) {
 	if e.stopped {
 		panic("sim: Spawn after simulation ended")
 	}
@@ -283,9 +273,9 @@ func (e *Engine) addLocked(p *Proc, daemon bool) {
 	e.ready.push(p)
 }
 
-// finishLocked retires a process: it leaves the live set and the counts,
+// finish retires a process: it leaves the live set and the counts,
 // and its coroutine, if it has one, goes to the free list.
-func (e *Engine) finishLocked(p *Proc) {
+func (e *Engine) finish(p *Proc) {
 	p.state = stateFinished
 	p.fn = nil
 	if c := p.co; c != nil {
@@ -311,40 +301,32 @@ func (e *Engine) finishLocked(p *Proc) {
 // the simulation: the engine is torn down and the panic continues from Run
 // with its original value.
 func (e *Engine) Run() error {
-	e.mu.Lock()
 	if e.started {
-		e.mu.Unlock()
 		panic("sim: Run called twice")
 	}
 	e.started = true
 	e.drive()
-	err := e.err
-	e.mu.Unlock()
-	return err
+	return e.err
 }
 
 // drive runs the scheduler loop on the calling goroutine. A panic out of
 // the loop — a process's, through its coroutine or its step, or the
 // scheduler's own — tears the engine down before it continues, so no
-// coroutine is left parked. Callers must hold e.mu.
+// coroutine is left parked.
 func (e *Engine) drive() {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		// The panicking frame may have held the lock; nothing else can, since
-		// the loop and the process it runs are the only holders.
-		e.mu.TryLock()
 		if p := e.cur; e.running && p.co != nil {
 			p.co = nil // its coroutine ended with the panic
 		}
 		e.running = false
-		e.abortLocked(nil)
-		e.mu.Unlock()
+		e.abort(nil)
 		panic(r)
 	}()
-	e.scheduleLocked()
+	e.schedule()
 }
 
 // CurrentProcName reports the name of the process currently executing, or ""
@@ -353,8 +335,6 @@ func (e *Engine) drive() {
 // runtime layers use this to identify their caller without threading a
 // *Proc through every API — e.g. which host thread enqueued a command.
 func (e *Engine) CurrentProcName() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.running && e.cur != nil {
 		return e.cur.Name()
 	}
@@ -367,11 +347,9 @@ func (e *Engine) CurrentProcName() string {
 // newWindowedEngine. A process panic tears the shard down and continues
 // from here, as from Run.
 func (e *Engine) runWindow(limit Time) {
-	e.mu.Lock()
 	e.limit = limit
 	e.started = true
 	e.drive()
-	e.mu.Unlock()
 }
 
 // nextEventTime reports the instant of the shard's earliest pending work —
@@ -380,8 +358,6 @@ func (e *Engine) runWindow(limit Time) {
 // quiescent. The partition driver compares it against the shard's channel
 // horizon to decide whether the shard can run.
 func (e *Engine) nextEventTime() (Time, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.ready.len() > 0 {
 		return e.now, true
 	}
@@ -407,23 +383,18 @@ func (e *Engine) nextEventTime() (Time, bool) {
 // every parked process on the calling goroutine. Idempotent; used by the
 // partition driver, which owns the completion decision in windowed mode.
 func (e *Engine) shutdown(err error) {
-	e.mu.Lock()
 	if !e.stopped {
-		e.abortLocked(err)
+		e.abort(err)
 	}
-	e.mu.Unlock()
 }
 
 // aliveNonDaemons reports how many non-daemon processes have not finished.
-func (e *Engine) aliveNonDaemons() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.alive - e.daemons
-}
+func (e *Engine) aliveNonDaemons() int { return e.alive - e.daemons }
 
-// blockedLocked formats the parked non-daemon processes exactly as a serial
-// deadlock report does, sorted. Callers must hold e.mu.
-func (e *Engine) blockedLocked() []string {
+// blocked formats the parked non-daemon processes exactly as a serial
+// deadlock report does, sorted; the partition driver merges the shards'
+// lists into one report.
+func (e *Engine) blocked() []string {
 	var blocked []string
 	for _, p := range e.live {
 		if p.state == stateParked && !p.daemon {
@@ -441,23 +412,15 @@ func (e *Engine) blockedLocked() []string {
 	return blocked
 }
 
-// blocked snapshots the parked non-daemon processes for a merged deadlock
-// report across partitions.
-func (e *Engine) blocked() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.blockedLocked()
-}
-
 // pushCross appends a cross-delivery closure and wakes the shard's xdeliver
-// daemon if it is parked waiting for work. Runs in scheduler context (called
-// from a scheduleFnAt timer), so it must not block.
-func (e *Engine) pushCrossLocked(fn func(p *Proc)) {
+// daemon if it is parked waiting for work. Runs in scheduler context (from
+// deliverCrossBatch), so it must not block.
+func (e *Engine) pushCross(fn func(p *Proc)) {
 	e.xq = append(e.xq, fn)
 	if e.xproc != nil {
 		p := e.xproc
 		e.xproc = nil
-		e.wakeLocked(p)
+		e.wake(p)
 	}
 }
 
@@ -465,7 +428,6 @@ func (e *Engine) pushCrossLocked(fn func(p *Proc)) {
 // daemon) until one arrives. The queue's backing array is recycled whenever
 // it drains — per-window arena behavior.
 func (e *Engine) nextCross(p *Proc) func(p *Proc) {
-	e.mu.Lock()
 	for e.xhead == len(e.xq) {
 		e.xq, e.xhead = e.xq[:0], 0
 		e.xproc = p
@@ -474,16 +436,11 @@ func (e *Engine) nextCross(p *Proc) func(p *Proc) {
 	fn := e.xq[e.xhead]
 	e.xq[e.xhead] = nil
 	e.xhead++
-	e.mu.Unlock()
 	return fn
 }
 
 // Err reports the simulation outcome after Run has returned.
-func (e *Engine) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
+func (e *Engine) Err() error { return e.err }
 
 // Stats summarizes a simulation's size.
 type Stats struct {
@@ -498,36 +455,34 @@ type Stats struct {
 
 // Stats reports engine counters; useful for sizing and overhead reporting.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return Stats{Procs: e.spawned, Timers: e.seq, Now: e.now}
 }
 
-// atLocked schedules fn to run (with the engine lock held) at instant t.
-func (e *Engine) atLocked(t Time, fn func()) {
+// at schedules fn to run in scheduler context at instant t.
+func (e *Engine) at(t Time, fn func()) {
 	e.seq++
-	e.pushTimerLocked(timerEvent{at: t, seq: e.seq, fn: fn})
+	e.pushTimer(timerEvent{at: t, seq: e.seq, fn: fn})
 }
 
-// atProcLocked schedules process p to wake at instant t.
-func (e *Engine) atProcLocked(t Time, p *Proc) {
+// atProc schedules process p to wake at instant t.
+func (e *Engine) atProc(t Time, p *Proc) {
 	e.seq++
-	e.pushTimerLocked(timerEvent{at: t, seq: e.seq, proc: p})
+	e.pushTimer(timerEvent{at: t, seq: e.seq, proc: p})
 }
 
-// atTriggerLocked schedules trigger tr to fire with payload at instant t.
-// A dedicated timer kind rather than a closure over atLocked: FireAfter is
+// atTrigger schedules trigger tr to fire with payload at instant t.
+// A dedicated timer kind rather than a closure over at: FireAfter is
 // the per-message hot path and the closure would be one allocation each.
-func (e *Engine) atTriggerLocked(t Time, tr *Trigger, payload any) {
+func (e *Engine) atTrigger(t Time, tr *Trigger, payload any) {
 	e.seq++
-	e.pushTimerLocked(timerEvent{at: t, seq: e.seq, trig: tr, trigPayload: payload})
+	e.pushTimer(timerEvent{at: t, seq: e.seq, trig: tr, trigPayload: payload})
 }
 
-// pushTimerLocked inserts a timer, keeping the earliest event in the
+// pushTimer inserts a timer, keeping the earliest event in the
 // nextTimer cache. A simulation whose scheduling steps each have at most one
 // pending timer — the dominant pattern for Sleep-driven process loops —
 // never pays heap churn.
-func (e *Engine) pushTimerLocked(ev timerEvent) {
+func (e *Engine) pushTimer(ev timerEvent) {
 	switch {
 	case e.nextValid:
 		if timerBefore(ev, e.nextTimer) {
@@ -543,15 +498,10 @@ func (e *Engine) pushTimerLocked(ev timerEvent) {
 	}
 }
 
-// havePendingTimerLocked reports whether any timer is pending.
-func (e *Engine) havePendingTimerLocked() bool {
-	return e.nextValid || len(e.timers) > 0
-}
-
-// timerDueLocked reports whether the earliest pending timer is allowed to
+// timerDue reports whether the earliest pending timer is allowed to
 // fire: any pending timer in normal mode, only timers strictly before the
 // window limit in windowed mode.
-func (e *Engine) timerDueLocked() bool {
+func (e *Engine) timerDue() bool {
 	if e.nextValid {
 		return !e.windowed || e.nextTimer.at < e.limit
 	}
@@ -561,19 +511,19 @@ func (e *Engine) timerDueLocked() bool {
 	return !e.windowed || e.timers[0].at < e.limit
 }
 
-// earliestTimerAtLocked reports the earliest pending timer's instant.
-// Callers must have checked havePendingTimerLocked (or timerDueLocked).
-func (e *Engine) earliestTimerAtLocked() Time {
+// earliestTimerAt reports the earliest pending timer's instant.
+// Callers must have checked timerDue.
+func (e *Engine) earliestTimerAt() Time {
 	if e.nextValid {
 		return e.nextTimer.at
 	}
 	return e.timers[0].at
 }
 
-// crossDueLocked reports whether a cross-event batch may be delivered, and
+// crossDue reports whether a cross-event batch may be delivered, and
 // at what instant: the heap's earliest event clamped to now, if that lies
 // strictly before the window limit.
-func (e *Engine) crossDueLocked() (bool, Time) {
+func (e *Engine) crossDue() (bool, Time) {
 	if len(e.xheap) == 0 {
 		return false, 0
 	}
@@ -587,50 +537,37 @@ func (e *Engine) crossDueLocked() (bool, Time) {
 	return true, at
 }
 
-// deliverCrossBatchLocked advances the clock to `at` and hands every cross
+// deliverCrossBatch advances the clock to `at` and hands every cross
 // event due at that instant to the xdeliver daemon, in (at, src, seq) order
 // (the heap's order). Delivering the whole instant as one batch keeps the
 // daemon's execution order independent of how the events were split across
 // driver drains.
-func (e *Engine) deliverCrossBatchLocked(at Time) {
+func (e *Engine) deliverCrossBatch(at Time) {
 	e.now = at
 	for len(e.xheap) > 0 && e.xheap[0].at <= e.now {
 		ev := e.xheap.pop()
-		e.pushCrossLocked(ev.fn)
+		e.pushCross(ev.fn)
 	}
 }
 
-// crossAtNowLocked reports whether an undelivered cross event is due at the
+// crossAtNow reports whether an undelivered cross event is due at the
 // current instant — only possible in the serial fallback, where arrivals are
 // clamped to the target's clock.
-func (e *Engine) crossAtNowLocked() bool {
+func (e *Engine) crossAtNow() bool {
 	return len(e.xheap) > 0 && e.xheap[0].at <= e.now
 }
 
-// pushCrossEvent merges one timestamped cross event into the shard's heap.
-// The partition driver calls it while draining channels (the shard idle) and
-// Cross calls it directly for same-shard events (the shard's own process
-// context); both orderings are deterministic.
-func (e *Engine) pushCrossEvent(ev crossTimer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped {
-		return
-	}
-	e.xheap.push(ev)
-}
-
-// timerAtNowLocked reports whether the earliest pending timer would fire at
+// timerAtNow reports whether the earliest pending timer would fire at
 // the current instant.
-func (e *Engine) timerAtNowLocked() bool {
+func (e *Engine) timerAtNow() bool {
 	if e.nextValid {
 		return e.nextTimer.at == e.now
 	}
 	return len(e.timers) > 0 && e.timers[0].at == e.now
 }
 
-// popTimerLocked removes and returns the earliest pending timer.
-func (e *Engine) popTimerLocked() timerEvent {
+// popTimer removes and returns the earliest pending timer.
+func (e *Engine) popTimer() timerEvent {
 	if e.nextValid {
 		ev := e.nextTimer
 		e.nextValid = false
@@ -641,24 +578,22 @@ func (e *Engine) popTimerLocked() timerEvent {
 }
 
 // After schedules fn to run after duration d of virtual time. fn executes in
-// scheduler context: it must not block, and typically fires a Trigger or
-// wakes processes. It is the building block for modelled asynchronous
-// hardware (a NIC delivering a message, a DMA engine completing).
+// scheduler context: it must not block, but it may use every non-blocking
+// simulation API — fire a Trigger, FireAfter, After, Queue.Put, Spawn. It
+// is the building block for modelled asynchronous hardware (a NIC
+// delivering a message, a DMA engine completing).
 func (e *Engine) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.stopped {
 		return
 	}
-	e.atLocked(e.now.Add(d), fn)
+	e.at(e.now.Add(d), fn)
 }
 
-// wakeLocked moves a parked process to the ready queue.
-// Callers must hold e.mu.
-func (e *Engine) wakeLocked(p *Proc) {
+// wake moves a parked process to the ready queue.
+func (e *Engine) wake(p *Proc) {
 	if p.state != stateParked {
 		if e.stopped && p.state == stateFinished {
 			// A process already retired by teardown, woken by one that
@@ -673,35 +608,34 @@ func (e *Engine) wakeLocked(p *Proc) {
 	e.ready.push(p)
 }
 
-// scheduleLocked is the engine's one scheduler loop: it resumes the next
+// schedule is the engine's one scheduler loop: it resumes the next
 // runnable process, advancing the clock when necessary, until the
-// simulation ends or, in windowed mode, the window is exhausted. Callers
-// must hold e.mu.
-func (e *Engine) scheduleLocked() {
+// simulation ends or, in windowed mode, the window is exhausted.
+func (e *Engine) schedule() {
 	for !e.stopped {
 		if e.ready.len() > 0 {
-			e.runLocked(e.ready.pop())
+			e.runProc(e.ready.pop())
 			continue
 		}
-		crossDue, crossAt := e.crossDueLocked()
-		if e.timerDueLocked() && !(crossDue && crossAt < e.earliestTimerAtLocked()) {
-			ev := e.popTimerLocked()
+		crossDue, crossAt := e.crossDue()
+		if e.timerDue() && !(crossDue && crossAt < e.earliestTimerAt()) {
+			ev := e.popTimer()
 			if ev.at < e.now {
 				panic("sim: timer in the past")
 			}
 			e.now = ev.at
 			switch {
 			case ev.proc != nil:
-				e.wakeLocked(ev.proc)
+				e.wake(ev.proc)
 			case ev.trig != nil:
-				ev.trig.fireLocked(e.now, ev.trigPayload)
+				ev.trig.Fire(ev.trigPayload)
 			default:
 				ev.fn() // may append to e.ready or push timers
 			}
 			continue
 		}
 		if crossDue {
-			e.deliverCrossBatchLocked(crossAt)
+			e.deliverCrossBatch(crossAt)
 			continue
 		}
 		if e.windowed {
@@ -714,26 +648,23 @@ func (e *Engine) scheduleLocked() {
 			// Every process has finished, or only background services
 			// remain: normal completion. Tear the daemons down so no
 			// coroutine leaks.
-			e.abortLocked(nil)
+			e.abort(nil)
 			return
 		}
 		// Processes remain but nothing can wake them: deadlock.
-		e.abortLocked(&DeadlockError{Time: e.now, Blocked: e.blockedLocked()})
+		e.abort(&DeadlockError{Time: e.now, Blocked: e.blocked()})
 		return
 	}
 }
 
-// runLocked runs p until it parks or finishes: a step process's step
-// inline, with the engine lock released, and a coroutine process by
-// resuming its coroutine, which takes the lock along (see coro). A process
-// that did not park has finished. Callers must hold e.mu.
-func (e *Engine) runLocked(p *Proc) {
+// runProc runs p until it parks or finishes: a step process's step
+// inline, and a coroutine process by resuming its coroutine. A process that
+// did not park has finished.
+func (e *Engine) runProc(p *Proc) {
 	e.running, e.cur = true, p
 	p.state = stateRunning
 	if p.step != nil {
-		e.mu.Unlock()
 		p.step.Step(p)
-		e.mu.Lock()
 	} else {
 		c := p.co
 		if c == nil {
@@ -751,24 +682,23 @@ func (e *Engine) runLocked(p *Proc) {
 	}
 	e.running = false
 	if p.state == stateRunning {
-		e.finishLocked(p)
+		e.finish(p)
 	}
 }
 
-// abortLocked ends the simulation with err and tears it down. A coroutine
+// abort ends the simulation with err and tears it down. A coroutine
 // process that has started is resumed once more, so it unwinds through
 // abortPanic (running its deferred calls) and finishes; every other
 // process — a step, or one that never ran — is simply retired. Then the
-// pooled coroutines are stopped, so no goroutine outlives the run. Callers
-// must hold e.mu.
-func (e *Engine) abortLocked(err error) {
+// pooled coroutines are stopped, so no goroutine outlives the run.
+func (e *Engine) abort(err error) {
 	e.stopped = true
 	e.err = err
 	for n := len(e.live); n > 0; n = len(e.live) {
 		if p := e.live[n-1]; p.co != nil {
-			e.runLocked(p)
+			e.runProc(p)
 		} else {
-			e.finishLocked(p)
+			e.finish(p)
 		}
 	}
 	for i, c := range e.free {
@@ -778,10 +708,10 @@ func (e *Engine) abortLocked(err error) {
 	e.free = nil
 }
 
-// parkStepLocked parks the running step process p. The caller has already
+// parkStep parks the running step process p. The caller has already
 // arranged its wakeup; the scheduler moves on once the step returns, and the
-// waker's wakeLocked queues p to run its step again. Callers must hold e.mu.
-func (e *Engine) parkStepLocked(p *Proc, label string) {
+// waker's wake queues p to run its step again.
+func (e *Engine) parkStep(p *Proc, label string) {
 	if p.step == nil {
 		panic(fmt.Sprintf("sim: *Step primitive called by coroutine process %q", p.Name()))
 	}
@@ -790,14 +720,12 @@ func (e *Engine) parkStepLocked(p *Proc, label string) {
 }
 
 // park blocks the calling coroutine process p until it is woken. The
-// caller must have arranged a wakeup (timer, trigger waiter list, ...)
-// while holding e.mu, then call park with e.mu held; park yields to the
-// scheduler loop with the lock and returns holding it again, once the loop
-// resumes p. Resumed by teardown, or called after it, park unwinds p
-// through abortPanic instead.
+// caller must have arranged a wakeup (timer, trigger waiter list, ...);
+// park yields to the scheduler loop and returns once the loop resumes p.
+// Resumed by teardown, or called after it, park unwinds p through
+// abortPanic instead.
 func (e *Engine) park(p *Proc, label string) {
 	if p.co == nil {
-		e.mu.Unlock()
 		panic(fmt.Sprintf("sim: blocking primitive called by step process %q", p.Name()))
 	}
 	if !e.stopped {
@@ -806,7 +734,6 @@ func (e *Engine) park(p *Proc, label string) {
 		p.co.yield(struct{}{})
 	}
 	if e.stopped {
-		e.mu.Unlock()
 		panic(abortPanic{})
 	}
 }

@@ -125,7 +125,7 @@ func TestAfterCallback(t *testing.T) {
 		at = p.Now()
 	})
 	e.Spawn("setter", func(p *Proc) {
-		p.Engine().After(5*time.Millisecond, func() { tr.fireLocked(e.now, nil) })
+		p.Engine().After(5*time.Millisecond, func() { tr.Fire(nil) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -148,11 +148,9 @@ func (l *Link) Unlock(p *Proc) { l.mu.Unlock(p) }
 // The occupancy interval reported to an observer is the d preceding the
 // current instant, matching how callers charge after sleeping.
 func (l *Link) AddBusy(d time.Duration, bytes int64) {
-	l.eng.mu.Lock()
 	l.busy += d
 	l.moved += bytes
 	now := l.eng.now
-	l.eng.mu.Unlock()
 	if l.obs != nil && d > 0 {
 		l.obs.LinkBusy(l.name, bytes, now.Add(-d), now)
 	}
@@ -168,10 +166,8 @@ func (l *Link) ChargeTagged(tag, proc string, bytes int64, start, end Time) {
 	if d < 0 {
 		return
 	}
-	l.eng.mu.Lock()
 	l.busy += d
 	l.moved += bytes
-	l.eng.mu.Unlock()
 	if l.obs == nil || d <= 0 {
 		return
 	}
@@ -183,8 +179,4 @@ func (l *Link) ChargeTagged(tag, proc string, bytes int64, start, end Time) {
 }
 
 // Stats reports the total occupied time and bytes moved so far.
-func (l *Link) Stats() (busy time.Duration, bytes int64) {
-	l.eng.mu.Lock()
-	defer l.eng.mu.Unlock()
-	return l.busy, l.moved
-}
+func (l *Link) Stats() (busy time.Duration, bytes int64) { return l.busy, l.moved }

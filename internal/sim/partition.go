@@ -131,13 +131,12 @@ func (h *crossHeap) pop() crossTimer {
 // appended in emission order under its mutex, so the slab index recovers
 // the per-channel sequence exactly.
 func (e *Engine) mergeCrossEvents(src int32, seq0 uint64, at []Time, fn []func(p *Proc)) {
-	e.mu.Lock()
-	if !e.stopped {
-		for i := range at {
-			e.xheap.push(crossTimer{at: at[i], src: src, seq: seq0 + uint64(i), fn: fn[i]})
-		}
+	if e.stopped {
+		return
 	}
-	e.mu.Unlock()
+	for i := range at {
+		e.xheap.push(crossTimer{at: at[i], src: src, seq: seq0 + uint64(i), fn: fn[i]})
+	}
 }
 
 // xchan is the channel between one ordered shard pair: a struct-of-arrays
@@ -372,7 +371,9 @@ func (pe *PartitionedEngine) Cross(from, to int, at Time, fn func(p *Proc)) {
 		ch.seq++
 		seq := ch.seq
 		ch.mu.Unlock()
-		pe.shards[to].pushCrossEvent(crossTimer{at: at, src: int32(from), seq: seq, fn: fn})
+		if s := pe.shards[to]; !s.stopped {
+			s.xheap.push(crossTimer{at: at, src: int32(from), seq: seq, fn: fn})
+		}
 		return
 	}
 	if !pe.serial && pe.started {

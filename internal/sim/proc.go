@@ -83,51 +83,45 @@ func (p *Proc) Name() string {
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now reports the current virtual time.
-func (p *Proc) Now() Time { return p.eng.Now() }
+func (p *Proc) Now() Time { return p.eng.now }
 
 // Sleep blocks the process for duration d of virtual time. Negative and zero
 // durations yield the processor to other ready processes at the same instant
 // without advancing the clock for this process.
 func (p *Proc) Sleep(d time.Duration) {
-	e := p.eng
-	e.mu.Lock()
-	if !p.sleepLocked(d) {
+	if !p.sleep(d) {
 		// A sleeping process always has its wakeup timer pending, so it can
 		// never appear in a deadlock report; a constant label avoids
 		// formatting on the hot path.
-		e.park(p, "sleep")
+		p.eng.park(p, "sleep")
 	}
-	e.mu.Unlock()
 }
 
 // SleepStep is Sleep for a step process: it reports true if the sleep was a
 // no-op, or arms the same wakeup timer, parks p and reports false.
 func (p *Proc) SleepStep(d time.Duration) bool {
-	e := p.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p.sleepLocked(d) {
+	if p.sleep(d) {
 		return true
 	}
-	e.parkStepLocked(p, "sleep")
+	p.eng.parkStep(p, "sleep")
 	return false
 }
 
-// sleepLocked reports true when a sleep of d is a no-op, and otherwise arms
-// p's wakeup timer. Callers must hold the engine lock.
-func (p *Proc) sleepLocked(d time.Duration) bool {
+// sleep reports true when a sleep of d is a no-op, and otherwise arms p's
+// wakeup timer.
+func (p *Proc) sleep(d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
 	e := p.eng
-	if d == 0 && !e.stopped && e.ready.len() == 0 && !e.timerAtNowLocked() && !e.crossAtNowLocked() {
+	if d == 0 && !e.stopped && e.ready.len() == 0 && !e.timerAtNow() && !e.crossAtNow() {
 		// Nothing else can run at this instant, so the yield is a no-op:
 		// return without a round trip through the scheduler loop. Event
 		// order is unchanged — any process or timer due now takes the slow
 		// path.
 		return true
 	}
-	e.atProcLocked(e.now.Add(d), p)
+	e.atProc(e.now.Add(d), p)
 	return false
 }
 

@@ -25,18 +25,11 @@ func NewQueue[T any](e *Engine, label string) *Queue[T] {
 func (q *Queue[T]) WaitLabel() string { return "queue " + q.label }
 
 // Len reports the number of items currently buffered.
-func (q *Queue[T]) Len() int {
-	q.eng.mu.Lock()
-	defer q.eng.mu.Unlock()
-	return len(q.items)
-}
+func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Put appends an item. It never blocks and may be called from any process.
-// Putting to a closed queue panics.
+// Put appends an item. It never blocks and may be called from any process
+// or from scheduler context. Putting to a closed queue panics.
 func (q *Queue[T]) Put(v T) {
-	e := q.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if q.closed {
 		panic("sim: Put on closed queue " + q.label)
 	}
@@ -47,7 +40,7 @@ func (q *Queue[T]) Put(v T) {
 			q.handoff = make(map[*Proc]T)
 		}
 		q.handoff[g] = v
-		e.wakeLocked(g)
+		q.eng.wake(g)
 		return
 	}
 	q.items = append(q.items, v)
@@ -57,37 +50,24 @@ func (q *Queue[T]) Put(v T) {
 // queue is empty. The second result is false if the queue was closed and
 // drained.
 func (q *Queue[T]) Get(p *Proc) (T, bool) {
-	e := q.eng
-	e.mu.Lock()
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
-		e.mu.Unlock()
+	if v, ok := q.TryGet(); ok {
 		return v, true
 	}
 	if q.closed {
-		e.mu.Unlock()
 		var zero T
 		return zero, false
 	}
 	q.getters = append(q.getters, p)
 	p.waitLblr = q
-	e.park(p, "")
+	q.eng.park(p, "")
+	// A getter woken by Close has nothing delivered: v is zero, ok false.
 	v, ok := q.handoff[p]
-	if ok {
-		delete(q.handoff, p)
-		e.mu.Unlock()
-		return v, true
-	}
-	// Woken by Close with nothing delivered; v is the zero value.
-	e.mu.Unlock()
-	return v, false
+	delete(q.handoff, p)
+	return v, ok
 }
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
-	q.eng.mu.Lock()
-	defer q.eng.mu.Unlock()
 	if len(q.items) == 0 {
 		var zero T
 		return zero, false
@@ -101,15 +81,12 @@ func (q *Queue[T]) TryGet() (T, bool) {
 // and future Gets on an empty queue return ok=false, and Put panics. Closing
 // twice is a no-op.
 func (q *Queue[T]) Close() {
-	e := q.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if q.closed {
 		return
 	}
 	q.closed = true
 	for _, g := range q.getters {
-		e.wakeLocked(g)
+		q.eng.wake(g)
 	}
 	q.getters = nil
 }

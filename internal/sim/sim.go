@@ -23,6 +23,16 @@
 // is called again from the state it recorded once it is woken. Simulated
 // programs are coroutines; per-message runtime machinery can be steps.
 //
+// An engine has a single owner and no host lock: the goroutine running its
+// scheduler loop, and the coroutine it has resumed while it waits, are the
+// only code that touches it, one at a time. Other goroutines may use an
+// engine only before Run starts or after it returns; a partitioned run
+// hands each shard from one worker to the next under the
+// PartitionedEngine's own mutex, which orders the hand-off. Code that runs
+// in scheduler context — an After function, a Trigger.OnFire callback, a
+// step — keeps one rule: it must not block. Every non-blocking call (Fire,
+// FireAfter, After, Queue.Put, Spawn, ...) is allowed there.
+//
 // A coroutine is made when its process first runs, not at spawn, and by
 // the loop's goroutine, so it inherits that goroutine's pprof labels: a
 // profile charges process code to whatever entry point drives the

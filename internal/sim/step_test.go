@@ -480,9 +480,7 @@ func TestLiveSetDropsFinishedProcesses(t *testing.T) {
 			p.Spawn("g", func(p *Proc) { p.Sleep(time.Duration(i) * time.Microsecond) })
 		}
 		p.Sleep(time.Millisecond)
-		e.mu.Lock()
 		live, alive := len(e.live), e.alive
-		e.mu.Unlock()
 		if live != 1 || alive != 1 {
 			t.Errorf("live set %d, alive %d; want only the caller", live, alive)
 		}

@@ -33,34 +33,28 @@ func (m *Mutex) WaitLabel() string { return "mutex " + m.name() }
 
 // Lock blocks process p until it holds the mutex.
 func (m *Mutex) Lock(p *Proc) {
-	e := m.eng
-	e.mu.Lock()
-	if !m.lockLocked(p) {
+	if !m.lock(p) {
 		p.waitLblr = m
-		e.park(p, "")
+		m.eng.park(p, "")
 		// Ownership was transferred to us by Unlock before we were woken.
 	}
-	e.mu.Unlock()
 }
 
 // LockStep is Lock for a step process: it reports true if p now holds the
 // mutex, or queues p as a waiter, parks it and reports false. Ownership is
 // handed to p before it is woken, exactly as for a blocked Lock.
 func (m *Mutex) LockStep(p *Proc) bool {
-	e := m.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if m.lockLocked(p) {
+	if m.lock(p) {
 		return true
 	}
 	p.waitLblr = m
-	e.parkStepLocked(p, "")
+	m.eng.parkStep(p, "")
 	return false
 }
 
-// lockLocked takes the mutex if it is free, and otherwise queues p as the
-// newest waiter. Callers must hold the engine lock.
-func (m *Mutex) lockLocked(p *Proc) bool {
+// lock takes the mutex if it is free, and otherwise queues p as the newest
+// waiter.
+func (m *Mutex) lock(p *Proc) bool {
 	if !m.locked {
 		m.locked = true
 		return true
@@ -72,14 +66,11 @@ func (m *Mutex) lockLocked(p *Proc) bool {
 // Unlock releases the mutex, handing it directly to the longest-waiting
 // process if any. Unlocking an unheld mutex panics.
 func (m *Mutex) Unlock(p *Proc) {
-	e := m.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !m.locked {
 		panic(fmt.Sprintf("sim: unlock of unlocked mutex %q", m.name()))
 	}
 	if m.waiters.len() > 0 {
-		e.wakeLocked(m.waiters.pop()) // lock stays held, ownership transfers
+		m.eng.wake(m.waiters.pop()) // lock stays held, ownership transfers
 		return
 	}
 	m.locked = false
@@ -117,13 +108,10 @@ func (s *Semaphore) Acquire(p *Proc, n int) {
 	if n <= 0 {
 		return
 	}
-	e := s.eng
-	e.mu.Lock()
-	if !s.acquireLocked(p, n) {
+	if !s.acquire(p, n) {
 		p.waitLblr = s
-		e.park(p, "")
+		s.eng.park(p, "")
 	}
-	e.mu.Unlock()
 }
 
 // AcquireStep is Acquire for a step process: it reports true if p now holds
@@ -133,20 +121,17 @@ func (s *Semaphore) AcquireStep(p *Proc, n int) bool {
 	if n <= 0 {
 		return true
 	}
-	e := s.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s.acquireLocked(p, n) {
+	if s.acquire(p, n) {
 		return true
 	}
 	p.waitLblr = s
-	e.parkStepLocked(p, "")
+	s.eng.parkStep(p, "")
 	return false
 }
 
-// acquireLocked takes n permits if no one is queued ahead and enough are
-// free, and otherwise queues p. Callers must hold the engine lock.
-func (s *Semaphore) acquireLocked(p *Proc, n int) bool {
+// acquire takes n permits if no one is queued ahead and enough are free,
+// and otherwise queues p.
+func (s *Semaphore) acquire(p *Proc, n int) bool {
 	if len(s.waiters) == 0 && s.count >= n {
 		s.count -= n
 		return true
@@ -161,15 +146,12 @@ func (s *Semaphore) Release(p *Proc, n int) {
 	if n <= 0 {
 		return
 	}
-	e := s.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	s.count += n
 	for len(s.waiters) > 0 && s.count >= s.waiters[0].n {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
 		s.count -= w.n
-		e.wakeLocked(w.p)
+		s.eng.wake(w.p)
 	}
 }
 
@@ -189,15 +171,12 @@ func NewWaitGroup(e *Engine, label string) *WaitGroup {
 // Add increments the count by delta (which may be negative). When the count
 // reaches zero all current waiters resume.
 func (w *WaitGroup) Add(delta int) {
-	e := w.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	w.n += delta
 	if w.n < 0 {
 		panic("sim: negative WaitGroup counter")
 	}
 	if w.n == 0 && w.done != nil {
-		w.done.fireLocked(e.now, nil)
+		w.done.Fire(nil)
 		w.done = nil
 	}
 }
@@ -207,16 +186,11 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 
 // Wait blocks p until the count is zero.
 func (w *WaitGroup) Wait(p *Proc) {
-	e := w.eng
-	e.mu.Lock()
 	if w.n == 0 {
-		e.mu.Unlock()
 		return
 	}
 	if w.done == nil {
-		w.done = NewTrigger(e, "waitgroup "+w.label)
+		w.done = NewTrigger(w.eng, "waitgroup "+w.label)
 	}
-	t := w.done
-	e.mu.Unlock()
-	t.Wait(p)
+	w.done.Wait(p)
 }

@@ -76,61 +76,32 @@ func (t *Trigger) WaitLabel() string {
 }
 
 // Fired reports whether the trigger has fired.
-func (t *Trigger) Fired() bool {
-	t.eng.mu.Lock()
-	defer t.eng.mu.Unlock()
-	return t.fired
-}
+func (t *Trigger) Fired() bool { return t.fired }
 
 // FiredAt returns the virtual instant the trigger fired, valid only if Fired.
-func (t *Trigger) FiredAt() Time {
-	t.eng.mu.Lock()
-	defer t.eng.mu.Unlock()
-	return t.firedAt
-}
+func (t *Trigger) FiredAt() Time { return t.firedAt }
 
 // Payload returns the value passed to Fire (nil before firing).
-func (t *Trigger) Payload() any {
-	t.eng.mu.Lock()
-	defer t.eng.mu.Unlock()
-	return t.payload
-}
+func (t *Trigger) Payload() any { return t.payload }
 
 // Fire completes the trigger at the current virtual instant, waking all
-// waiters and running callbacks. Only the first call has any effect.
+// waiters, then running callbacks and firing chained triggers in
+// registration order. Only the first call has any effect. It never blocks,
+// so it may be called from a process or from scheduler context.
 func (t *Trigger) Fire(payload any) {
-	e := t.eng
-	e.mu.Lock()
-	t.fireLocked(e.now, payload)
-	e.mu.Unlock()
-}
-
-// FireAfter completes the trigger d of virtual time from now. It must be
-// called from a running process, never from an OnFire callback.
-func (t *Trigger) FireAfter(d time.Duration, payload any) {
-	e := t.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped || t.fired {
-		return
-	}
-	e.atTriggerLocked(e.now.Add(d), t, payload)
-}
-
-// fireLocked performs the completion. Callers must hold t.eng.mu.
-func (t *Trigger) fireLocked(at Time, payload any) {
 	if t.fired {
 		return
 	}
+	at := t.eng.now
 	t.fired = true
 	t.firedAt = at
 	t.payload = payload
 	if p := t.w0; p != nil {
 		t.w0 = nil
-		t.eng.wakeLocked(p)
+		t.eng.wake(p)
 	}
 	for _, p := range t.waiters {
-		t.eng.wakeLocked(p)
+		t.eng.wake(p)
 	}
 	t.waiters = nil
 	cb := t.cb0
@@ -146,21 +117,28 @@ func (t *Trigger) fireLocked(at Time, payload any) {
 	chs := t.chains
 	t.chain0, t.chains = nil, nil
 	if ch != nil {
-		ch.fireLocked(at, payload)
+		ch.Fire(payload)
 	}
 	for _, ch := range chs {
-		ch.fireLocked(at, payload)
+		ch.Fire(payload)
 	}
+}
+
+// FireAfter completes the trigger d of virtual time from now. Like Fire it
+// never blocks, so scheduler-context code (an OnFire callback, an After
+// function) may call it too.
+func (t *Trigger) FireAfter(d time.Duration, payload any) {
+	e := t.eng
+	if e.stopped || t.fired {
+		return
+	}
+	e.atTrigger(e.now.Add(d), t, payload)
 }
 
 // Wait blocks process p until the trigger fires and returns its payload.
 func (t *Trigger) Wait(p *Proc) any {
-	e := t.eng
-	e.mu.Lock()
 	if t.fired {
-		pl := t.payload
-		e.mu.Unlock()
-		return pl
+		return t.payload
 	}
 	if t.w0 == nil && len(t.waiters) == 0 {
 		t.w0 = p
@@ -168,21 +146,16 @@ func (t *Trigger) Wait(p *Proc) any {
 		t.waiters = append(t.waiters, p)
 	}
 	p.waitLblr = t
-	e.park(p, "")
-	pl := t.payload
-	e.mu.Unlock()
-	return pl
+	t.eng.park(p, "")
+	return t.payload
 }
 
 // OnFire registers fn to run when the trigger fires (immediately if it
-// already has). fn runs with the engine lock held: it must not block and must
-// not call any other simulation API — it is intended for bookkeeping only
-// (stamping timestamps, updating status fields). To perform actions on
-// completion, spawn a process that Waits instead, or use Chain.
+// already has). fn runs in scheduler context, or in the registering process
+// if the trigger has already fired: it must not block, but it may use every
+// non-blocking simulation API — fire or chain triggers, FireAfter, After,
+// Queue.Put, Spawn. To block on completion, spawn a process that Waits.
 func (t *Trigger) OnFire(fn func(at Time, payload any)) {
-	e := t.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if t.fired {
 		fn(t.firedAt, t.payload)
 		return
@@ -198,11 +171,8 @@ func (t *Trigger) OnFire(fn func(at Time, payload any)) {
 // fires, after t's OnFire callbacks. If t has already fired, other fires
 // immediately. Chaining costs no allocation in the common one-chain case.
 func (t *Trigger) Chain(other *Trigger) {
-	e := t.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if t.fired {
-		other.fireLocked(e.now, t.payload)
+		other.Fire(t.payload)
 		return
 	}
 	if t.chain0 == nil && len(t.chains) == 0 {

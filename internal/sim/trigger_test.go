@@ -131,6 +131,81 @@ func TestTriggerOnFireBookkeeping(t *testing.T) {
 	}
 }
 
+// TestSchedulerContextSchedulesWork: OnFire callbacks and After functions
+// run in scheduler context, where every non-blocking call is allowed. They
+// fire triggers later with FireAfter, schedule further After functions and
+// put to queues, and the work lands at the virtual times it was scheduled
+// for — whether the callback runs from a process's Fire, from a timer, or
+// immediately on a trigger that has already fired.
+func TestSchedulerContextSchedulesWork(t *testing.T) {
+	const ms = time.Millisecond
+	type got struct {
+		v  int
+		at Time
+	}
+	var (
+		items          []got
+		bAt, cAt, dAt  Time
+		late, lateDone Time
+	)
+	waitNoHang(t, "scheduling from scheduler context", func() {
+		e := NewEngine()
+		a := NewTrigger(e, "a")
+		b := NewTrigger(e, "b")
+		c := NewTrigger(e, "c")
+		d := NewTrigger(e, "d")
+		q := NewQueue[int](e, "q")
+		a.OnFire(func(Time, any) {
+			q.Put(1)
+			b.FireAfter(2*ms, nil)
+			e.After(3*ms, func() {
+				q.Put(7)
+				c.FireAfter(ms, nil)
+				e.After(2*ms, func() { d.Fire(nil) })
+			})
+		})
+		e.Spawn("firer", func(p *Proc) {
+			p.Sleep(ms)
+			a.Fire(nil)
+			p.Sleep(10 * ms)
+			// Registered after the fire, the callback runs at once, in
+			// this process, and may still schedule.
+			a.OnFire(func(at Time, _ any) {
+				late = at
+				e.After(ms, func() { lateDone = e.Now() })
+			})
+		})
+		e.Spawn("getter", func(p *Proc) {
+			for i := 0; i < 2; i++ {
+				v, _ := q.Get(p)
+				items = append(items, got{v, p.Now()})
+			}
+		})
+		for _, w := range []struct {
+			tr *Trigger
+			at *Time
+		}{{b, &bAt}, {c, &cAt}, {d, &dAt}} {
+			e.Spawn("waiter "+w.tr.label, func(p *Proc) {
+				w.tr.Wait(p)
+				*w.at = p.Now()
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Error(err)
+		}
+	})
+	want := []got{{1, Time(ms)}, {7, Time(4 * ms)}}
+	if len(items) != 2 || items[0] != want[0] || items[1] != want[1] {
+		t.Errorf("queue items %v, want %v", items, want)
+	}
+	if bAt != Time(3*ms) || cAt != Time(5*ms) || dAt != Time(6*ms) {
+		t.Errorf("b, c, d fired at %v, %v, %v; want 3ms, 5ms, 6ms", bAt, cAt, dAt)
+	}
+	if late != Time(ms) || lateDone != Time(12*ms) {
+		t.Errorf("late OnFire saw %v and scheduled for %v; want 1ms and 12ms", late, lateDone)
+	}
+}
+
 func TestTriggerChain(t *testing.T) {
 	e := NewEngine()
 	a := NewTrigger(e, "a")
