@@ -33,6 +33,17 @@ import (
 // SpecSchema is the version tag every system spec document must carry.
 const SpecSchema = "clmpi-system/v1"
 
+// ModelVersion numbers the simulation model: a result is a pure function of
+// (system spec, workload, ModelVersion). Bump it with every deliberate
+// change to virtual time, so content-addressed results from an older model
+// are never served as current.
+//
+//   - 1: the transport as of the system spec schema v1.
+//   - 2: a partitioned world's NIC links queue per message, as in the
+//     serial engine, instead of behind per-node transmit and receive
+//     daemons.
+const ModelVersion = 2
+
 //go:embed specs/*.json
 var specFS embed.FS
 

@@ -32,15 +32,11 @@ type message struct {
 	seq           uint64
 	size          int
 	eager         bool
-	payload       bytepool.Seg // eager: captured copy (bytepool.Capture); rendezvous/direct: empty
-	sendBuf       bytepool.Seg // rendezvous (and direct self-sends): the live send buffer
 	// direct marks an intra-node copy elision: a matching receive was
 	// already posted when the send arrived, so delivery fills the
 	// receiver-owned buffer straight from the sender's (no intermediate
 	// payload capture). Set only when matching is synchronous with the send.
-	direct  bool
-	arrived sim.Trigger // data available at the receiver (eager/local)
-	req     *Request
+	direct bool
 	// Cross-partition markers (see partition.go). xArrived: an injected
 	// eager envelope whose payload came with it (req is nil — the sender's
 	// request completed on its own shard). xRndv: an injected rendezvous
@@ -48,6 +44,17 @@ type message struct {
 	// receiver grants clear-to-send (req is nil here too).
 	xArrived bool
 	xRndv    bool
+	payload  bytepool.Seg // eager: captured copy (bytepool.Capture); rendezvous/direct: empty
+	sendBuf  bytepool.Seg // rendezvous (and direct self-sends): the live send buffer
+	arrived  sim.Trigger  // data available at the receiver (eager/local)
+	req      *Request
+
+	// The local wire transfer (eager body or rendezvous data phase) and,
+	// for a rendezvous, the matched receive and its queue depths sampled at
+	// match time.
+	wire   wireXfer
+	rop    *recvOp
+	pd, ud int32
 
 	// Intrusive matcher links (see match.go): the (src, tag) lane FIFO and
 	// the destination rank's arrival list. Nil once unlinked, so a matched
@@ -131,18 +138,7 @@ func (ep *Endpoint) postSend(buf bytepool.Seg, dest, tag int, comm *Comm) *Reque
 		msg.eager = true
 		msg.payload = bytepool.Capture(buf)
 		msg.arrived.Init(w.eng, "eager-msg")
-		if ps := w.part; ps != nil && ps.parts() > 1 {
-			// Partitioned runs route intra-shard eager transfers through the
-			// source node's resident NIC daemon. Its wire sequence is the
-			// same as wireXfer's, but the daemon serializes every eager send
-			// of a node in post order before it queues on the links, so
-			// under contention (an N->1 incast) the charges and completion
-			// order differ from the serial engine's per-message transfers.
-			ps.enqueueTx(ep.rank, txJob{kind: txEagerLocal, msg: msg})
-			break
-		}
-		x := &wireXfer{w: w, msg: msg}
-		w.eng.SpawnStep(x, &x.proc)
+		msg.startWire(w)
 	default:
 		msg.sendBuf = buf // rendezvous: transfer happens at match time
 	}

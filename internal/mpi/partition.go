@@ -16,30 +16,45 @@ import (
 // ordinary serial code paths, while messages whose destination lives on
 // another shard flow through the cross-partition transport below.
 //
-// The cross protocol mirrors the serial one phase for phase:
+// The cross protocol mirrors the serial one phase for phase. Each phase is
+// one wireXfer run as two legs: a transmit leg holding the sender's tx path
+// on the source shard, then a receive leg holding the receiver's rx path on
+// the target shard, started by a cross event one wire latency after the
+// transmit leg ends.
 //
-//	eager:  capture payload → tx charges on the source shard → cross event
-//	        at wire-end + latency → rx charges on the target shard → inject
-//	        the envelope+payload into the destination's matcher (xArrived).
-//	rndv:   RTS (header only) → inject envelope (xRndv) → on match the
-//	        receiver grants clear-to-send (a pure-latency cross event; the
-//	        control message's wire occupancy is deliberately not modelled) →
-//	        the sender runs the data phase against the live send buffer →
-//	        cross data event → rx charges → receive completes.
+//	eager:  capture payload → tx leg → cross event → rx leg → inject the
+//	        envelope+payload into the destination's matcher (xArrived).
+//	rndv:   RTS tx leg (header only) → cross event → RTS rx leg → inject
+//	        the envelope (xRndv) → on match the receiver grants
+//	        clear-to-send (a pure-latency cross event; the control
+//	        message's wire occupancy is deliberately not modelled) → data
+//	        tx leg against the live send buffer → cross event → data rx
+//	        leg → receive completes.
+//
+// Legs queue per message on their links, exactly like the serial engine's
+// transfers, so a node's intra-shard traffic and its cross legs share one
+// FIFO per link, and traffic that never leaves its shard is charged as on
+// the serial engine. Each leg is a step process that ends with its
+// occupancy, so the transport keeps no process per node.
 //
 // Both directions honour the conservative channel protocol: every cross
 // event lands at least one wire latency after the instant it was produced,
 // which is at least the lookahead-matrix entry for its shard pair
 // (cluster.LookaheadMatrix never exceeds the wire latency), so each shard's
-// per-channel horizon admits every event before it can matter.
+// per-channel horizon admits every event before it can matter. The same
+// ordering hands an xsend from one leg to the next: a shard runs the cross
+// event that starts a leg only after the previous leg's shard has
+// advertised a clock beyond that leg's end.
 //
-// Divergences from the serial model, by construction: the sender's tx and the
-// receiver's rx occupancy are charged one latency apart instead of
-// concurrently (cut-through across shards would need shared clocks), the
-// destination's matcher-queue depths are unknown at the source (SendPosted
-// events report zero depths), and cross traffic is restricted to
-// MPI_COMM_WORLD. The parallel-vs-serial equivalence guarantee is unaffected:
-// both executions of a partitioned world run this same transport.
+// Divergences from the serial model, by construction: the sender's tx and
+// the receiver's rx occupancy are charged one latency apart instead of
+// concurrently (cut-through across shards would need shared clocks), a
+// rendezvous pays an RTS/CTS round trip instead of starting its data phase
+// at match time, the destination's matcher-queue depths are unknown at the
+// source (SendPosted events report zero depths), and cross traffic is
+// restricted to MPI_COMM_WORLD. The parallel-vs-serial equivalence
+// guarantee is unaffected: both executions of a partitioned world run this
+// same transport.
 
 // PartWorld is a partitioned MPI job: K shard worlds over one
 // sim.PartitionedEngine, presenting the same surface as a serial World where
@@ -66,8 +81,6 @@ func NewPartWorld(pe *sim.PartitionedEngine, sys cluster.System, n int) *PartWor
 		w := NewWorld(c)
 		w.part = &partShard{
 			pw: pw, idx: i, lo: lo, hi: hi, w: w,
-			txq:   make([]*sim.Queue[txJob], hi-lo),
-			rxq:   make([]*sim.Queue[rxJob], hi-lo),
 			eps:   make([]*Endpoint, hi-lo),
 			pend:  make(map[uint64]*xsend),
 			await: make(map[uint64]*xawait),
@@ -164,24 +177,20 @@ func (pw *PartWorld) SetMsgObserver(mk func(shard int) MsgObserver) {
 }
 
 // partShard is one shard's view of the partitioned job: its rank range, its
-// world, the resident per-node NIC daemons, and the bookkeeping for in-flight
-// cross-partition rendezvous.
+// world, and the bookkeeping for in-flight cross-partition rendezvous.
 type partShard struct {
 	pw     *PartWorld
 	idx    int
 	lo, hi int
 	w      *World
 
-	// Per local node (indexed rank-lo): transmit/receive work queues, each
-	// drained by one resident daemon spawned on first use, and a cache of
-	// endpoint handles so hot paths do not re-allocate them.
-	txq []*sim.Queue[txJob]
-	rxq []*sim.Queue[rxJob]
+	// eps caches endpoint handles per local rank (indexed rank-lo), so hot
+	// paths do not re-allocate them.
 	eps []*Endpoint
 
 	// pend: cross rendezvous sends awaiting the receiver's clear-to-send,
 	// by message sequence. await: matched cross rendezvous receives awaiting
-	// the data phase. Both are touched only from this shard's processes.
+	// the data phase. Both are touched only from this shard's engine.
 	pend  map[uint64]*xsend
 	await map[uint64]*xawait
 }
@@ -192,11 +201,6 @@ func (ps *partShard) local(rank int) bool { return rank >= ps.lo && rank < ps.hi
 // parts reports the partition count.
 func (ps *partShard) parts() int { return len(ps.pw.shards) }
 
-// multi reports whether more than one partition exists — the gate for every
-// behavioural divergence from the serial code paths, so a 1-partition world
-// is bit-for-bit the serial engine.
-func (ps *partShard) multi() bool { return len(ps.pw.shards) > 1 }
-
 // endpoint returns the cached handle for a local rank.
 func (ps *partShard) endpoint(rank int) *Endpoint {
 	i := rank - ps.lo
@@ -206,50 +210,30 @@ func (ps *partShard) endpoint(rank int) *Endpoint {
 	return ps.eps[i]
 }
 
-// txJob is one unit of work for a node's transmit daemon.
-type txJob struct {
-	kind uint8
-	msg  *message // txEagerLocal: the intra-shard eager message
-	x    *xsend   // cross kinds: the pending cross send
-}
-
+// Cross-message phases: the wireXfer kind of each leg pair.
 const (
-	txEagerLocal uint8 = iota // intra-shard eager wire transfer
-	txXEager                  // cross eager: payload already captured
-	txRTS                     // cross rendezvous request-to-send (header)
-	txData                    // cross rendezvous data phase (CTS granted)
+	xEager uint8 = iota // envelope and payload
+	xRTS                // rendezvous request-to-send: the header only
+	xData               // rendezvous data phase, after clear-to-send
 )
 
-// rxJob is one arriving cross-partition transmission, charged against the
-// destination node's receive path by its receive daemon.
-type rxJob struct {
-	kind          uint8
-	src, dst, tag int
-	seq           uint64
-	size          int
-	wire          int64        // bytes occupying the rx path (0 for headers)
-	payload       bytepool.Seg // rxEager / rxData: a bytepool.Capture copy
-	recvSeq       uint64       // rxData: the matched receive's sequence
-}
-
-const (
-	rxEager uint8 = iota
-	rxRTS
-	rxData
-)
-
-// xsend is a sender-side cross-partition message in flight. Unlike message
-// it never enters a matcher; it lives on the source shard only. Not pooled:
-// the final reference is dropped on the target shard's side of a cross
-// event, where a recycle would race the source shard's pool.
+// xsend is a cross-partition message in flight: the sender's side of it,
+// and the state of the wireXfer legs that carry each phase across — the
+// transmit leg on the source shard, then the receive leg on the target
+// shard, one at a time. Unlike message it never enters a matcher. Not
+// pooled: the final reference is dropped on the target shard's side,
+// where a recycle would race the source shard's pool.
 type xsend struct {
 	src, dst, tag int
 	seq           uint64
 	size          int
-	payload       bytepool.Seg // eager: captured copy
-	sendBuf       bytepool.Seg // rendezvous: live buffer until the data phase
-	req           *Request
-	recvSeq       uint64 // set by the clear-to-send grant
+	// buf is the captured payload of an eager send, and the live send
+	// buffer of a rendezvous until its data leg's transmit ends and
+	// captures it.
+	buf     bytepool.Seg
+	req     *Request
+	recvSeq uint64 // set by the clear-to-send grant
+	wire    wireXfer
 }
 
 // xawait is a receiver-side matched cross rendezvous waiting for its data
@@ -274,6 +258,7 @@ func (ps *partShard) crossSend(ep *Endpoint, buf bytepool.Seg, dest, tag int, co
 		panic("mpi: cross-partition traffic is only supported on MPI_COMM_WORLD")
 	}
 	x := &xsend{src: ep.rank, dst: dest, tag: tag, seq: w.nextSeq(), size: buf.Len()}
+	x.wire.xs = x
 	kind := reqIsend
 	if ssend {
 		kind = reqSsend
@@ -282,9 +267,11 @@ func (ps *partShard) crossSend(ep *Endpoint, buf bytepool.Seg, dest, tag int, co
 	x.req.seq = x.seq
 	eager := !ssend && x.size <= EagerThreshold
 	if eager {
-		x.payload = bytepool.Capture(buf)
+		x.buf = bytepool.Capture(buf)
+		x.wire.kind = xEager
 	} else {
-		x.sendBuf = buf
+		x.buf = buf
+		x.wire.kind = xRTS
 		ps.pend[x.seq] = x
 	}
 	if !ssend {
@@ -293,220 +280,58 @@ func (ps *partShard) crossSend(ep *Endpoint, buf bytepool.Seg, dest, tag int, co
 		w.observe(MsgEvent{Kind: MsgSendPosted, Src: x.src, Dst: x.dst, Tag: x.tag,
 			Seq: x.seq, Bytes: x.size, Eager: eager, At: w.eng.Now()})
 	}
-	if eager {
-		ps.enqueueTx(ep.rank, txJob{kind: txXEager, x: x})
-	} else {
-		ps.enqueueTx(ep.rank, txJob{kind: txRTS, x: x})
-	}
+	x.wire.spawn(w, legTx)
 	return x.req
 }
 
-// enqueueTx hands a job to rank's transmit daemon, spawning it on first use.
-func (ps *partShard) enqueueTx(rank int, job txJob) {
-	i := rank - ps.lo
-	q := ps.txq[i]
-	if q == nil {
-		name := fmt.Sprintf("nic.tx%d", rank)
-		q = sim.NewQueue[txJob](ps.w.eng, name)
-		ps.txq[i] = q
-		ep := ps.endpoint(rank)
-		ps.w.eng.SpawnDaemon(name, func(p *sim.Proc) { ps.txLoop(p, ep, q) })
+// txDone is a transmit leg's tail on the source shard, once the last byte
+// left at instant now: an eager or data phase completes the sender, and
+// the receive leg starts on the target shard one wire latency later.
+func (x *xsend) txDone(w *World, now sim.Time) {
+	switch x.wire.kind {
+	case xEager:
+		w.observe(MsgEvent{Kind: MsgWireDone, Src: x.src, Dst: x.dst, Tag: x.tag,
+			Seq: x.seq, Bytes: x.size, Eager: true, At: now})
+		x.req.complete(Status{}, nil)
+	case xData:
+		// Rendezvous semantics: the live send buffer is read only now.
+		x.buf = bytepool.Capture(x.buf)
+		w.observe(MsgEvent{Kind: MsgWireDone, Src: x.src, Dst: x.dst, Tag: x.tag,
+			Seq: x.seq, RecvSeq: x.recvSeq, Bytes: x.size, At: now})
+		// Sender's buffer is reusable once the NIC is done with it.
+		x.req.complete(Status{}, nil)
 	}
-	q.Put(job)
+	ps := w.part
+	to := ps.pw.owner(x.dst)
+	tw := ps.pw.shards[to]
+	ps.pw.pe.Cross(ps.idx, to, now.Add(w.clus.Sys.NIC.WireLatency), func() { x.wire.spawn(tw, legRx) })
 }
 
-// enqueueRx hands an arrival to rank's receive daemon, spawning it on first
-// use. Called from the shard's cross-delivery daemon.
-func (ps *partShard) enqueueRx(rank int, job rxJob) {
-	i := rank - ps.lo
-	q := ps.rxq[i]
-	if q == nil {
-		name := fmt.Sprintf("nic.rx%d", rank)
-		q = sim.NewQueue[rxJob](ps.w.eng, name)
-		ps.rxq[i] = q
-		ps.w.eng.SpawnDaemon(name, func(p *sim.Proc) { ps.rxLoop(p, rank, q) })
+// rxDone is a receive leg's tail on the target shard, once the last byte
+// arrived at instant now: an envelope enters the destination's matcher, or
+// a data phase completes the matched receive.
+func (x *xsend) rxDone(w *World, now sim.Time) {
+	if x.wire.kind == xData {
+		w.part.completeData(x, now)
+		return
 	}
-	q.Put(job)
-}
-
-// txLoop drains one node's transmit queue. Jobs run one at a time in post
-// order, so a job waits for the previous one to release the links before
-// it queues on the backplane or a receiver's rx path. The serial engine's
-// per-message wireXfer step processes all queue at once; the two agree
-// without contention but not under it.
-func (ps *partShard) txLoop(p *sim.Proc, ep *Endpoint, q *sim.Queue[txJob]) {
-	for {
-		job, ok := q.Get(p)
-		if !ok {
-			return
-		}
-		switch job.kind {
-		case txEagerLocal:
-			ps.runEagerLocal(p, ep, job.msg)
-		case txXEager:
-			ps.runXEager(p, job.x)
-		case txRTS:
-			ps.runRTS(p, job.x)
-		case txData:
-			ps.runData(p, job.x)
-		}
-	}
-}
-
-// runEagerLocal performs an intra-shard eager wire transfer: wireXfer's
-// sequence and tail run in the node's tx daemon, with the charge name
-// synthesized only when someone is watching the links.
-func (ps *partShard) runEagerLocal(p *sim.Proc, ep *Endpoint, msg *message) {
-	w := ps.w
-	pname := ""
-	if w.Node(msg.src).TX.Observed() || w.Node(msg.dst).RX.Observed() {
-		pname = fmt.Sprintf("eager %d->%d", msg.src, msg.dst)
-	}
-	ep.wireTransferProc(p, msg.dst, int64(msg.size), pname)
-	w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
-		Seq: msg.seq, Bytes: msg.size, Eager: true, At: p.Now()})
-	// The NIC has the data: the sender's buffer is free.
-	msg.req.complete(Status{}, nil)
-	msg.arrived.FireAfter(w.clus.Sys.NIC.WireLatency, nil)
-}
-
-// txCharge occupies the local transmit path for the per-message overhead
-// plus the serialization of n bytes, charging the two usual legs, and
-// returns the occupancy's end instant.
-func (ps *partShard) txCharge(p *sim.Proc, src int, n int64, pname string) sim.Time {
-	w := ps.w
-	tx := w.Node(src).TX
-	ov := w.clus.Sys.NIC.MsgOverhead
-	d := ov + tx.SerializationTime(n)
-	tx.Lock(p)
-	start := p.Now()
-	if d > 0 {
-		p.Sleep(d)
-	}
-	end := p.Now()
-	chargeWire(pname, n, start, end, ov, tx)
-	tx.Unlock(p)
-	return end
-}
-
-// cross emits a cross-partition event delivering job to the destination
-// rank's receive daemon at instant at.
-func (ps *partShard) cross(at sim.Time, job rxJob) {
-	to := ps.pw.owner(job.dst)
-	tgt := ps.pw.shards[to].part
-	ps.pw.pe.Cross(ps.idx, to, at, func(p *sim.Proc) { tgt.enqueueRx(job.dst, job) })
-}
-
-// runXEager transmits a cross eager message: local tx charges, sender
-// completion, then the payload travels as a cross event.
-func (ps *partShard) runXEager(p *sim.Proc, x *xsend) {
-	w := ps.w
-	pname := ""
-	if w.Node(x.src).TX.Observed() {
-		pname = fmt.Sprintf("eager %d->%d", x.src, x.dst)
-	}
-	end := ps.txCharge(p, x.src, int64(x.size), pname)
-	w.observe(MsgEvent{Kind: MsgWireDone, Src: x.src, Dst: x.dst, Tag: x.tag,
-		Seq: x.seq, Bytes: x.size, Eager: true, At: end})
-	x.req.complete(Status{}, nil)
-	ps.cross(end.Add(w.clus.Sys.NIC.WireLatency), rxJob{
-		kind: rxEager, src: x.src, dst: x.dst, tag: x.tag,
-		seq: x.seq, size: x.size, wire: int64(x.size), payload: x.payload,
-	})
-	x.payload = bytepool.Seg{}
-}
-
-// runRTS transmits a cross rendezvous header. The sender's request stays
-// pending until the receiver's clear-to-send comes back.
-func (ps *partShard) runRTS(p *sim.Proc, x *xsend) {
-	w := ps.w
-	pname := ""
-	if w.Node(x.src).TX.Observed() {
-		pname = fmt.Sprintf("rndv %d->%d", x.src, x.dst)
-	}
-	end := ps.txCharge(p, x.src, 0, pname)
-	ps.cross(end.Add(w.clus.Sys.NIC.WireLatency), rxJob{
-		kind: rxRTS, src: x.src, dst: x.dst, tag: x.tag, seq: x.seq, size: x.size,
-	})
-}
-
-// runData transmits a cross rendezvous data phase after clear-to-send: the
-// live send buffer is captured now (rendezvous semantics), the wire charges
-// land, the sender completes, and the payload crosses.
-func (ps *partShard) runData(p *sim.Proc, x *xsend) {
-	w := ps.w
-	payload := bytepool.Capture(x.sendBuf)
-	x.sendBuf = bytepool.Seg{}
-	pname := ""
-	if w.Node(x.src).TX.Observed() {
-		pname = fmt.Sprintf("rndv %d->%d", x.src, x.dst)
-	}
-	end := ps.txCharge(p, x.src, int64(x.size), pname)
-	w.observe(MsgEvent{Kind: MsgWireDone, Src: x.src, Dst: x.dst, Tag: x.tag,
-		Seq: x.seq, RecvSeq: x.recvSeq, Bytes: x.size, At: end})
-	// Sender's buffer is reusable once the NIC is done with it.
-	x.req.complete(Status{}, nil)
-	ps.cross(end.Add(w.clus.Sys.NIC.WireLatency), rxJob{
-		kind: rxData, src: x.src, dst: x.dst, tag: x.tag,
-		seq: x.seq, size: x.size, wire: int64(x.size), payload: payload, recvSeq: x.recvSeq,
-	})
-}
-
-// rxLoop drains one node's receive queue: each arrival occupies the receive
-// path (overhead plus serialization of the bytes on the wire), then takes
-// effect — envelope injection into the matcher, or data-phase completion.
-func (ps *partShard) rxLoop(p *sim.Proc, rank int, q *sim.Queue[rxJob]) {
-	w := ps.w
-	rx := w.Node(rank).RX
-	ov := w.clus.Sys.NIC.MsgOverhead
-	for {
-		job, ok := q.Get(p)
-		if !ok {
-			return
-		}
-		pname := ""
-		if rx.Observed() {
-			verb := "eager"
-			if job.kind != rxEager {
-				verb = "rndv"
-			}
-			pname = fmt.Sprintf("%s %d->%d", verb, job.src, job.dst)
-		}
-		d := ov + rx.SerializationTime(job.wire)
-		rx.Lock(p)
-		start := p.Now()
-		if d > 0 {
-			p.Sleep(d)
-		}
-		mid := start.Add(ov)
-		end := p.Now()
-		rx.ChargeTagged("mpi.sw", pname, 0, start, mid)
-		rx.ChargeTagged("wire", pname, job.wire, mid, end)
-		rx.Unlock(p)
-		switch job.kind {
-		case rxEager:
-			ps.inject(job, true)
-		case rxRTS:
-			ps.inject(job, false)
-		case rxData:
-			ps.completeData(p, job)
-		}
-	}
+	w.part.inject(x)
 }
 
 // inject places an arrived cross envelope into the destination's matcher,
 // from where the ordinary matching machinery (wildcards, probers, overtaking
 // rules) takes over. Eager arrivals carry their payload; rendezvous
 // envelopes await a data phase.
-func (ps *partShard) inject(job rxJob, eager bool) {
+func (ps *partShard) inject(x *xsend) {
 	w := ps.w
 	msg := w.getMsg()
-	msg.src, msg.dst, msg.tag, msg.seq = job.src, job.dst, job.tag, job.seq
-	msg.size = job.size
-	if eager {
+	msg.src, msg.dst, msg.tag, msg.seq = x.src, x.dst, x.tag, x.seq
+	msg.size = x.size
+	if x.wire.kind == xEager {
 		msg.eager = true
 		msg.xArrived = true
-		msg.payload = job.payload
+		msg.payload = x.buf
+		x.buf = bytepool.Seg{}
 	} else {
 		msg.xRndv = true
 	}
@@ -536,10 +361,11 @@ func (ps *partShard) ctsBack(msg *message, want bool, recvSeq uint64) {
 	src := ps.pw.shards[to].part
 	seq := msg.seq
 	at := w.eng.Now().Add(w.clus.Sys.NIC.WireLatency)
-	ps.pw.pe.Cross(from, to, at, func(p *sim.Proc) { src.handleCTS(seq, want, recvSeq) })
+	ps.pw.pe.Cross(from, to, at, func() { src.handleCTS(seq, want, recvSeq) })
 }
 
-// handleCTS resolves a pending cross rendezvous on the sender's shard.
+// handleCTS resolves a pending cross rendezvous on the sender's shard, in
+// its scheduler context: a grant starts the data phase's transmit leg.
 func (ps *partShard) handleCTS(seq uint64, want bool, recvSeq uint64) {
 	x := ps.pend[seq]
 	if x == nil {
@@ -547,27 +373,29 @@ func (ps *partShard) handleCTS(seq uint64, want bool, recvSeq uint64) {
 	}
 	delete(ps.pend, seq)
 	if !want {
-		x.sendBuf = bytepool.Seg{}
+		x.buf = bytepool.Seg{}
 		x.req.complete(Status{}, nil)
 		return
 	}
 	x.recvSeq = recvSeq
-	ps.enqueueTx(x.src, txJob{kind: txData, x: x})
+	x.wire.kind = xData
+	x.wire.spawn(ps.w, legTx)
 }
 
 // completeData finishes a matched cross rendezvous receive: the data has
-// fully arrived at the receive path, so the payload lands in the receiver's
-// buffer and the receive completes.
-func (ps *partShard) completeData(p *sim.Proc, job rxJob) {
-	a := ps.await[job.seq]
+// fully arrived at the receive path at instant now, so the payload lands in
+// the receiver's buffer and the receive completes.
+func (ps *partShard) completeData(x *xsend, now sim.Time) {
+	a := ps.await[x.seq]
 	if a == nil {
-		panic(fmt.Sprintf("mpi: data phase for unknown message seq %d", job.seq))
+		panic(fmt.Sprintf("mpi: data phase for unknown message seq %d", x.seq))
 	}
-	delete(ps.await, job.seq)
-	bytepool.Copy(a.buf, job.payload)
-	bytepool.Free(job.payload)
+	delete(ps.await, x.seq)
+	bytepool.Copy(a.buf, x.buf)
+	bytepool.Free(x.buf)
+	x.buf = bytepool.Seg{}
 	a.req.complete(a.st, nil)
 	ps.w.observe(MsgEvent{Kind: MsgDelivered, Src: a.src, Dst: a.dst, Tag: a.tag,
-		Seq: a.seq, RecvSeq: a.recvSeq, Bytes: a.size, At: p.Now(),
+		Seq: a.seq, RecvSeq: a.recvSeq, Bytes: a.size, At: now,
 		PostedDepth: a.pd, UnexpectedDepth: a.ud})
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -409,5 +411,181 @@ func TestPartitionCrossPayloads(t *testing.T) {
 	})
 	if err := pw.Run(2); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// shardIncastBody is a per-shard N->1 incast for a world split parts ways:
+// every other rank of a shard's rank range sends two eager messages and
+// one rendezvous message of EagerThreshold+1000*r bytes to the range's
+// first rank, which posts every receive up front with exact sources. No
+// message leaves its shard, and there is no world collective. Payloads are
+// checked.
+func shardIncastBody(parts int) func(*sim.Proc, *Endpoint) {
+	return func(p *sim.Proc, ep *Endpoint) {
+		comm := ep.World().Comm()
+		n, r := ep.Size(), ep.Rank()
+		lo, hi := 0, 0
+		for i := 0; i < parts && !(r >= lo && r < hi); i++ {
+			lo, hi = cluster.PartRange(n, parts, i)
+		}
+		sizes := func(src int) []int { return []int{1024, 1024, EagerThreshold + 1000*src} }
+		var reqs []*Request
+		if r == lo {
+			var bufs [][]byte
+			for src := lo + 1; src < hi; src++ {
+				for k, size := range sizes(src) {
+					buf := make([]byte, size)
+					bufs = append(bufs, buf)
+					req, err := ep.Irecv(p, buf, src, 10+k, Bytes, comm)
+					if err != nil {
+						panic(err)
+					}
+					reqs = append(reqs, req)
+				}
+			}
+			if err := Waitall(p, reqs...); err != nil {
+				panic(err)
+			}
+			for i, buf := range bufs {
+				if src := lo + 1 + i/3; buf[len(buf)-1] != byte(src+len(buf)-1) {
+					panic(fmt.Sprintf("incast payload %d from rank %d corrupted", i, src))
+				}
+			}
+			return
+		}
+		for k, size := range sizes(r) {
+			buf := make([]byte, size)
+			for i := range buf {
+				buf[i] = byte(r + i)
+			}
+			req, err := ep.Isend(p, buf, lo, 10+k, Bytes, comm)
+			if err != nil {
+				panic(err)
+			}
+			reqs = append(reqs, req)
+		}
+		if err := Waitall(p, reqs...); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// chargesByLink groups NIC charge lines by link name, keeping each link's
+// charges in order.
+func chargesByLink(lls ...*linkLines) map[string][]string {
+	m := map[string][]string{}
+	for _, ll := range lls {
+		for _, l := range ll.lines {
+			name := l[:strings.IndexByte(l, ' ')]
+			m[name] = append(m[name], l)
+		}
+	}
+	return m
+}
+
+// TestPartitionShardLocalMatchesSerial: traffic that never leaves its shard
+// takes the serial transport's wire transfers, so every NIC link sees the
+// serial engine's charges, in order, and the run ends at the same instant.
+// Each shard has its own link observer: shards run on parallel workers.
+func TestPartitionShardLocalMatchesSerial(t *testing.T) {
+	const n = 16
+	for name, sys := range testSystems(n) {
+		for _, parts := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/K=%d", name, parts), func(t *testing.T) {
+				body := shardIncastBody(parts)
+				eng := sim.NewEngine()
+				w := NewWorld(cluster.New(eng, sys, n))
+				serial := &linkLines{}
+				observeNICs(w, serial)
+				w.LaunchRanks("rank", body)
+				if err := eng.Run(); err != nil {
+					t.Fatalf("serial run: %v", err)
+				}
+
+				pe := sim.NewPartitionedEngineMatrix(cluster.LookaheadMatrix(sys, n, parts))
+				pw := NewPartWorld(pe, sys, n)
+				lls := make([]*linkLines, parts)
+				for i := range lls {
+					lls[i] = &linkLines{}
+					observeNICs(pw.Shard(i), lls[i])
+				}
+				pw.LaunchRanks("rank", body)
+				if err := pw.Run(parts); err != nil {
+					t.Fatalf("partitioned run: %v", err)
+				}
+
+				if eng.Now() != pe.Now() {
+					t.Errorf("end time: serial %v, partitioned %v", eng.Now(), pe.Now())
+				}
+				want, got := chargesByLink(serial), chargesByLink(lls...)
+				if len(want) == 0 {
+					t.Fatal("serial run charged no NIC link")
+				}
+				for link, w := range want {
+					if g := got[link]; !reflect.DeepEqual(g, w) {
+						t.Errorf("%s: partitioned charges %q, serial %q", link, g, w)
+					}
+				}
+				for link := range got {
+					if _, ok := want[link]; !ok {
+						t.Errorf("%s: charged only in the partitioned run", link)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPartitionNoMachineryGoroutines: the partitioned transport's machinery
+// is state, not goroutines. During a 4-way 64-rank exchange whose every
+// message crosses shards, the goroutines above the baseline peak at no
+// more than one coroutine per rank plus the worker pool.
+func TestPartitionNoMachineryGoroutines(t *testing.T) {
+	const n, parts = 64, 4
+	sys := testSystems(n)["ricc"]
+	pe := sim.NewPartitionedEngineMatrix(cluster.LookaheadMatrix(sys, n, parts))
+	pw := NewPartWorld(pe, sys, n)
+	var peak atomic.Int64
+	sample := func() {
+		g := int64(runtime.NumGoroutine())
+		for cur := peak.Load(); g > cur && !peak.CompareAndSwap(cur, g); cur = peak.Load() {
+		}
+	}
+	pw.LaunchRanks("rank", func(p *sim.Proc, ep *Endpoint) {
+		comm := ep.World().Comm()
+		r := ep.Rank()
+		var reqs []*Request
+		for j := 1; j <= 3; j++ {
+			d := j * n / parts
+			for k, size := range []int{256, EagerThreshold + 512} {
+				req, err := ep.Irecv(p, make([]byte, size), (r-d+n)%n, 2*j+k, Bytes, comm)
+				if err != nil {
+					panic(err)
+				}
+				reqs = append(reqs, req)
+				if req, err = ep.Isend(p, make([]byte, size), (r+d)%n, 2*j+k, Bytes, comm); err != nil {
+					panic(err)
+				}
+				reqs = append(reqs, req)
+			}
+		}
+		sample()
+		if err := Waitall(p, reqs...); err != nil {
+			panic(err)
+		}
+		sample()
+		if err := ep.Barrier(p, comm); err != nil {
+			panic(err)
+		}
+		sample()
+	})
+	base := int64(runtime.NumGoroutine())
+	if err := pw.Run(parts); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	above := peak.Load() - base
+	t.Logf("peak goroutines above baseline: %d", above)
+	if above > n+parts {
+		t.Fatalf("peak goroutines above baseline = %d, want at most %d ranks + %d workers", above, n, parts)
 	}
 }

@@ -22,65 +22,45 @@ func (ep *Endpoint) checkArgs(dest, tag int) error {
 	return nil
 }
 
-// chargeWire accounts one NIC occupancy [start, end) on each link, in
-// order, as two differently-classed legs: the per-message software overhead
-// ov first, then wire serialization of n bytes.
-func chargeWire(pname string, n int64, start, end sim.Time, ov time.Duration, links ...*sim.Link) {
+// chargeWire accounts one NIC occupancy [start, end) on link l as two
+// differently-classed legs: the per-message software overhead ov first,
+// then wire serialization of n bytes.
+func chargeWire(l *sim.Link, pname string, n int64, start, end sim.Time, ov time.Duration) {
 	mid := start.Add(ov)
-	for _, l := range links {
-		l.ChargeTagged("mpi.sw", pname, 0, start, mid)
-		l.ChargeTagged("wire", pname, n, mid, end)
-	}
+	l.ChargeTagged("mpi.sw", pname, 0, start, mid)
+	l.ChargeTagged("wire", pname, n, mid, end)
 }
 
-// wireTransferProc charges n bytes across the fabric from this rank to dest:
-// the sender's transmit path and the receiver's receive path are held
-// concurrently for the serialization time (cut-through), preceded by the
-// per-message software overhead. It returns when the last byte has left.
-// The resident transport daemons of a partitioned world (partition.go) call
-// it with a synthetic per-message charge name, formatted only when the
-// links are observed; wireXfer is the same sequence as a step process.
-func (ep *Endpoint) wireTransferProc(p *sim.Proc, dest int, n int64, pname string) {
-	w := ep.world
-	tx := w.Node(ep.rank).TX
-	rx := w.Node(dest).RX
-	ov := w.clus.Sys.NIC.MsgOverhead
-	d := ov + tx.SerializationTime(n)
-	// A switch path is taken first (FIFO), then the endpoints; the strict
-	// resource ordering (backplane → tx → rx) keeps the model cycle-free.
-	if bp := w.clus.Backplane; bp != nil {
-		bp.Acquire(p, 1)
-		defer bp.Release(p, 1)
-	}
-	tx.Lock(p)
-	rx.Lock(p)
-	start := p.Now()
-	if d > 0 {
-		p.Sleep(d)
-	}
-	chargeWire(pname, n, start, p.Now(), ov, tx, rx)
-	rx.Unlock(p)
-	tx.Unlock(p)
-}
-
-// wireXfer is one message's NIC wire transfer in the serial transport, run
-// as a coroutine-free step process (sim.Engine.SpawnStep): the eager body
-// of a send, or the data phase of a matched rendezvous. It performs
-// wireTransferProc's sequence — backplane, then tx, then rx, a sleep for
-// the overhead plus serialization, the charges, then rx, tx and backplane
-// released — and then runs its tail. It carries its own process handle, so
-// a transfer costs one allocation.
+// wireXfer is the transport's one NIC occupancy, run as a coroutine-free
+// step process (sim.Engine.SpawnStep) in both engines. A local transfer —
+// the eager body of a send or the data phase of a matched rendezvous, on
+// the serial engine or inside one shard — takes the backplane, then the
+// sender's tx path, then the receiver's rx path, holds them together for
+// the per-message overhead plus serialization (cut-through), charges,
+// releases rx, tx and backplane, and runs its message's tail. A cross-shard
+// message runs two legs of it in turn: a transmit leg holding only tx on
+// the source shard, then a receive leg holding only rx on the target shard
+// (partition.go). Each leg queues per message on the links, so every link
+// is a FIFO of messages in both engines. The state lives in the object the
+// transport already allocated — the message, or the cross send — so a
+// transfer allocates nothing of its own.
 type wireXfer struct {
 	proc  sim.Proc
-	w     *World
-	msg   *message
+	w     *World   // the world the occupancy runs in
+	msg   *message // a local transfer's message; nil on a cross leg
+	xs    *xsend   // a cross leg's send; nil on a local transfer
+	start sim.Time // the occupancy's first instant, once the links are held
+	leg   uint8    // legLocal, legTx or legRx
+	kind  uint8    // a cross leg's phase: xEager, xRTS or xData
 	state uint8
-	start sim.Time // the occupancy's first instant, once tx and rx are held
-	// Rendezvous only: the matched receive (not recycled on this path) and
-	// its queue depths sampled at match time. rop is nil for eager.
-	rop    *recvOp
-	pd, ud int
 }
+
+// wireXfer legs.
+const (
+	legLocal uint8 = iota // backplane, tx and rx held together
+	legTx                 // a cross message's transmit leg, on the source shard
+	legRx                 // its receive leg, on the target shard
+)
 
 // wireXfer states: each names what the next step call must do first.
 const (
@@ -91,20 +71,49 @@ const (
 	xferDone
 )
 
-// StepName is the process name, formatted only if someone observes it.
-func (x *wireXfer) StepName() string {
-	kind := "eager"
-	if x.rop != nil {
-		kind = "rndv"
-	}
-	return fmt.Sprintf("%s %d->%d", kind, x.msg.src, x.msg.dst)
+// spawn starts the occupancy as leg on w's engine.
+func (x *wireXfer) spawn(w *World, leg uint8) {
+	x.w, x.leg, x.state = w, leg, xferBackplane
+	w.eng.SpawnStep(x, &x.proc)
 }
 
-// Step advances the transfer until it parks or finishes.
+// ends reports the transfer's source and destination ranks and the bytes
+// it puts on the wire (none for a rendezvous request-to-send).
+func (x *wireXfer) ends() (src, dst int, n int64) {
+	if m := x.msg; m != nil {
+		return m.src, m.dst, int64(m.size)
+	}
+	if x.kind == xRTS {
+		return x.xs.src, x.xs.dst, 0
+	}
+	return x.xs.src, x.xs.dst, int64(x.xs.size)
+}
+
+// StepName is the process name, formatted only if someone observes it.
+func (x *wireXfer) StepName() string {
+	src, dst, _ := x.ends()
+	kind := "eager"
+	if (x.msg != nil && !x.msg.eager) || (x.xs != nil && x.kind != xEager) {
+		kind = "rndv"
+	}
+	return fmt.Sprintf("%s %d->%d", kind, src, dst)
+}
+
+// Step advances the occupancy until it parks or finishes.
 func (x *wireXfer) Step(p *sim.Proc) {
-	w, msg := x.w, x.msg
-	bp := w.clus.Backplane
-	tx, rx := w.Node(msg.src).TX, w.Node(msg.dst).RX
+	w := x.w
+	src, dst, n := x.ends()
+	var bp *sim.Semaphore
+	var tx, rx *sim.Link
+	if x.leg == legLocal {
+		bp = w.clus.Backplane
+	}
+	if x.leg != legRx {
+		tx = w.Node(src).TX
+	}
+	if x.leg != legTx {
+		rx = w.Node(dst).RX
+	}
 	ov := w.clus.Sys.NIC.MsgOverhead
 	switch x.state {
 	case xferBackplane:
@@ -115,52 +124,78 @@ func (x *wireXfer) Step(p *sim.Proc) {
 		fallthrough
 	case xferTx:
 		x.state = xferRx
-		if !tx.LockStep(p) {
+		if tx != nil && !tx.LockStep(p) {
 			return
 		}
 		fallthrough
 	case xferRx:
 		x.state = xferWire
-		if !rx.LockStep(p) {
+		if rx != nil && !rx.LockStep(p) {
 			return
 		}
 		fallthrough
 	case xferWire:
 		x.start = p.Now()
 		x.state = xferDone
-		if d := ov + tx.SerializationTime(int64(msg.size)); d > 0 && !p.SleepStep(d) {
+		l := tx
+		if l == nil {
+			l = rx
+		}
+		if d := ov + l.SerializationTime(n); d > 0 && !p.SleepStep(d) {
 			return
 		}
 	}
+	now := p.Now()
 	pname := ""
-	if tx.Observed() || rx.Observed() {
+	if (tx != nil && tx.Observed()) || (rx != nil && rx.Observed()) {
 		pname = p.Name()
 	}
-	chargeWire(pname, int64(msg.size), x.start, p.Now(), ov, tx, rx)
-	rx.Unlock(p)
-	tx.Unlock(p)
+	if tx != nil {
+		chargeWire(tx, pname, n, x.start, now, ov)
+	}
+	if rx != nil {
+		chargeWire(rx, pname, n, x.start, now, ov)
+		rx.Unlock(p)
+	}
+	if tx != nil {
+		tx.Unlock(p)
+	}
 	if bp != nil {
 		bp.Release(p, 1)
 	}
-	if x.rop != nil {
-		x.rndvDone(p.Now())
-		return
+	switch {
+	case x.leg == legTx:
+		x.xs.txDone(w, now)
+	case x.leg == legRx:
+		x.xs.rxDone(w, now)
+	case x.msg.eager:
+		x.eagerDone(now)
+	default:
+		x.rndvDone(now)
 	}
+}
+
+// eagerDone is a local eager transfer's tail, once the last byte left at
+// instant now: the sender completes, and the payload arrives one wire
+// latency later.
+func (x *wireXfer) eagerDone(now sim.Time) {
+	w, msg := x.w, x.msg
 	w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
-		Seq: msg.seq, Bytes: msg.size, Eager: true, At: p.Now()})
+		Seq: msg.seq, Bytes: msg.size, Eager: true, At: now})
 	// The NIC has the data: the sender's buffer is free.
 	msg.req.complete(Status{}, nil)
 	msg.arrived.FireAfter(w.clus.Sys.NIC.WireLatency, nil)
 }
 
-// rndvDone is a rendezvous data phase's tail, once the last byte left at
-// instant now: the payload lands, the sender completes, and the receive
+// rndvDone is a local rendezvous data phase's tail, once the last byte left
+// at instant now: the payload lands, the sender completes, and the receive
 // completes one wire latency later.
 func (x *wireXfer) rndvDone(now sim.Time) {
-	w, msg, rop := x.w, x.msg, x.rop
+	w, msg, rop := x.w, x.msg, x.msg.rop
+	pd, ud := int(msg.pd), int(msg.ud)
 	w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
 		Seq: msg.seq, RecvSeq: rop.seq, Bytes: msg.size, At: now,
-		PostedDepth: x.pd, UnexpectedDepth: x.ud})
+		PostedDepth: pd, UnexpectedDepth: ud})
 	bytepool.Copy(rop.buf, msg.sendBuf)
 	// Sender's buffer is reusable once the NIC is done with it.
 	msg.req.complete(Status{}, nil)
@@ -168,7 +203,13 @@ func (x *wireXfer) rndvDone(now sim.Time) {
 	rop.req.completeAfter(lat, Status{Source: msg.src, Tag: msg.tag, Count: msg.size}, nil)
 	w.observe(MsgEvent{Kind: MsgDelivered, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
 		Seq: msg.seq, RecvSeq: rop.seq, Bytes: msg.size, Eager: msg.eager, At: now.Add(lat),
-		PostedDepth: x.pd, UnexpectedDepth: x.ud})
+		PostedDepth: pd, UnexpectedDepth: ud})
+}
+
+// startWire runs msg's local wire transfer.
+func (msg *message) startWire(w *World) {
+	msg.wire.msg = msg
+	msg.wire.spawn(w, legLocal)
 }
 
 // deliver finalizes a matched (message, receive) pair.
@@ -282,8 +323,8 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 		return
 	}
 	// Rendezvous: run the wire transfer now that both sides exist.
-	x := &wireXfer{w: w, msg: msg, rop: rop, pd: pd, ud: ud}
-	w.eng.SpawnStep(x, &x.proc)
+	msg.rop, msg.pd, msg.ud = rop, int32(pd), int32(ud)
+	msg.startWire(w)
 }
 
 // Send is the blocking send, like MPI_Send: it returns when the send buffer

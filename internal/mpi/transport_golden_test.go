@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -27,37 +28,37 @@ import (
 //     shard in the partitioned form).
 var transportGolden = map[string]string{
 	"serial cichlid n=8 rich":    "ev=7740fc9d9ecdf22b links=2c992e8a232ae368",
-	"K=2 cichlid n=8 rich":       "ev=69b9f2a70e60e7eb links=62eb0321d3214d91",
-	"K=4 cichlid n=8 rich":       "ev=a5354e62af18a8c3 links=04fcf812347ef094",
+	"K=2 cichlid n=8 rich":       "ev=ca0af1cb856dc849 links=1abf6e4971456b3f",
+	"K=4 cichlid n=8 rich":       "ev=842fa3bb1c68b4a1 links=10a1d86ea8ff91ea",
 	"K=8 cichlid n=8 rich":       "ev=a20abbd879a83da4 links=870eee693308d1d7",
 	"serial cichlid n=8 incast":  "ev=00029c7770db7aef links=71a035226fd41c2f",
-	"K=2 cichlid n=8 incast":     "ev=907318a37d1e10cc links=5e879b16301cb607",
-	"K=4 cichlid n=8 incast":     "ev=d5fbba2488374794 links=92dde31a3536ae6e",
+	"K=2 cichlid n=8 incast":     "ev=5e6228225416e1a0 links=43decf6d799fdb8b",
+	"K=4 cichlid n=8 incast":     "ev=054b27075ae87ce1 links=2e0f927317924297",
 	"K=8 cichlid n=8 incast":     "ev=6b5f63a75b1021be links=0d99fb0f5e4b579c",
 	"serial cichlid n=16 rich":   "ev=d7355d8236d328f8 links=469710f255018bd6",
-	"K=2 cichlid n=16 rich":      "ev=0cbca078d18cd2a5 links=b62c81cceebd16c8",
-	"K=4 cichlid n=16 rich":      "ev=06ce027bb1a9f69c links=fcb37027b4f11c3d",
-	"K=8 cichlid n=16 rich":      "ev=227ac1925d012045 links=73249df2b6d0ed56",
+	"K=2 cichlid n=16 rich":      "ev=4a82ea182b21047a links=80d1b4311d4fb0a6",
+	"K=4 cichlid n=16 rich":      "ev=bf8b94d329267537 links=86228aba9306db6b",
+	"K=8 cichlid n=16 rich":      "ev=e732f991fbffb72b links=08c36e80530e91d2",
 	"serial cichlid n=16 incast": "ev=75e36ac07afce654 links=5a842483b06b556d",
-	"K=2 cichlid n=16 incast":    "ev=e39952d5e8885622 links=444b1f41b911990d",
-	"K=4 cichlid n=16 incast":    "ev=b178b4e132ce0538 links=2ccb82a3ab437ae5",
-	"K=8 cichlid n=16 incast":    "ev=6e9816235d329119 links=c2ef21a37de84bc9",
+	"K=2 cichlid n=16 incast":    "ev=cb1274acf27e34e5 links=50f05461fee382ab",
+	"K=4 cichlid n=16 incast":    "ev=8bd6998f007328cd links=d68b688179923cce",
+	"K=8 cichlid n=16 incast":    "ev=d2a6607ecb43c9eb links=1db226ff9f03e545",
 	"serial ricc n=8 rich":       "ev=65852c9aea49bc30 links=6c581f26f2b91696",
-	"K=2 ricc n=8 rich":          "ev=40b545908fe0bd90 links=786ec8bb3ea106c7",
-	"K=4 ricc n=8 rich":          "ev=3d6c2170aa5e1cad links=f11d200bf3bd743f",
+	"K=2 ricc n=8 rich":          "ev=2e73e566e1edf753 links=3b598f1a787e2da9",
+	"K=4 ricc n=8 rich":          "ev=7a689201ce0b10dc links=55e02b4dedb31347",
 	"K=8 ricc n=8 rich":          "ev=5cb57af6760545fa links=3e496f00f31bf656",
 	"serial ricc n=8 incast":     "ev=6c55265622ab9125 links=7a691ebb5e49227b",
-	"K=2 ricc n=8 incast":        "ev=f2666189045caab9 links=bf3bfe1e469897da",
-	"K=4 ricc n=8 incast":        "ev=c8b648ea92762455 links=c387c4dc3bbe44df",
+	"K=2 ricc n=8 incast":        "ev=fd5e5634a67b4e31 links=68758989f91e1472",
+	"K=4 ricc n=8 incast":        "ev=2888b9e417dea18a links=cd2d59ad3ef8556f",
 	"K=8 ricc n=8 incast":        "ev=ce92594675a8b34d links=b19efdce4e4986fb",
 	"serial ricc n=16 rich":      "ev=b96e8634c60b0dd0 links=9a0fb9657dc3f63b",
-	"K=2 ricc n=16 rich":         "ev=7242b1f71893cdbb links=dc65579f4620f2db",
-	"K=4 ricc n=16 rich":         "ev=eff5735ecff2f383 links=9169832dac3260e3",
-	"K=8 ricc n=16 rich":         "ev=daa5949a89385a66 links=55be57e21c662f67",
+	"K=2 ricc n=16 rich":         "ev=8972da8adbf16ca6 links=049b185c791cdce9",
+	"K=4 ricc n=16 rich":         "ev=766bbac132d53c68 links=c10b9d2090cf1035",
+	"K=8 ricc n=16 rich":         "ev=d8f187b3fa817c65 links=2e6c684d4b60c9bd",
 	"serial ricc n=16 incast":    "ev=5b4fed28f55ec26e links=b0751d78c0549968",
-	"K=2 ricc n=16 incast":       "ev=3d9bb01eab07c932 links=139e77421e95e0a9",
-	"K=4 ricc n=16 incast":       "ev=25b089b80cb08f43 links=cc55405e3e18131d",
-	"K=8 ricc n=16 incast":       "ev=a929e0f4334040a3 links=cbee6eaa8df5b92c",
+	"K=2 ricc n=16 incast":       "ev=2e3ba72838925467 links=4359e2db9b3eef4f",
+	"K=4 ricc n=16 incast":       "ev=41753e318861531d links=988a1e741219a5a1",
+	"K=8 ricc n=16 incast":       "ev=5d0e28875060999a links=f8e35abb8af05f61",
 }
 
 // linkLines records every charge on the links it observes as one digest
@@ -227,5 +228,33 @@ func TestTransportGolden(t *testing.T) {
 		if want := transportGolden[k]; got[k] != want {
 			t.Errorf("%s: got %s, want %s", k, got[k], want)
 		}
+	}
+}
+
+// transportGoldenSHA pins the sha256 of the transportGolden table under
+// each cluster.ModelVersion. Regenerating the goldens moves the table's
+// digest, so it fails here until the model version is bumped and the new
+// digest recorded under it.
+var transportGoldenSHA = map[int]string{
+	1: "060aaa5b2235423978f2c25bca04e4c1a4ed195e2bd3c7410fc04e6556e1aac1",
+	2: "f1842fab335473981f2df4856d0301894729533504408907250064fd3af639cd",
+}
+
+// TestTransportGoldenVersioned checks the table against the digest pinned
+// for the current model version.
+func TestTransportGoldenVersioned(t *testing.T) {
+	keys := make([]string, 0, len(transportGolden))
+	for k := range transportGolden {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := sha256.New()
+	for _, k := range keys {
+		fmt.Fprintf(h, "%s: %s\n", k, transportGolden[k])
+	}
+	got := fmt.Sprintf("%x", h.Sum(nil))
+	t.Logf("model version %d: transportGolden sha256 %s", cluster.ModelVersion, got)
+	if want := transportGoldenSHA[cluster.ModelVersion]; got != want {
+		t.Fatalf("transportGolden sha256 = %s, pinned for model version %d: %q; regenerated goldens need a cluster.ModelVersion bump", got, cluster.ModelVersion, want)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/cluster"
 )
 
 // Hash digests a normalized spec into its content address: the SHA-256 of
@@ -19,12 +21,21 @@ import (
 // sees, and an inline spec that describes a built-in preset has already
 // collapsed to the preset's name). Two submissions hash equal exactly when
 // their simulated results are guaranteed byte-identical; in particular two
-// spec files that merely share a system name still hash apart.
+// spec files that merely share a system name still hash apart. The digest
+// also covers cluster.ModelVersion, so memory and disk cache entries
+// simulated under an older model never answer for the current one.
 //
 // Call with a Normalize output only; hashing a raw spec would let "cichlid"
 // and "Cichlid" content-address different cache entries.
-func Hash(norm JobSpec) string {
-	data, err := json.Marshal(norm)
+func Hash(norm JobSpec) string { return hashAt(cluster.ModelVersion, norm) }
+
+// hashAt is Hash under model version v: the digest of the spec's encoding
+// with the version as one more leading field.
+func hashAt(v int, norm JobSpec) string {
+	data, err := json.Marshal(struct {
+		Model int `json:"model"`
+		JobSpec
+	}{v, norm})
 	if err != nil {
 		// JobSpec holds strings, ints, slices thereof, and a SystemSpec
 		// that Normalize guarantees is valid JSON; Marshal cannot fail.

@@ -3,6 +3,8 @@ package serve
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // TestHashFieldOrderInvariant: the content address must not depend on how
@@ -135,5 +137,21 @@ func TestNormalizeHimenoDefaults(t *testing.T) {
 	}
 	if norm.NumPoints() != 2*len(norm.Nodes) {
 		t.Errorf("NumPoints = %d", norm.NumPoints())
+	}
+}
+
+// TestHashKeyedByModelVersion: the content address covers the model
+// version, so a result simulated under another version never answers for
+// the current one — in memory or in a -cache-dir written before a bump.
+func TestHashKeyedByModelVersion(t *testing.T) {
+	norm, err := Normalize(JobSpec{System: "cichlid"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Hash(norm) != hashAt(cluster.ModelVersion, norm) {
+		t.Fatal("Hash is not keyed by cluster.ModelVersion")
+	}
+	if hashAt(cluster.ModelVersion-1, norm) == Hash(norm) {
+		t.Fatal("the previous model version hashes to the same content address")
 	}
 }

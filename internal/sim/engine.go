@@ -46,19 +46,11 @@ type Engine struct {
 	windowed bool
 	limit    Time
 
-	// Cross-delivery queue: closures handed over from other partitions,
-	// executed in the resident xdeliver daemon's process context (so they
-	// may use the full blocking API, unlike timer callbacks). Slots are
-	// nilled on pop and the backing array is recycled — a per-window arena.
-	xq    []func(p *Proc)
-	xhead int
-	xproc *Proc // parked xdeliver daemon awaiting work, if any
-
 	// Cross-event heap: timestamped cross-partition arrivals, merged in by
-	// the partition driver and delivered as a batch per instant in the
-	// (at, src, seq) total order. Local timers win tied instants, so
-	// delivery order is a function of the event set alone — never of when a
-	// batch happened to arrive relative to local work.
+	// the partition driver and run in scheduler context as a batch per
+	// instant in the (at, src, seq) total order. Local timers win tied
+	// instants, so delivery order is a function of the event set alone —
+	// never of when a batch happened to arrive relative to local work.
 	xheap crossHeap
 }
 
@@ -412,33 +404,6 @@ func (e *Engine) blocked() []string {
 	return blocked
 }
 
-// pushCross appends a cross-delivery closure and wakes the shard's xdeliver
-// daemon if it is parked waiting for work. Runs in scheduler context (from
-// deliverCrossBatch), so it must not block.
-func (e *Engine) pushCross(fn func(p *Proc)) {
-	e.xq = append(e.xq, fn)
-	if e.xproc != nil {
-		p := e.xproc
-		e.xproc = nil
-		e.wake(p)
-	}
-}
-
-// nextCross pops the next cross-delivery closure, parking p (the xdeliver
-// daemon) until one arrives. The queue's backing array is recycled whenever
-// it drains — per-window arena behavior.
-func (e *Engine) nextCross(p *Proc) func(p *Proc) {
-	for e.xhead == len(e.xq) {
-		e.xq, e.xhead = e.xq[:0], 0
-		e.xproc = p
-		e.park(p, "xdeliver")
-	}
-	fn := e.xq[e.xhead]
-	e.xq[e.xhead] = nil
-	e.xhead++
-	return fn
-}
-
 // Err reports the simulation outcome after Run has returned.
 func (e *Engine) Err() error { return e.err }
 
@@ -537,16 +502,15 @@ func (e *Engine) crossDue() (bool, Time) {
 	return true, at
 }
 
-// deliverCrossBatch advances the clock to `at` and hands every cross
-// event due at that instant to the xdeliver daemon, in (at, src, seq) order
-// (the heap's order). Delivering the whole instant as one batch keeps the
-// daemon's execution order independent of how the events were split across
-// driver drains.
+// deliverCrossBatch advances the clock to `at` and runs every cross event
+// due at that instant in scheduler context, in (at, src, seq) order (the
+// heap's order). Running the whole instant as one batch, before any process
+// it wakes, keeps the order independent of how the events were split
+// across driver drains.
 func (e *Engine) deliverCrossBatch(at Time) {
 	e.now = at
 	for len(e.xheap) > 0 && e.xheap[0].at <= e.now {
-		ev := e.xheap.pop()
-		e.pushCross(ev.fn)
+		e.xheap.pop().fn()
 	}
 }
 

@@ -59,14 +59,14 @@ import (
 const timeInf = Time(math.MaxInt64)
 
 // crossTimer is one cross-shard event resident in a target shard's heap.
-// fn runs in the shard's xdeliver daemon — real process context, so it may
-// use the non-blocking simulation APIs (fire triggers, put to queues,
-// spawn) but must not park.
+// fn runs in the shard's scheduler context, like an After function: it may
+// use every non-blocking simulation API (fire triggers, put to queues,
+// spawn) but must not block.
 type crossTimer struct {
 	at  Time
 	src int32
 	seq uint64
-	fn  func(p *Proc)
+	fn  func()
 }
 
 // crossBefore is the (time, source shard, source sequence) total order —
@@ -130,7 +130,7 @@ func (h *crossHeap) pop() crossTimer {
 // Sequence numbers are reconstructed as seq0+i: a channel's events are
 // appended in emission order under its mutex, so the slab index recovers
 // the per-channel sequence exactly.
-func (e *Engine) mergeCrossEvents(src int32, seq0 uint64, at []Time, fn []func(p *Proc)) {
+func (e *Engine) mergeCrossEvents(src int32, seq0 uint64, at []Time, fn []func()) {
 	if e.stopped {
 		return
 	}
@@ -147,12 +147,12 @@ func (e *Engine) mergeCrossEvents(src int32, seq0 uint64, at []Time, fn []func(p
 type xchan struct {
 	mu   sync.Mutex
 	at   []Time
-	fn   []func(p *Proc)
+	fn   []func()
 	seq0 uint64 // per-channel sequence of at[0]
 	seq  uint64 // emission counter
 
 	ats Slabs[Time]
-	fns Slabs[func(p *Proc)]
+	fns Slabs[func()]
 }
 
 // shardState tracks a shard's position in the worker protocol.
@@ -276,13 +276,7 @@ func NewPartitionedEngineMatrix(la [][]time.Duration) *PartitionedEngine {
 		}
 	}
 	for i := range pe.shards {
-		e := newWindowedEngine()
-		e.SpawnDaemon("xdeliver", func(p *Proc) {
-			for {
-				e.nextCross(p)(p)
-			}
-		})
-		pe.shards[i] = e
+		pe.shards[i] = newWindowedEngine()
 	}
 	return pe
 }
@@ -358,10 +352,13 @@ func satAdd(a, b Time) Time {
 
 // Cross schedules fn on shard `to` at virtual instant `at`, tagged as
 // originating from shard `from`. It must be called from simulation context
-// on shard `from` (or during setup, before Run). In an asynchronous run, at
-// must lie at or beyond floor(from)+L[from][to] — the conservative
+// on shard `from` (or during setup, before Run). fn runs in shard `to`'s
+// scheduler context at instant at, in the (at, src, seq) order, before any
+// process it wakes: like an After function, it must not block, and it reads
+// the instant from the target shard (Shard(to).Now()). In an asynchronous
+// run, at must lie at or beyond floor(from)+L[from][to] — the conservative
 // protocol's correctness condition — and the driver panics otherwise.
-func (pe *PartitionedEngine) Cross(from, to int, at Time, fn func(p *Proc)) {
+func (pe *PartitionedEngine) Cross(from, to int, at Time, fn func()) {
 	k := pe.k
 	ch := &pe.chans[from*k+to]
 	if from == to {

@@ -39,10 +39,11 @@ func runChain(t *testing.T, workers int) ([][]string, Time) {
 			p.Sleep(3 * time.Microsecond)
 			recs[0].rec(p.Now(), "tick")
 			at := p.Now() + Time(10*time.Microsecond)
-			pe.Cross(0, 1, at, func(tp *Proc) {
-				recs[1].rec(tp.Now(), "relay")
-				pe.Cross(1, 2, tp.Now()+Time(20*time.Microsecond), func(zp *Proc) {
-					recs[2].rec(zp.Now(), "sink")
+			pe.Cross(0, 1, at, func() {
+				now := pe.Shard(1).Now()
+				recs[1].rec(now, "relay")
+				pe.Cross(1, 2, now+Time(20*time.Microsecond), func() {
+					recs[2].rec(pe.Shard(2).Now(), "sink")
 				})
 			})
 		}
@@ -90,7 +91,7 @@ func TestAsyncCounters(t *testing.T) {
 	pe := NewPartitionedEngineMatrix(chainMatrix())
 	pe.Shard(0).Spawn("src", func(p *Proc) {
 		p.Sleep(time.Microsecond)
-		pe.Cross(0, 1, p.Now()+Time(10*time.Microsecond), func(*Proc) {})
+		pe.Cross(0, 1, p.Now()+Time(10*time.Microsecond), func() {})
 	})
 	if err := pe.Run(3); err != nil {
 		t.Fatalf("run: %v", err)
@@ -116,7 +117,7 @@ func TestCrossNonCommunicatingPanics(t *testing.T) {
 		defer func() { recovered = recover() }()
 		p.Sleep(time.Microsecond)
 		// The chain topology has no 2->0 channel.
-		pe.Cross(2, 0, p.Now()+Time(time.Second), func(*Proc) {})
+		pe.Cross(2, 0, p.Now()+Time(time.Second), func() {})
 	})
 	if err := pe.Run(3); err != nil {
 		t.Fatalf("run: %v", err)
@@ -138,7 +139,7 @@ func TestMatrixSerialFallback(t *testing.T) {
 	var r recorder
 	pe.Shard(0).Spawn("src", func(p *Proc) {
 		p.Sleep(2 * time.Microsecond)
-		pe.Cross(0, 1, p.Now(), func(tp *Proc) { r.rec(tp.Now(), "cross") })
+		pe.Cross(0, 1, p.Now(), func() { r.rec(pe.Shard(1).Now(), "cross") })
 	})
 	if err := pe.Run(2); err != nil {
 		t.Fatalf("run: %v", err)

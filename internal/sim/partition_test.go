@@ -38,8 +38,8 @@ func TestZeroLookaheadSerialFallback(t *testing.T) {
 		p.Sleep(2 * time.Microsecond)
 		// A cross event at the emitting instant: with a positive lookahead
 		// this would violate the horizon; the fallback must accept it.
-		pe.Cross(0, 1, p.Now(), func(tp *Proc) {
-			r.rec(tp.Now(), "cross")
+		pe.Cross(0, 1, p.Now(), func() {
+			r.rec(pe.Shard(1).Now(), "cross")
 			done.Fire(nil)
 		})
 	})
@@ -73,8 +73,8 @@ func TestCrossTieBreakDeterministic(t *testing.T) {
 	pe := NewPartitionedEngine(3, 10*time.Microsecond)
 	var r recorder
 	at := Time(20 * time.Microsecond)
-	mk := func(label string) func(p *Proc) {
-		return func(p *Proc) { r.rec(p.Now(), label) }
+	mk := func(label string) func() {
+		return func() { r.rec(pe.Shard(0).Now(), label) }
 	}
 	// Emission order scrambled relative to the expected execution order:
 	// (at-5µs, src2) < (at, src0) < (at, src1) < (at, src2, seq1) < (at, src2, seq2).
@@ -180,7 +180,7 @@ func TestCrossHorizonViolation(t *testing.T) {
 		defer func() { recovered = recover() }()
 		p.Sleep(5 * time.Microsecond)
 		// First window is [0, 10µs); an event at 5µs is inside it.
-		pe.Cross(0, 1, p.Now(), func(*Proc) {})
+		pe.Cross(0, 1, p.Now(), func() {})
 	})
 	if err := pe.Run(2); err != nil {
 		t.Fatalf("run: %v", err)

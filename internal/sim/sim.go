@@ -30,7 +30,8 @@
 // hands each shard from one worker to the next under the
 // PartitionedEngine's own mutex, which orders the hand-off. Code that runs
 // in scheduler context — an After function, a Trigger.OnFire callback, a
-// step — keeps one rule: it must not block. Every non-blocking call (Fire,
+// step, a cross-partition event (PartitionedEngine.Cross) — keeps one
+// rule: it must not block. Every non-blocking call (Fire,
 // FireAfter, After, Queue.Put, Spawn, ...) is allowed there.
 //
 // A coroutine is made when its process first runs, not at spawn, and by
