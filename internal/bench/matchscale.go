@@ -149,6 +149,9 @@ func matchWorkloadPart(sys cluster.System, ranks, outstanding, wildPct, rounds, 
 	if outstanding < 1 || rounds < 1 {
 		return MatchPoint{}, fmt.Errorf("matchscale: need >=2 ranks, >=1 round (got ranks=%d rounds=%d)", ranks, rounds)
 	}
+	if parts > ranks {
+		return MatchPoint{}, fmt.Errorf("matchscale: %d ranks cannot span %d partitions", ranks, parts)
+	}
 	if sys.MaxNodes < ranks {
 		sys.MaxNodes = ranks
 	}

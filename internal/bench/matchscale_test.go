@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -58,5 +59,15 @@ func TestMatchScaleClampsOutstanding(t *testing.T) {
 	headers, rows := MatchScaleTable(pts)
 	if len(headers) == 0 || len(rows) != 1 {
 		t.Fatalf("table shape: %d headers, %d rows", len(headers), len(rows))
+	}
+}
+
+// TestMatchScalePartsAboveRanks: a partition count wider than a point's rank
+// count is a caller error (clmpi-bw -parallel-world above -ranks), reported
+// as an error rather than a panic on a sweep goroutine.
+func TestMatchScalePartsAboveRanks(t *testing.T) {
+	_, err := MatchScalePartitioned(cluster.RICC(), []int{8, 2}, 4, 25, 1, 3, 1)
+	if err == nil || !strings.Contains(err.Error(), "2 ranks cannot span 3 partitions") {
+		t.Fatalf("err = %v, want a ranks-cannot-span error", err)
 	}
 }

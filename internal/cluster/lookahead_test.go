@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -88,16 +86,14 @@ func minCrossDelay(sys System, from, to [2]int) time.Duration {
 
 // TestLookaheadConservatism is the safety property behind the whole
 // asynchronous protocol: every finite matrix entry must be at most the true
-// minimum cross-shard propagation delay, for balanced splits and for
-// arbitrary (overlapping, empty) ranges alike. An entry above the true
-// minimum would let a shard run past an event that can still reach it.
+// minimum cross-shard propagation delay over the balanced split's node
+// ranges. An entry above the true minimum would let a shard run past an
+// event that can still reach it.
 func TestLookaheadConservatism(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
 	for name, mk := range map[string]func() System{
 		"cichlid": Cichlid, "ricc": RICC,
 	} {
 		sys := mk()
-		// Balanced splits across a grid of world sizes and shard counts.
 		for n := 1; n <= 12; n++ {
 			for parts := 1; parts <= n; parts++ {
 				la := LookaheadMatrix(sys, n, parts)
@@ -107,18 +103,6 @@ func TestLookaheadConservatism(t *testing.T) {
 				}
 				checkConservative(t, name, sys, ranges, la)
 			}
-		}
-		// Random explicit ranges, including overlapping and empty shards —
-		// the general form the balanced split never exercises.
-		for trial := 0; trial < 200; trial++ {
-			k := 1 + rng.Intn(5)
-			ranges := make([][2]int, k)
-			for i := range ranges {
-				lo := rng.Intn(10)
-				ranges[i] = [2]int{lo, lo + rng.Intn(6)} // may be empty
-			}
-			la := LookaheadMatrixRanges(sys, ranges)
-			checkConservative(t, fmt.Sprintf("%s/trial%d", name, trial), sys, ranges, la)
 		}
 	}
 }
@@ -154,31 +138,6 @@ func checkConservative(t *testing.T, label string, sys System, ranges [][2]int, 
 				t.Fatalf("%s: L[%d][%d] = %v must be positive", label, from, to, got)
 			}
 		}
-	}
-}
-
-// TestLookaheadMatrixRangesCorners pins the two corners the balanced split
-// never produces: a boundary cutting through a node engages the DMA bound,
-// and an empty shard constrains nobody.
-func TestLookaheadMatrixRangesCorners(t *testing.T) {
-	sys := Cichlid() // DMA 10µs < wire 30µs
-	la := LookaheadMatrixRanges(sys, [][2]int{{0, 2}, {1, 3}, {3, 3}})
-	if la[0][1] != sys.GPU.DMALatency || la[1][0] != sys.GPU.DMALatency {
-		t.Errorf("overlapping shards should use the DMA bound %v: got %v / %v",
-			sys.GPU.DMALatency, la[0][1], la[1][0])
-	}
-	for i := 0; i < 3; i++ {
-		if la[i][2] != InfLookahead || la[2][i] != InfLookahead {
-			t.Errorf("empty shard must not constrain: L[%d][2]=%v L[2][%d]=%v", i, la[i][2], i, la[2][i])
-		}
-	}
-	// A pathological model where DMA is slower than the wire must still pick
-	// the smaller (conservative) bound.
-	slow := sys
-	slow.GPU.DMALatency = 2 * sys.NIC.WireLatency
-	la = LookaheadMatrixRanges(slow, [][2]int{{0, 2}, {1, 3}})
-	if la[0][1] != slow.NIC.WireLatency {
-		t.Errorf("slow-DMA overlap should fall back to wire latency: got %v", la[0][1])
 	}
 }
 

@@ -281,9 +281,13 @@ func TestPartitionMatchWorkloadEquivalent(t *testing.T) {
 // streams) and identical end times.
 func TestPartitionPropertyRandomShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
-	for name, mk := range map[string]func() cluster.System{
-		"cichlid": cluster.Cichlid, "ricc": cluster.RICC,
-	} {
+	// A slice, not a map: the draw order fixes each system's trials, and so
+	// the subtest names.
+	for _, sc := range []struct {
+		name string
+		mk   func() cluster.System
+	}{{"cichlid", cluster.Cichlid}, {"ricc", cluster.RICC}} {
+		name, mk := sc.name, sc.mk
 		for trial := 0; trial < 4; trial++ {
 			parts := 1 + rng.Intn(8)
 			n := parts + 2 + rng.Intn(10)

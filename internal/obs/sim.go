@@ -31,7 +31,6 @@ type Sim struct {
 	stalls    *CounterVec // {shard}
 	adverts   *CounterVec // {shard}
 
-	fallbacks *Counter // lockstep fallbacks (engine-level)
 	fixpoints *Counter // quiescence fixpoint rounds
 	deadlocks *Counter
 	workerSec *Counter // worker-seconds of engine runtime (wall × workers)
@@ -71,8 +70,6 @@ func NewSim(reg *Registry, rec *Recorder) *Sim {
 		"Times a shard ran dry below its horizon and blocked, by shard.", []string{"shard"})
 	s.adverts = reg.CounterVec("clmpi_pdes_adverts_total",
 		"Clock advertisements (null messages) published, by shard.", []string{"shard"})
-	s.fallbacks = reg.Counter("clmpi_pdes_lockstep_fallbacks_total",
-		"Engine runs that fell back to serial lockstep windows (non-positive lookahead).")
 	s.fixpoints = reg.Counter("clmpi_pdes_fixpoint_rounds_total",
 		"Quiescence fixpoint rounds run with every shard blocked.")
 	s.deadlocks = reg.Counter("clmpi_pdes_deadlocks_total",
@@ -272,14 +269,6 @@ func (p *PDES) CloseStalls() {
 	}
 }
 
-// Lockstep notes that the engine fell back to serial lockstep windows.
-func (p *PDES) Lockstep() {
-	if p.sm != nil {
-		p.sm.fallbacks.Add(1)
-	}
-	p.rec.Record(0, KindLockstep, -1, -1, 0, 0)
-}
-
 // FixpointRound notes one quiescence fixpoint pass that freed `freed`
 // shards (0 means the pass ended the run instead).
 func (p *PDES) FixpointRound(freed int) {
@@ -376,8 +365,8 @@ func (s *Sim) Report(w io.Writer) error {
 		stalls += h.stalls.Value()
 		adverts += h.adverts.Value()
 	}
-	_, err := fmt.Fprintf(w, "  windows=%d stalls=%d adverts=%d fixpoints=%d fallbacks=%d deadlocks=%d occupancy=%.1f%%\n",
-		windows, stalls, adverts, s.fixpoints.Value(), s.fallbacks.Value(), s.deadlocks.Value(),
+	_, err := fmt.Fprintf(w, "  windows=%d stalls=%d adverts=%d fixpoints=%d deadlocks=%d occupancy=%.1f%%\n",
+		windows, stalls, adverts, s.fixpoints.Value(), s.deadlocks.Value(),
 		100*s.reg.GaugeValue("clmpi_pdes_worker_occupancy"))
 	return err
 }

@@ -115,6 +115,7 @@ func TestNormalizeValidation(t *testing.T) {
 		{"bad nodes", JobSpec{System: "cichlid", Workload: "himeno", Nodes: []int{0}}, "out of range"},
 		{"bad himeno size", JobSpec{System: "cichlid", Workload: "himeno", Size: "XXL"}, "unknown size"},
 		{"bad iters", JobSpec{System: "cichlid", Workload: "himeno", Iters: 65}, "out of range"},
+		{"parallel_world above ranks", JobSpec{System: "cichlid", Workload: "matchscale", Ranks: []int{8, 2}, ParallelWorld: 3}, "exceeds the smallest rank count 2"},
 	}
 	for _, tc := range cases {
 		if _, err := Normalize(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -246,13 +246,19 @@ func Normalize(spec JobSpec) (JobSpec, error) {
 		if len(n.Ranks) == 0 {
 			n.Ranks = []int{256, 1024, 4096}
 		}
+		minRanks := n.Ranks[0]
 		for _, r := range n.Ranks {
 			if r < 2 || r > 100000 {
 				return JobSpec{}, fmt.Errorf("serve: rank count %d out of range [2, 100000]", r)
 			}
+			minRanks = min(minRanks, r)
 		}
 		if n.ParallelWorld < 0 || n.ParallelWorld > 64 {
 			return JobSpec{}, fmt.Errorf("serve: parallel_world %d out of range [0, 64]", n.ParallelWorld)
+		}
+		if n.ParallelWorld > minRanks {
+			// Every partition needs at least one rank of every point.
+			return JobSpec{}, fmt.Errorf("serve: parallel_world %d exceeds the smallest rank count %d", n.ParallelWorld, minRanks)
 		}
 		if n.ParallelWorld == 1 {
 			// One partition is the serial engine; canonicalize so the two

@@ -148,14 +148,20 @@ func TestFailedPointFailsJob(t *testing.T) {
 }
 
 // TestSubmitInvalid: validation errors surface at Submit, before any job is
-// registered.
+// registered — including a partition count no point's ranks can span, which
+// would otherwise fail inside a sweep goroutine.
 func TestSubmitInvalid(t *testing.T) {
 	m, err := NewManager(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(JobSpec{System: "bluegene"}); err == nil {
-		t.Fatal("invalid spec accepted")
+	for _, spec := range []JobSpec{
+		{System: "bluegene"},
+		{System: "cichlid", Workload: "matchscale", Ranks: []int{2}, ParallelWorld: 3},
+	} {
+		if _, err := m.Submit(spec); err == nil {
+			t.Fatalf("invalid spec %+v accepted", spec)
+		}
 	}
 	if len(m.Jobs()) != 0 {
 		t.Fatal("invalid job registered")
@@ -267,12 +273,12 @@ func TestWeightedJobsNoDeadlock(t *testing.T) {
 		return PointResult{Ranks: spec.Ranks[i], SimMS: 1}, nil
 	}
 	a, err := m.Submit(JobSpec{System: "cichlid", Workload: "matchscale",
-		Ranks: []int{2, 3, 4}, ParallelWorld: 3})
+		Ranks: []int{3, 4, 5}, ParallelWorld: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := m.Submit(JobSpec{System: "cichlid", Workload: "matchscale",
-		Ranks: []int{5, 6, 7}, ParallelWorld: 8}) // wider than the pool
+		Ranks: []int{8, 9, 10}, ParallelWorld: 8}) // wider than the pool
 	if err != nil {
 		t.Fatal(err)
 	}

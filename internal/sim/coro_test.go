@@ -242,38 +242,32 @@ func TestCoroPanicReachesCaller(t *testing.T) {
 	noLeak(t, before)
 }
 
-// TestCoroPanicReachesCallerPartitioned: a process panic on one shard of a
-// K=2 run, asynchronous or in the zero-lookahead serial fallback, tears
-// both shards down and continues from PartitionedEngine.Run.
+// TestCoroPanicReachesCallerPartitioned: a process panic on one shard of an
+// asynchronous K=2 run tears both shards down and continues from
+// PartitionedEngine.Run.
 func TestCoroPanicReachesCallerPartitioned(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		lookahead time.Duration
-		workers   int
-	}{{"async", 10 * time.Microsecond, 2}, {"serial-fallback", 0, 1}} {
-		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			pe := NewPartitionedEngine(2, tc.lookahead)
-			v := &boom{tc.name}
-			unwound := 0
-			panicWorld(pe.Shard(1), v, &unwound)
-			never := NewTrigger(pe.Shard(0), "never0")
-			pe.Shard(0).Spawn("other", func(p *Proc) {
-				defer func() { unwound++ }()
-				never.Wait(p)
-			})
-			if got := recovered(func() { pe.Run(tc.workers) }); got != v {
-				t.Fatalf("Run panicked with %v, want %v", got, v)
-			}
-			if unwound != 2 {
-				t.Fatalf("unwound %d parked processes, want 2", unwound)
-			}
-			for i := 0; i < 2; i++ {
-				if s := pe.Shard(i); len(s.live) != 0 || !s.stopped {
-					t.Fatalf("shard %d: live %d, stopped %v", i, len(s.live), s.stopped)
-				}
-			}
-			noLeak(t, before)
+	t.Run("async", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		pe := NewPartitionedEngineMatrix(uniformLA(2, 10*time.Microsecond))
+		v := &boom{"async"}
+		unwound := 0
+		panicWorld(pe.Shard(1), v, &unwound)
+		never := NewTrigger(pe.Shard(0), "never0")
+		pe.Shard(0).Spawn("other", func(p *Proc) {
+			defer func() { unwound++ }()
+			never.Wait(p)
 		})
-	}
+		if got := recovered(func() { pe.Run(2) }); got != v {
+			t.Fatalf("Run panicked with %v, want %v", got, v)
+		}
+		if unwound != 2 {
+			t.Fatalf("unwound %d parked processes, want 2", unwound)
+		}
+		for i := 0; i < 2; i++ {
+			if s := pe.Shard(i); len(s.live) != 0 || !s.stopped {
+				t.Fatalf("shard %d: live %d, stopped %v", i, len(s.live), s.stopped)
+			}
+		}
+		noLeak(t, before)
+	})
 }

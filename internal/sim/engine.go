@@ -50,7 +50,9 @@ type Engine struct {
 	// the partition driver and run in scheduler context as a batch per
 	// instant in the (at, src, seq) total order. Local timers win tied
 	// instants, so delivery order is a function of the event set alone —
-	// never of when a batch happened to arrive relative to local work.
+	// never of when a batch happened to arrive relative to local work. The
+	// conservative protocol merges only events at or beyond the shard's
+	// clock; one below it panics (crossHead).
 	xheap crossHeap
 }
 
@@ -346,9 +348,9 @@ func (e *Engine) runWindow(limit Time) {
 
 // nextEventTime reports the instant of the shard's earliest pending work —
 // a ready process (now), the earliest timer, or the earliest undelivered
-// cross event (clamped to now) — and false when the shard is fully
-// quiescent. The partition driver compares it against the shard's channel
-// horizon to decide whether the shard can run.
+// cross event — and false when the shard is fully quiescent. The partition
+// driver compares it against the shard's channel horizon to decide whether
+// the shard can run.
 func (e *Engine) nextEventTime() (Time, bool) {
 	if e.ready.len() > 0 {
 		return e.now, true
@@ -360,11 +362,7 @@ func (e *Engine) nextEventTime() (Time, bool) {
 		t, have = e.timers[0].at, true
 	}
 	if len(e.xheap) > 0 {
-		ct := e.xheap[0].at
-		if ct < e.now {
-			ct = e.now
-		}
-		if !have || ct < t {
+		if ct := e.crossHead(); !have || ct < t {
 			t, have = ct, true
 		}
 	}
@@ -485,17 +483,25 @@ func (e *Engine) earliestTimerAt() Time {
 	return e.timers[0].at
 }
 
+// crossHead reports the instant of the earliest undelivered cross event.
+// The conservative protocol never admits one below a shard's clock, so an
+// event in the past is a driver bug, like a timer in the past.
+func (e *Engine) crossHead() Time {
+	at := e.xheap[0].at
+	if at < e.now {
+		panic("sim: cross event in the past")
+	}
+	return at
+}
+
 // crossDue reports whether a cross-event batch may be delivered, and
-// at what instant: the heap's earliest event clamped to now, if that lies
-// strictly before the window limit.
+// at what instant: the heap's earliest event, if that lies strictly before
+// the window limit.
 func (e *Engine) crossDue() (bool, Time) {
 	if len(e.xheap) == 0 {
 		return false, 0
 	}
-	at := e.xheap[0].at
-	if at < e.now {
-		at = e.now
-	}
+	at := e.crossHead()
 	if e.windowed && at >= e.limit {
 		return false, 0
 	}
@@ -512,13 +518,6 @@ func (e *Engine) deliverCrossBatch(at Time) {
 	for len(e.xheap) > 0 && e.xheap[0].at <= e.now {
 		e.xheap.pop().fn()
 	}
-}
-
-// crossAtNow reports whether an undelivered cross event is due at the
-// current instant — only possible in the serial fallback, where arrivals are
-// clamped to the target's clock.
-func (e *Engine) crossAtNow() bool {
-	return len(e.xheap) > 0 && e.xheap[0].at <= e.now
 }
 
 // timerAtNow reports whether the earliest pending timer would fire at

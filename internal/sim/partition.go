@@ -18,9 +18,9 @@ import (
 //
 // The lookahead comes from the modelled hardware, per ordered shard pair: a
 // cross-shard interaction cannot take effect earlier than L[from][to] after
-// it is initiated — the fabric's wire latency between shards on disjoint
-// nodes, the PCIe/DMA hop where a partition boundary cuts through a node,
-// +inf for pairs with no channel at all. Each shard therefore advances
+// it is initiated — the fabric's wire latency between shards, +inf for pairs
+// with no channel at all. Every finite entry must be positive (the
+// constructor panics otherwise). Each shard therefore advances
 // independently to its channel horizon
 //
 //	horizon(i) = min over finite incoming channels j of (floor(j) + L[j][i])
@@ -50,9 +50,7 @@ import (
 // are already merged into the shard's heap, where the (at, src shard, src
 // seq) total order fixes the delivery order. Each shard's event stream is a
 // pure function of the event set; the worker count changes wall-clock time
-// only. A zero lookahead voids the independence argument, so the driver
-// falls back to serial semantics: one event instant per window, shards
-// executed in index order on the caller's goroutine.
+// only.
 
 // timeInf is the saturation point of virtual time: a lookahead matrix entry
 // equal to it (cluster.InfLookahead) marks a non-communicating shard pair.
@@ -69,8 +67,7 @@ type crossTimer struct {
 	fn  func()
 }
 
-// crossBefore is the (time, source shard, source sequence) total order —
-// the same order the lockstep predecessor sorted merged inbox rows by.
+// crossBefore is the (time, source shard, source sequence) total order.
 func crossBefore(a, b crossTimer) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -170,7 +167,6 @@ type PartitionedEngine struct {
 	k      int
 	la     []Time  // lookahead matrix, row-major [from*k+to]; timeInf = no channel
 	minLA  Time    // smallest finite off-diagonal entry (timeInf if none)
-	serial bool    // zero-lookahead fallback: serial window semantics
 	chans  []xchan // per ordered pair, row-major [from*k+to]
 
 	// floors[i] is shard i's published clock advertisement. Monotone
@@ -206,38 +202,13 @@ type PartitionedEngine struct {
 	obs *obs.PDES
 }
 
-// NewPartitionedEngine creates parts windowed shard engines with a uniform
-// conservative lookahead between every pair. A lookahead of zero is legal
-// and falls back to serial window semantics (see Run).
-func NewPartitionedEngine(parts int, lookahead time.Duration) *PartitionedEngine {
-	if parts < 1 {
-		panic("sim: partitioned engine needs at least one partition")
-	}
-	if lookahead < 0 {
-		lookahead = 0
-	}
-	la := make([][]time.Duration, parts)
-	for i := range la {
-		la[i] = make([]time.Duration, parts)
-		for j := range la[i] {
-			if i == j {
-				la[i][j] = time.Duration(timeInf)
-			} else {
-				la[i][j] = lookahead
-			}
-		}
-	}
-	return NewPartitionedEngineMatrix(la)
-}
-
 // NewPartitionedEngineMatrix creates one windowed shard engine per row of
 // the lookahead matrix la, where la[from][to] bounds how much later than
 // shard from's clock a cross event on that channel can land
 // (cluster.LookaheadMatrix derives it from a system topology). Entries of
 // math.MaxInt64 (cluster.InfLookahead) mark non-communicating pairs; the
-// diagonal is ignored. Any finite non-positive entry voids the conservative
-// independence argument, so the whole engine falls back to serial window
-// semantics.
+// diagonal is ignored. Every other entry must be positive: a zero lookahead
+// voids the conservative independence argument, so it panics.
 func NewPartitionedEngineMatrix(la [][]time.Duration) *PartitionedEngine {
 	k := len(la)
 	if k < 1 {
@@ -268,7 +239,7 @@ func NewPartitionedEngineMatrix(la [][]time.Duration) *PartitionedEngine {
 				continue
 			}
 			if d <= 0 {
-				pe.serial = true
+				panic(fmt.Sprintf("sim: lookahead L[%d][%d] = %v is not positive", from, to, time.Duration(d)))
 			}
 			if d < pe.minLA {
 				pe.minLA = d
@@ -302,18 +273,17 @@ func (pe *PartitionedEngine) Parts() int { return pe.k }
 func (pe *PartitionedEngine) Shard(i int) *Engine { return pe.shards[i] }
 
 // Lookahead reports the tightest finite channel lookahead — the shortest
-// stall any shard pair can impose on another (zero in the serial fallback
-// or when no pair communicates).
+// stall any shard pair can impose on another (zero when no pair
+// communicates).
 func (pe *PartitionedEngine) Lookahead() time.Duration {
-	if pe.serial || pe.minLA == timeInf {
+	if pe.minLA == timeInf {
 		return 0
 	}
 	return time.Duration(pe.minLA)
 }
 
-// Windows reports how many shard horizon windows have been executed. Unlike
-// the lockstep predecessor's global count this is a per-shard total, and in
-// an asynchronous run its value depends on host scheduling — report it, but
+// Windows reports how many shard horizon windows have been executed, as a
+// per-shard total. Its value depends on host scheduling — report it, but
 // never compare it across runs.
 func (pe *PartitionedEngine) Windows() uint64 { return pe.windows.Load() }
 
@@ -350,30 +320,22 @@ func satAdd(a, b Time) Time {
 	return a + b
 }
 
-// Cross schedules fn on shard `to` at virtual instant `at`, tagged as
-// originating from shard `from`. It must be called from simulation context
-// on shard `from` (or during setup, before Run). fn runs in shard `to`'s
-// scheduler context at instant at, in the (at, src, seq) order, before any
-// process it wakes: like an After function, it must not block, and it reads
-// the instant from the target shard (Shard(to).Now()). In an asynchronous
-// run, at must lie at or beyond floor(from)+L[from][to] — the conservative
-// protocol's correctness condition — and the driver panics otherwise.
+// Cross schedules fn on shard `to` (another shard than `from`) at virtual
+// instant `at`, tagged as originating from shard `from`. It must be called
+// from simulation context on shard `from` (or during setup, before Run). fn
+// runs in shard `to`'s scheduler context at instant at, in the (at, src,
+// seq) order, before any process it wakes: like an After function, it must
+// not block, and it reads the instant from the target shard
+// (Shard(to).Now()). During Run, at must lie at or beyond
+// floor(from)+L[from][to] — the conservative protocol's correctness
+// condition — and the driver panics otherwise.
 func (pe *PartitionedEngine) Cross(from, to int, at Time, fn func()) {
+	if from == to {
+		panic(fmt.Sprintf("sim: cross-partition event from shard %d to itself", from))
+	}
 	k := pe.k
 	ch := &pe.chans[from*k+to]
-	if from == to {
-		// Same-shard events skip the channel slab: pushed straight into the
-		// shard's own heap from its own context, deterministically.
-		ch.mu.Lock()
-		ch.seq++
-		seq := ch.seq
-		ch.mu.Unlock()
-		if s := pe.shards[to]; !s.stopped {
-			s.xheap.push(crossTimer{at: at, src: int32(from), seq: seq, fn: fn})
-		}
-		return
-	}
-	if !pe.serial && pe.started {
+	if pe.started {
 		la := pe.la[from*k+to]
 		if la == timeInf {
 			panic(fmt.Sprintf("sim: cross-partition event %d->%d on a channel the lookahead matrix declares non-communicating", from, to))
@@ -740,10 +702,8 @@ func (pe *PartitionedEngine) finishLocked(err error) {
 // Run drives the simulation to completion on up to `workers` host cores
 // (workers <= 0 means one per partition) and returns nil on normal
 // completion or a merged *DeadlockError when no shard can make progress.
-// In the serial fallback (zero lookahead) the worker count is irrelevant:
-// windows shrink to a single event instant and shards execute in index
-// order on the caller's goroutine. A process panic in any shard tears every
-// shard down and continues from Run with its original value.
+// A process panic in any shard tears every shard down and continues from
+// Run with its original value.
 func (pe *PartitionedEngine) Run(workers int) error {
 	if pe.started {
 		panic("sim: PartitionedEngine.Run called twice")
@@ -755,9 +715,6 @@ func (pe *PartitionedEngine) Run(workers int) error {
 			panic(r)
 		}
 	}()
-	if pe.serial {
-		return pe.runSerial()
-	}
 	k := pe.k
 	if workers <= 0 || workers > k {
 		workers = k
@@ -785,61 +742,6 @@ func (pe *PartitionedEngine) Run(workers int) error {
 		pe.obs.EngineDone(pe.obs.Now()-runStart, workers)
 	}
 	return pe.err
-}
-
-// runSerial is the zero-lookahead fallback: lockstep one-instant windows,
-// shards in index order, cross events drained every window and clamped to
-// the target's clock on delivery — serial reference semantics.
-func (pe *PartitionedEngine) runSerial() error {
-	var runStart int64
-	if pe.obs != nil {
-		runStart = pe.obs.Now()
-		pe.obs.Lockstep()
-		defer func() {
-			pe.obs.EngineDone(pe.obs.Now()-runStart, 1)
-		}()
-	}
-	for {
-		for to := 0; to < pe.k; to++ {
-			for from := 0; from < pe.k; from++ {
-				if from != to {
-					pe.drainChannel(from, to)
-				}
-			}
-		}
-		var t Time
-		any := false
-		for _, s := range pe.shards {
-			if n, ok := s.nextEventTime(); ok && (!any || n < t) {
-				t, any = n, true
-			}
-		}
-		if !any {
-			alive := 0
-			for _, s := range pe.shards {
-				alive += s.aliveNonDaemons()
-			}
-			if alive == 0 {
-				pe.shutdown(nil)
-				return nil
-			}
-			var blocked []string
-			for _, s := range pe.shards {
-				blocked = append(blocked, s.blocked()...)
-			}
-			sort.Strings(blocked)
-			err := &DeadlockError{Time: pe.Now(), Blocked: blocked}
-			if pe.obs != nil {
-				pe.obs.Deadlock(int64(err.Time), strings.Join(blocked, "; "))
-			}
-			pe.shutdown(err)
-			return err
-		}
-		pe.windows.Add(1)
-		for _, s := range pe.shards {
-			s.runWindow(t + 1)
-		}
-	}
 }
 
 // shutdown tears every shard down and records the outcome.

@@ -13,8 +13,9 @@ import (
 const infLA = time.Duration(math.MaxInt64)
 
 // Asynchronous-protocol specifics: heterogeneous per-channel lookahead,
-// worker-count independence of the event streams, the non-communicating
-// channel guard, and the scheduling counters.
+// worker-count independence of the event streams, the guards against a
+// non-communicating channel, a non-positive lookahead, a self-addressed
+// cross event and one in the past, and the scheduling counters.
 
 // chainMatrix is a 3-shard pipeline topology: 0 feeds 1 (tight channel),
 // 1 feeds 2 (loose channel), every other pair never communicates.
@@ -128,24 +129,46 @@ func TestCrossNonCommunicatingPanics(t *testing.T) {
 	}
 }
 
-// TestMatrixSerialFallback: one non-positive finite entry anywhere voids the
-// independence argument, so the whole engine must drop to the lockstep
-// fallback — which accepts a cross event at the emitting instant.
-func TestMatrixSerialFallback(t *testing.T) {
-	pe := NewPartitionedEngineMatrix([][]time.Duration{
-		{infLA, 0},
-		{10 * time.Microsecond, infLA},
-	})
-	var r recorder
-	pe.Shard(0).Spawn("src", func(p *Proc) {
-		p.Sleep(2 * time.Microsecond)
-		pe.Cross(0, 1, p.Now(), func() { r.rec(pe.Shard(1).Now(), "cross") })
-	})
-	if err := pe.Run(2); err != nil {
-		t.Fatalf("run: %v", err)
+// TestNonPositiveLookaheadPanics: a zero or negative finite entry voids the
+// conservative independence argument, so the constructor refuses it.
+func TestNonPositiveLookaheadPanics(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Microsecond} {
+		la := chainMatrix()
+		la[1][2] = d
+		msg, _ := recovered(func() { NewPartitionedEngineMatrix(la) }).(string)
+		if !strings.Contains(msg, "L[1][2]") || !strings.Contains(msg, "not positive") {
+			t.Fatalf("lookahead %v: recovered %q, want a non-positive lookahead panic", d, msg)
+		}
 	}
-	want := []string{"2µs cross"}
-	if !reflect.DeepEqual(r.entries, want) {
-		t.Fatalf("events = %v, want %v", r.entries, want)
+}
+
+// TestCrossToSelfPanics: cross events travel between distinct shards; one
+// addressed to its own shard is a caller bug.
+func TestCrossToSelfPanics(t *testing.T) {
+	pe := NewPartitionedEngineMatrix(chainMatrix())
+	msg, _ := recovered(func() { pe.Cross(1, 1, Time(time.Second), func() {}) }).(string)
+	if !strings.Contains(msg, "to itself") {
+		t.Fatalf("recovered %q, want a same-shard cross panic", msg)
+	}
+}
+
+// TestCrossEventInPastPanics: a cross event below the shard's clock can only
+// come from a broken protocol, so both the driver's view (nextEventTime) and
+// the scheduler refuse it instead of delivering it late.
+func TestCrossEventInPastPanics(t *testing.T) {
+	past := func() *Engine {
+		e := newWindowedEngine()
+		e.now = Time(10 * time.Microsecond)
+		e.mergeCrossEvents(0, 1, []Time{Time(5 * time.Microsecond)}, []func(){func() {}})
+		return e
+	}
+	for name, run := range map[string]func(e *Engine){
+		"nextEventTime": func(e *Engine) { e.nextEventTime() },
+		"runWindow":     func(e *Engine) { e.runWindow(timeInf) },
+	} {
+		e := past()
+		if msg, _ := recovered(func() { run(e) }).(string); !strings.Contains(msg, "cross event in the past") {
+			t.Fatalf("%s: recovered %q, want a cross-event-in-the-past panic", name, msg)
+		}
 	}
 }

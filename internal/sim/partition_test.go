@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// Window-edge behavior of the conservative partitioned driver: the zero-
-// lookahead serial fallback, deterministic ordering of simultaneous cross-
-// partition events, the one-partition degenerate case, the merged deadlock
-// report, and the horizon-violation check.
+// Window-edge behavior of the conservative partitioned driver:
+// deterministic ordering of simultaneous cross-partition events, the
+// one-partition degenerate case, the merged deadlock report, and the
+// horizon-violation check.
 
 // recorder collects (time, label) pairs from simulation callbacks. All the
 // tests below arrange for records to come from a single shard (or from a
@@ -24,66 +24,37 @@ func (r *recorder) rec(at Time, label string) {
 	r.entries = append(r.entries, time.Duration(at).String()+" "+label)
 }
 
-// TestZeroLookaheadSerialFallback: with lookahead zero the independence
-// argument is void, so the driver must run one event instant per window with
-// shards in index order — and cross events landing at the current instant
-// (below any positive horizon) must be legal and delivered.
-func TestZeroLookaheadSerialFallback(t *testing.T) {
-	pe := NewPartitionedEngine(2, 0)
-	var r recorder
-	done := NewTrigger(pe.Shard(1), "cross-done")
-	pe.Shard(0).Spawn("s0", func(p *Proc) {
-		p.Sleep(3 * time.Microsecond)
-		r.rec(p.Now(), "s0")
-		p.Sleep(2 * time.Microsecond)
-		// A cross event at the emitting instant: with a positive lookahead
-		// this would violate the horizon; the fallback must accept it.
-		pe.Cross(0, 1, p.Now(), func() {
-			r.rec(pe.Shard(1).Now(), "cross")
-			done.Fire(nil)
-		})
-	})
-	pe.Shard(1).Spawn("s1", func(p *Proc) {
-		p.Sleep(3 * time.Microsecond)
-		r.rec(p.Now(), "s1")
-		done.Wait(p)
-		r.rec(p.Now(), "s1-done")
-	})
-	// The worker count must be forced down to one: a large value here must
-	// not introduce parallelism (the shared recorder would race under -race).
-	if err := pe.Run(8); err != nil {
-		t.Fatalf("run: %v", err)
+// uniformLA is a k-shard lookahead matrix with d between every pair.
+func uniformLA(k int, d time.Duration) [][]time.Duration {
+	la := make([][]time.Duration, k)
+	for i := range la {
+		la[i] = make([]time.Duration, k)
+		for j := range la[i] {
+			la[i][j] = d
+		}
+		la[i][i] = infLA
 	}
-	want := []string{"3µs s0", "3µs s1", "5µs cross", "5µs s1-done"}
-	if !reflect.DeepEqual(r.entries, want) {
-		t.Fatalf("event order = %v, want %v", r.entries, want)
-	}
-	if got := pe.Now(); got != Time(5*time.Microsecond) {
-		t.Fatalf("end time = %v, want 5µs", time.Duration(got))
-	}
-	if pe.Windows() == 0 {
-		t.Fatal("no windows driven")
-	}
+	return la
 }
 
 // TestCrossTieBreakDeterministic: cross events carrying identical timestamps
 // must execute in (time, source shard, source sequence) order regardless of
 // emission order — the total order the drain step sorts by.
 func TestCrossTieBreakDeterministic(t *testing.T) {
-	pe := NewPartitionedEngine(3, 10*time.Microsecond)
+	pe := NewPartitionedEngineMatrix(uniformLA(4, 10*time.Microsecond))
 	var r recorder
 	at := Time(20 * time.Microsecond)
 	mk := func(label string) func() {
-		return func() { r.rec(pe.Shard(0).Now(), label) }
+		return func() { r.rec(pe.Shard(3).Now(), label) }
 	}
 	// Emission order scrambled relative to the expected execution order:
 	// (at-5µs, src2) < (at, src0) < (at, src1) < (at, src2, seq1) < (at, src2, seq2).
-	pe.Cross(2, 0, at, mk("A"))                          // src 2, seq 1
-	pe.Cross(0, 0, at, mk("B"))                          // src 0, seq 1
-	pe.Cross(2, 0, at, mk("C"))                          // src 2, seq 2
-	pe.Cross(1, 0, at, mk("D"))                          // src 1, seq 1
-	pe.Cross(2, 0, at-Time(5*time.Microsecond), mk("E")) // src 2, earlier time
-	if err := pe.Run(3); err != nil {
+	pe.Cross(2, 3, at, mk("A"))                          // src 2, seq 1
+	pe.Cross(0, 3, at, mk("B"))                          // src 0, seq 1
+	pe.Cross(2, 3, at, mk("C"))                          // src 2, seq 2
+	pe.Cross(1, 3, at, mk("D"))                          // src 1, seq 1
+	pe.Cross(2, 3, at-Time(5*time.Microsecond), mk("E")) // src 2, earlier time
+	if err := pe.Run(4); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	want := []string{"15µs E", "20µs B", "20µs D", "20µs A", "20µs C"}
@@ -125,7 +96,7 @@ func TestOnePartitionMatchesSerial(t *testing.T) {
 	}
 
 	var partRec recorder
-	pe := NewPartitionedEngine(1, 30*time.Microsecond)
+	pe := NewPartitionedEngineMatrix(uniformLA(1, 30*time.Microsecond))
 	workloadAB(pe.Shard(0), &partRec)
 	if err := pe.Run(4); err != nil {
 		t.Fatalf("partitioned run: %v", err)
@@ -144,7 +115,7 @@ func TestOnePartitionMatchesSerial(t *testing.T) {
 // must report one DeadlockError merging every shard's parked processes,
 // sorted like a serial report.
 func TestPartitionedDeadlockMerged(t *testing.T) {
-	pe := NewPartitionedEngine(2, 10*time.Microsecond)
+	pe := NewPartitionedEngineMatrix(uniformLA(2, 10*time.Microsecond))
 	never0 := NewTrigger(pe.Shard(0), "never0")
 	never1 := NewTrigger(pe.Shard(1), "never1")
 	pe.Shard(0).Spawn("p0", func(p *Proc) { never0.Wait(p) })
@@ -174,7 +145,7 @@ func TestPartitionedDeadlockMerged(t *testing.T) {
 // inside the current window would break the conservative protocol, so the
 // driver must refuse it loudly.
 func TestCrossHorizonViolation(t *testing.T) {
-	pe := NewPartitionedEngine(2, 10*time.Microsecond)
+	pe := NewPartitionedEngineMatrix(uniformLA(2, 10*time.Microsecond))
 	var recovered any
 	pe.Shard(0).Spawn("violator", func(p *Proc) {
 		defer func() { recovered = recover() }()

@@ -114,7 +114,7 @@ func (p *Proc) sleep(d time.Duration) bool {
 		d = 0
 	}
 	e := p.eng
-	if d == 0 && !e.stopped && e.ready.len() == 0 && !e.timerAtNow() && !e.crossAtNow() {
+	if d == 0 && !e.stopped && e.ready.len() == 0 && !e.timerAtNow() {
 		// Nothing else can run at this instant, so the yield is a no-op:
 		// return without a round trip through the scheduler loop. Event
 		// order is unchanged — any process or timer due now takes the slow

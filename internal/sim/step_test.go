@@ -382,7 +382,7 @@ func TestStepTeardownShutdown(t *testing.T) {
 // TestStepTeardownPartitionedDeadlock: a partitioned run whose shards hold
 // parked step processes reports the merged deadlock and returns.
 func TestStepTeardownPartitionedDeadlock(t *testing.T) {
-	pe := NewPartitionedEngine(2, time.Microsecond)
+	pe := NewPartitionedEngineMatrix(uniformLA(2, time.Microsecond))
 	for i := 0; i < 2; i++ {
 		e := pe.Shard(i)
 		m := NewMutex(e, fmt.Sprintf("rx%d", i))
