@@ -6,7 +6,7 @@
 // With -trace and/or -metrics, the tool additionally runs one fully
 // instrumented transfer (-strategy, -msg) and exports its unified event
 // stream — command queues, MPI protocol phases, link/NIC/PCIe occupancy —
-// as Chrome trace_event JSON and/or its metrics registry.
+// as Chrome trace_event JSON and/or the metrics derived from it.
 //
 // Usage:
 //
@@ -35,7 +35,7 @@ import (
 func main() {
 	system := flag.String("system", "ricc", "system to simulate: a preset name (cichlid, ricc, ricc-verbs, hopper) or a spec file path")
 	traceOut := flag.String("trace", "", "write one traced transfer as Chrome trace_event JSON to this file")
-	metrics := flag.Bool("metrics", false, "print the traced transfer's metrics registry")
+	metrics := flag.Bool("metrics", false, "print the traced transfer's metrics")
 	strategyName := flag.String("strategy", "pipelined", "strategy of the traced transfer: auto, pinned, mapped, pipelined, pipelined(N) or peer")
 	msg := flag.Int64("msg", 4<<20, "message size in bytes of the traced transfer")
 	critReport := flag.Bool("critpath", false, "print the traced transfer's critical-path analysis (attribution + what-if bounds)")

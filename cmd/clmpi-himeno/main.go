@@ -7,7 +7,7 @@
 // With -trace and/or -metrics, the tool additionally runs one fully
 // instrumented clMPI configuration (at -trace-nodes nodes) and exports its
 // unified event stream — command queues, MPI protocol, link occupancy — as
-// Chrome trace_event JSON and/or its metrics registry (link utilization,
+// Chrome trace_event JSON and/or the metrics derived from it (link utilization,
 // overlap per iteration, strategy selections).
 //
 // Usage:
@@ -50,7 +50,7 @@ func main() {
 	iters := flag.Int("iters", 6, "Jacobi iterations to time")
 	all := flag.Bool("all", false, "include the GPU-aware MPI (§II) and out-of-order clMPI implementations")
 	traceOut := flag.String("trace", "", "write a traced clMPI run as Chrome trace_event JSON to this file")
-	metrics := flag.Bool("metrics", false, "print the traced clMPI run's metrics registry")
+	metrics := flag.Bool("metrics", false, "print the traced clMPI run's metrics")
 	traceNodes := flag.Int("trace-nodes", 2, "node count of the traced run (-trace/-metrics/-critpath/-flame)")
 	critReport := flag.Bool("critpath", false, "print the traced run's critical-path analysis (attribution, what-if bounds, per-iteration overlap)")
 	flame := flag.String("flame", "", "write the traced run's critical path as folded flamegraph stacks to this file")

@@ -8,8 +8,8 @@
 // Beyond the ASCII panels, the observability layer can export the clMPI
 // panel's full event stream — command queues, MPI protocol phases, and
 // link/NIC/PCIe occupancy — as Chrome trace_event JSON (open it in
-// chrome://tracing or https://ui.perfetto.dev), and print the run's metrics
-// registry (link utilization, eager/rendezvous counts, overlap ratios).
+// chrome://tracing or https://ui.perfetto.dev), and print the metrics
+// derived from it (link utilization, eager/rendezvous counts, overlap ratios).
 //
 // With -o dir/ the clMPI panel's run is additionally dumped as a complete
 // profiling bundle: the Chrome trace, the native trace (re-analyzable with
@@ -42,7 +42,7 @@ func main() {
 	sizeName := flag.String("size", "S", "Himeno size: XS, S, M or L")
 	iters := flag.Int("iters", 2, "iterations to trace")
 	traceOut := flag.String("trace", "", "write the clMPI panel's events as Chrome trace_event JSON to this file")
-	metrics := flag.Bool("metrics", false, "print each panel's metrics registry")
+	metrics := flag.Bool("metrics", false, "print each panel's metrics")
 	outDir := flag.String("o", "", "write the clMPI panel's full profiling bundle (Chrome trace, native trace, critical-path report, folded stacks, pprof profile) into this directory")
 	flag.Parse()
 	sys, err := cluster.Resolve(*system)

@@ -139,8 +139,7 @@ func Fig4On(sys cluster.System, impl himeno.Impl, size himeno.Size, iters int) (
 }
 
 // Fig4Traced is Fig4 returning the tracer as well, so callers can export
-// the same run as Chrome trace_event JSON or read its metrics registry
-// (summarized before return).
+// the same run as Chrome trace_event JSON or read its bus's Metrics.
 func Fig4Traced(impl himeno.Impl, size himeno.Size, iters int) (*trace.Tracer, string, error) {
 	return Fig4TracedOn(cluster.Cichlid(), impl, size, iters)
 }

@@ -16,10 +16,10 @@ import (
 
 // TraceHimeno runs one fully instrumented Himeno configuration: command
 // queues, the MPI protocol, and the cluster links all record onto the
-// returned tracer's bus, and the metrics registry is summarized (link and
-// queue utilization gauges, overlap ratios). This is the data source behind
-// the -trace/-metrics flags of cmd/clmpi-trace and cmd/clmpi-himeno and the
-// observability benchmark metrics.
+// returned tracer's bus, whose Metrics report (link and queue utilization,
+// overlap ratios, protocol counters) derives from those events. This is the
+// data source behind the -trace/-metrics flags of cmd/clmpi-trace and
+// cmd/clmpi-himeno and the observability benchmark metrics.
 func TraceHimeno(sys cluster.System, impl himeno.Impl, size himeno.Size, nodes, iters int) (*trace.Tracer, *himeno.Result, error) {
 	trc := trace.New()
 	res, err := himeno.Run(himeno.Config{
@@ -29,7 +29,6 @@ func TraceHimeno(sys cluster.System, impl himeno.Impl, size himeno.Size, nodes, 
 	if err != nil {
 		return nil, nil, err
 	}
-	trc.Bus().Summarize()
 	return trc, res, nil
 }
 
@@ -88,13 +87,11 @@ func TracePartitioned(name string, ranks, parts, workers int) (*trace.Bus, error
 	for i, t := range tracers {
 		buses[i] = t.Bus()
 	}
-	b := trace.MergeBuses(buses...)
-	b.Summarize()
-	return b, nil
+	return trace.MergeBuses(buses...), nil
 }
 
 // ObservedOverlap extracts the headline observability numbers from a
-// summarized bus: the communication/computation overlap ratio and the peak
+// traced run's metrics: the communication/computation overlap ratio and the peak
 // NIC-path utilization across all nodes (lanes named node*.tx / node*.rx).
 func ObservedOverlap(trc *trace.Tracer) (overlap, nicUtil float64) {
 	m := trc.Bus().Metrics()
@@ -110,8 +107,7 @@ func ObservedOverlap(trc *trace.Tracer) (overlap, nicUtil float64) {
 }
 
 // MeasureP2PTraced is MeasureP2P with full observability: when trc is
-// non-nil, queues, MPI protocol, and cluster links record onto its bus and
-// the metrics registry is summarized after the run.
+// non-nil, queues, MPI protocol, and cluster links record onto its bus.
 func MeasureP2PTraced(sys cluster.System, st clmpi.Strategy, block, size int64, trc *trace.Tracer) (float64, error) {
 	eng := sim.NewEngine()
 	clus := cluster.New(eng, sys, 2)
@@ -162,9 +158,6 @@ func MeasureP2PTraced(sys cluster.System, st clmpi.Strategy, block, size int64, 
 	}
 	if firstErr != nil {
 		return 0, firstErr
-	}
-	if trc != nil {
-		trc.Bus().Summarize()
 	}
 	return float64(size) / elapsed.Seconds(), nil
 }

@@ -258,7 +258,8 @@ func (c *Comm) MatchQueueDepths(rank int) (postedRecvs, unexpected int) {
 
 // MatchQueueHighWater reports the peak posted-receive and unexpected-message
 // queue depths the matching engine has seen for rank — the pressure metric
-// the large-world scaling sweeps and the observability layer surface.
+// the large-world scaling sweeps report. The trace carries the per-event
+// depths as posted_q/unexpected_q args and keeps no copy of the peaks.
 func (c *Comm) MatchQueueHighWater(rank int) (postedRecvs, unexpected int) {
 	return c.match.highWater(rank)
 }

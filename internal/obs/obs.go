@@ -15,10 +15,11 @@
 //     run in production and be dumped post-mortem (deadlock, SIGQUIT,
 //     /debug/flightz).
 //   - Registry: atomic counters, gauges, and fixed-bucket histograms with
-//     Prometheus text exposition. Distinct from trace.Metrics, which is a
-//     single-threaded virtual-time registry; this one is written from many
-//     goroutines on hot paths, so every update is a lock-free atomic and
-//     scrapes never contend with the code being measured.
+//     Prometheus text exposition. It is the repository's one metrics store
+//     (trace.Metrics is a report derived from a bus's events, not a store);
+//     it is written from many goroutines on hot paths, so every update is a
+//     lock-free atomic and scrapes never contend with the code being
+//     measured.
 //   - PDES: per-engine host-time attribution for the partitioned simulator —
 //     wall time per shard split into simulate/merge/advert/stall, with stall
 //     time attributed to the upstream channel that imposed it.

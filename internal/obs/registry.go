@@ -11,10 +11,9 @@ import (
 
 // Registry is a host-time metrics registry: named families of atomic
 // counters, gauges, and fixed-bucket histograms, rendered as Prometheus
-// text exposition (and a JSON mirror). It is the wall-clock counterpart of
-// trace.Metrics — that registry is single-threaded and virtual-time; this
-// one is updated lock-free from many goroutines, so a /metricz scrape never
-// contends with the hot path it is observing.
+// text exposition (and a JSON mirror). It is updated lock-free from many
+// goroutines, so a /metricz scrape never contends with the hot path it is
+// observing.
 //
 // Families and their children are created once, at setup, under a lock;
 // updates through the returned handles are pure atomics. Exposition is
@@ -304,10 +303,10 @@ var DefaultLatencyBounds = []float64{
 }
 
 // Histogram is a fixed-bucket concurrent histogram: per-bucket atomic
-// counts, an atomically merged sum, and exact min/max. Unlike
-// trace.Histogram (single-threaded, power-of-two buckets over virtual
-// quantities) this one is safe for concurrent Observe and is read
-// consistently enough for monitoring while being written.
+// counts, an atomically merged sum, and exact min/max. It is safe for
+// concurrent Observe and is read consistently enough for monitoring while
+// being written. The virtual-time metrics report (trace.Metrics) uses it
+// too, over power-of-two bounds.
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Int64
@@ -396,9 +395,9 @@ func (h *Histogram) Min() float64 {
 
 // Quantile reports an upper bound for the q-quantile from the bucket
 // counts: the bound of the bucket holding the q-th observation, clamped to
-// the observed maximum (the same honesty rule as trace.Histogram — the
-// overflow bucket has no finite bound, and the top occupied bucket's bound
-// usually overshoots the true maximum).
+// the observed maximum (the overflow bucket has no finite bound, and the top
+// occupied bucket's bound usually overshoots the true maximum). A q past 1
+// clamps to 1.
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.count.Load()
 	if total == 0 {

@@ -136,6 +136,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Quantile(1.0); got != 7 {
 		t.Fatalf("p100 = %v, want clamp to max 7", got)
 	}
+	// q past 1 clamps to 1 instead of ranking past the count.
+	if got := h.Quantile(2); got != 7 {
+		t.Fatalf("Quantile(2) = %v, want clamp to max 7", got)
+	}
 	// Overflow bucket: above every bound.
 	h.Observe(100)
 	if got := h.Quantile(1.0); got != 100 {

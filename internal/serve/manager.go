@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -143,9 +144,15 @@ func (s *slotSem) release(n int) {
 	s.cond.Broadcast()
 }
 
+// maxRetainedJobs bounds the job table: Submit keeps at most this many
+// terminal jobs, newest first, so a long-lived daemon does not hold every
+// result and per-point event log it ever produced. Running jobs are never
+// pruned.
+const maxRetainedJobs = 4096
+
 // Manager owns the worker pool, the job table, the result cache, and the
-// service's observability surface (a metrics registry and a trace bus of
-// per-job spans in wall time since start).
+// service's observability surface (a metrics registry; /tracez renders the
+// job table at request time).
 type Manager struct {
 	opts  Options
 	cache *Cache
@@ -153,13 +160,11 @@ type Manager struct {
 	sem   *slotSem
 	start time.Time
 
-	busMu sync.Mutex
-	bus   *trace.Bus
-
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []string
-	seq   int
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	order  []string
+	seq    int
+	retain int // terminal-job cap; maxRetainedJobs outside tests
 
 	// runPoint is the point runner — RunPointObs in production, overridden
 	// by tests that need controllable point timing.
@@ -184,8 +189,8 @@ func NewManager(opts Options) (*Manager, error) {
 		met:      newServeMetrics(opts.Workers, cache.Len),
 		sem:      newSlotSem(opts.Workers),
 		start:    time.Now(),
-		bus:      trace.NewBus(),
 		jobs:     make(map[string]*Job),
+		retain:   maxRetainedJobs,
 		runPoint: RunPointObs,
 	}, nil
 }
@@ -245,7 +250,6 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		m.met.jobsCompleted.Add(1)
 		m.met.jobWall.Observe(job.finished.Sub(job.started).Seconds())
 		m.met.rec.Record(0, obs.KindJobDone, -1, -1, obs.JobDone, int64(job.finished.Sub(job.started)))
-		m.span(job)
 	} else {
 		m.met.cacheMisses.Add(1)
 		m.met.rec.Record(0, obs.KindCacheMiss, -1, -1, 0, 0)
@@ -260,8 +264,31 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	m.mu.Lock()
 	m.jobs[job.ID] = job
 	m.order = append(m.order, job.ID)
+	if len(m.order) > m.retain {
+		m.prune()
+	}
+	m.met.jobsRetained.Set(float64(len(m.order)))
 	m.mu.Unlock()
 	return job, nil
+}
+
+// prune drops the oldest terminal jobs beyond the retention cap, keeping
+// every running job. Callers hold m.mu.
+func (m *Manager) prune() {
+	terminal := 0
+	for i := len(m.order) - 1; i >= 0; i-- {
+		select {
+		case <-m.jobs[m.order[i]].done:
+			if terminal++; terminal > m.retain {
+				delete(m.jobs, m.order[i])
+			}
+		default: // running
+		}
+	}
+	m.order = slices.DeleteFunc(m.order, func(id string) bool {
+		_, ok := m.jobs[id]
+		return !ok
+	})
 }
 
 // run executes a job's grid through the shared pool and finishes the job.
@@ -332,7 +359,6 @@ func (m *Manager) run(ctx context.Context, job *Job) {
 		}
 	}
 	m.met.jobsInflight.Add(-1)
-	m.span(job)
 }
 
 // recordPoint appends a progress event and fans it out to subscribers.
@@ -374,25 +400,6 @@ func statusCode(st Status) int64 {
 	}
 	return obs.JobDone
 }
-
-// span records the job on the trace bus: one span on the "serve" layer whose
-// lane is the terminal status, in wall time since manager start. /tracez
-// exports the bus as Chrome trace_event JSON.
-func (m *Manager) span(job *Job) {
-	job.mu.Lock()
-	st, from, to := job.status, job.started, job.finished
-	job.mu.Unlock()
-	m.busMu.Lock()
-	defer m.busMu.Unlock()
-	m.bus.Span("serve", "jobs."+string(st), job.ID,
-		simSince(m.start, from), simSince(m.start, to),
-		trace.A("hash", job.Hash[:12]),
-		trace.AInt("points", int64(job.NPoints)),
-		trace.A("cached", fmt.Sprintf("%t", job.Cached)))
-}
-
-// simSince maps a wall instant onto the bus's virtual timeline.
-func simSince(start, t time.Time) sim.Time { return sim.Time(t.Sub(start)) }
 
 // Job looks a job up by ID.
 func (m *Manager) Job(id string) (*Job, bool) {
@@ -463,11 +470,27 @@ func (m *Manager) FlightDump(w io.Writer) error { return m.met.rec.WriteDump(w) 
 // shutdown output).
 func (m *Manager) ObsReport(w io.Writer) error { return m.met.sim.Report(w) }
 
-// WriteTrace exports the per-job span bus as Chrome trace_event JSON.
+// WriteTrace renders the job table as Chrome trace_event JSON: one span
+// per retained job on the "serve" layer, whose lane is the job's status,
+// in wall time since manager start (a running job extends to now). The bus
+// is built here, at request time; the daemon records no trace events.
 func (m *Manager) WriteTrace(w io.Writer) error {
-	m.busMu.Lock()
-	defer m.busMu.Unlock()
-	return m.bus.WriteChrome(w)
+	now := time.Now()
+	b := trace.NewBus()
+	for _, job := range m.Jobs() {
+		job.mu.Lock()
+		st, from, to := job.status, job.started, job.finished
+		job.mu.Unlock()
+		if st == StatusRunning {
+			to = now
+		}
+		b.Span("serve", "jobs."+string(st), job.ID,
+			sim.Time(from.Sub(m.start)), sim.Time(to.Sub(m.start)),
+			trace.A("hash", job.Hash[:12]),
+			trace.AInt("points", int64(job.NPoints)),
+			trace.A("cached", fmt.Sprintf("%t", job.Cached)))
+	}
+	return b.WriteChrome(w)
 }
 
 // JobStatus is the wire form of a job snapshot.

@@ -6,8 +6,7 @@ import (
 
 // serveMetrics is the daemon's host-time observability bundle: an atomic
 // obs.Registry (every hot-path update is a single atomic, so a /metricz
-// scrape never contends with job execution — the mutex-wrapped
-// trace.Metrics this replaced serialized both), a flight recorder for the
+// scrape never contends with job execution), a flight recorder for the
 // post-mortem surfaces (/debug/flightz, SIGQUIT), and the PDES aggregator
 // that partitioned matchscale points report their stall attribution into.
 // Virtual-time metrics remain the business of per-job results; nothing here
@@ -33,6 +32,7 @@ type serveMetrics struct {
 	queueDepth     *obs.Gauge
 	pointsInflight *obs.Gauge
 	jobsInflight   *obs.Gauge
+	jobsRetained   *obs.Gauge
 }
 
 // newServeMetrics registers every serve family. cacheLen feeds the
@@ -71,6 +71,8 @@ func newServeMetrics(workers int, cacheLen func() int) *serveMetrics {
 		"Points currently simulating.")
 	m.jobsInflight = reg.Gauge("clmpi_serve_jobs_inflight",
 		"Jobs currently in status running.")
+	m.jobsRetained = reg.Gauge("clmpi_serve_jobs_retained",
+		"Jobs held in the job table: every running job plus the newest terminal ones, up to the retention cap.")
 	reg.GaugeFunc("clmpi_serve_cache_hit_ratio",
 		"Cache hits over all cache lookups, computed at scrape time.",
 		func() float64 {

@@ -22,7 +22,8 @@ const maxBodyBytes = 1 << 20
 //	GET    /metricz            host-time metrics, Prometheus text exposition
 //	                           (?format=json for the JSON view)
 //	GET    /debug/flightz      flight-recorder dump (notes + resident events)
-//	GET    /tracez             per-job spans as Chrome trace_event JSON
+//	GET    /tracez             the job table as Chrome trace_event JSON,
+//	                           one span per retained job
 //	GET    /healthz            liveness probe
 type Server struct {
 	m   *Manager

@@ -285,3 +285,76 @@ func TestServerWaitTimeoutFree(t *testing.T) {
 		}
 	}
 }
+
+// TestJobTablePruned: past the retention cap Submit drops the oldest
+// terminal jobs, keeps a running job however old, exports the table size,
+// and a pruned job's status reads 404.
+func TestJobTablePruned(t *testing.T) {
+	m, ts := testServer(t, Options{Workers: 2})
+	const retain = 3
+	m.retain = retain
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	m.runPoint = func(spec JobSpec, i int, _ *obs.Sim) (PointResult, error) {
+		if spec.Sizes[0] == 1<<20 {
+			started <- struct{}{}
+			<-release
+		}
+		return PointResult{Strategy: "stub", Bytes: spec.Sizes[0], MBps: 1}, nil
+	}
+	submit := func(size int64) *Job {
+		t.Helper()
+		job, err := m.Submit(JobSpec{System: "cichlid", Strategies: []string{"pinned"}, Sizes: []int64{size}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	running := submit(1 << 20)
+	<-started
+	first := submit(1 << 10)
+	m.Wait(first)
+	// retain+1 cache hits: each is terminal the moment Submit registers it.
+	var hits []*Job
+	for i := 0; i < retain+1; i++ {
+		hits = append(hits, submit(1<<10))
+	}
+
+	jobs := m.Jobs()
+	want := []*Job{running, hits[1], hits[2], hits[3]}
+	if len(jobs) != len(want) {
+		t.Fatalf("retained %d jobs, want %d (the running one plus %d terminal)", len(jobs), len(want), retain)
+	}
+	for i := range want {
+		if jobs[i] != want[i] {
+			t.Fatalf("retained job %d = %s, want %s", i, jobs[i].ID, want[i].ID)
+		}
+	}
+	if !strings.Contains(m.MetricsText(), "clmpi_serve_jobs_retained 4\n") {
+		t.Errorf("metricz does not report 4 retained jobs:\n%s", m.MetricsText())
+	}
+	for _, job := range []*Job{first, hits[0]} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET pruned job %s: status %d, want 404", job.ID, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + running.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.Status != StatusRunning {
+		t.Errorf("running job status = %s, want %s", st.Status, StatusRunning)
+	}
+	close(release)
+	m.Wait(running)
+}

@@ -1,12 +1,11 @@
 package sim
 
-// Arena storage for simulation hot paths. Large worlds allocate one object
-// per message/receive on the matching path; in partitioned runs those
-// objects have a fully engine-owned lifecycle, so they can be recycled
-// through a free list instead of churning the garbage collector. Both types
-// are single-shard (single-goroutine) structures: one simulated process runs
-// per shard at a time, so no host locking is needed — never share one
-// across shards.
+// Free lists for simulation hot paths. Large worlds allocate one object
+// per message/receive on the matching path; those objects have a fully
+// engine-owned lifecycle, so they can be recycled through a free list
+// instead of churning the garbage collector. A Pool is a single-shard
+// (single-goroutine) structure: one simulated process runs per shard at a
+// time, so no host locking is needed — never share one across shards.
 
 // Pool is a typed free list. Get returns a zeroed object (fresh or
 // recycled); Put zeroes the object and shelves it for reuse. Unlike
@@ -43,8 +42,8 @@ func (p *Pool[T]) Len() int { return len(p.free) }
 // element references to the collector) and shelves its storage. The
 // cross-partition channels recycle their struct-of-arrays event batches
 // through one Slabs per element type, so steady-state delivery of cross
-// events allocates nothing. Unlike Pool and Arena a Slabs may be guarded by
-// a host mutex and shared — it holds no per-element state.
+// events allocates nothing. Unlike a Pool a Slabs may be guarded by a host
+// mutex and shared — it holds no per-element state.
 type Slabs[T any] struct {
 	free [][]T
 }
@@ -72,46 +71,3 @@ func (s *Slabs[T]) Put(x []T) {
 
 // Len reports how many recycled slabs are shelved.
 func (s *Slabs[T]) Len() int { return len(s.free) }
-
-// Arena is a chunked slab allocator for objects with a common lifetime:
-// Alloc hands out slots, Reset recycles every slot at once while keeping
-// the chunk storage. Windowed drivers use arenas for per-window scratch
-// (allocate during the window, reset at the barrier).
-type Arena[T any] struct {
-	chunks [][]T
-	n      int
-}
-
-// arenaChunk is the slab granularity; large enough to amortize slice
-// headers, small enough not to overshoot tiny arenas.
-const arenaChunk = 256
-
-// Alloc returns a pointer to a zeroed slot valid until the next Reset.
-func (a *Arena[T]) Alloc() *T {
-	ci, off := a.n/arenaChunk, a.n%arenaChunk
-	if ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]T, arenaChunk))
-	}
-	a.n++
-	return &a.chunks[ci][off]
-}
-
-// Len reports the number of live slots.
-func (a *Arena[T]) Len() int { return a.n }
-
-// Reset invalidates every slot, zeroing only the portion that was used, and
-// keeps the chunks for reuse.
-func (a *Arena[T]) Reset() {
-	var zero T
-	for ci := 0; ci*arenaChunk < a.n; ci++ {
-		chunk := a.chunks[ci]
-		used := a.n - ci*arenaChunk
-		if used > arenaChunk {
-			used = arenaChunk
-		}
-		for i := 0; i < used; i++ {
-			chunk[i] = zero
-		}
-	}
-	a.n = 0
-}

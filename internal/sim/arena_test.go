@@ -54,30 +54,3 @@ func TestSlabsRecycle(t *testing.T) {
 		t.Fatalf("Len = %d after Put(nil)", s.Len())
 	}
 }
-
-func TestArenaAllocResetReuse(t *testing.T) {
-	var a Arena[poolItem]
-	const n = 2*arenaChunk + 17 // force multiple chunks
-	ptrs := make([]*poolItem, n)
-	for i := 0; i < n; i++ {
-		ptrs[i] = a.Alloc()
-		ptrs[i].a = i + 1
-		ptrs[i].b = []byte{byte(i)}
-	}
-	if a.Len() != n {
-		t.Fatalf("Len = %d, want %d", a.Len(), n)
-	}
-	a.Reset()
-	if a.Len() != 0 {
-		t.Fatalf("Len = %d after Reset", a.Len())
-	}
-	for i := 0; i < n; i++ {
-		p := a.Alloc()
-		if p != ptrs[i] {
-			t.Fatalf("slot %d not reused after Reset", i)
-		}
-		if p.a != 0 || p.b != nil {
-			t.Fatalf("slot %d not zeroed after Reset: %+v", i, p)
-		}
-	}
-}

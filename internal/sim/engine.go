@@ -215,10 +215,9 @@ func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnLazy registers a process whose name is computed only when first
-// observed (deadlock reports, CurrentProcName, trace adoption). Paths that
-// spawn one short-lived process per message use this so the common case —
-// the name is never looked at — costs no fmt.Sprintf and no string
-// allocation.
+// observed (deadlock reports, CurrentProcName, trace adoption). Its caller
+// is World.LaunchRanks, so a 100k-rank launch, whose rank names are almost
+// never looked at, pays no fmt.Sprintf and no string allocation per rank.
 func (e *Engine) SpawnLazy(nameFn func() string, fn func(p *Proc)) *Proc {
 	return e.spawnProc(&Proc{nameFn: nameFn}, fn, false)
 }

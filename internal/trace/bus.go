@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/sim"
@@ -143,20 +142,26 @@ type Edge struct {
 
 // Bus is the unified observability collector: every instrumented layer
 // appends events here, and the exporters (ASCII Gantt, Chrome JSON) and the
-// metrics registry read from it. Like the rest of the simulation it relies
-// on the DES single-runner property and is not safe for host-level
+// metrics report (Metrics) read from it. Like the rest of the simulation it
+// relies on the DES single-runner property and is not safe for host-level
 // concurrency.
 type Bus struct {
-	events  []Event
-	edges   []Edge
-	metrics *Metrics
+	events []Event
+	edges  []Edge
+	plans  []plan
 }
 
-// NewBus creates an empty bus with an empty metrics registry.
-func NewBus() *Bus { return &Bus{metrics: NewMetrics()} }
+// plan is one transfer-plan resolution of the extension fabric: the chosen
+// strategy and the message size. It is the one metrics input that is not an
+// event, because a plan has no extent in virtual time and an extra event
+// would change the causal graph the critical-path analyzer walks.
+type plan struct {
+	strategy string
+	bytes    int64
+}
 
-// Metrics returns the bus's metrics registry.
-func (b *Bus) Metrics() *Metrics { return b.metrics }
+// NewBus creates an empty bus.
+func NewBus() *Bus { return &Bus{} }
 
 // Span records a completed interval on a lane and returns its id.
 func (b *Bus) Span(layer, lane, name string, start, end sim.Time, args ...Arg) EventID {
@@ -368,43 +373,4 @@ func (b *Bus) IterationOverlap() []float64 {
 		out = append(out, total(both, lo, hi).Seconds()/c.Seconds())
 	}
 	return out
-}
-
-// Summarize derives gauge metrics from the recorded events: per-link and
-// per-queue utilization over the traced horizon, the global overlap ratio,
-// and the per-iteration overlap when application markers are present. Call
-// it once after the simulation completes, before reading or formatting the
-// registry.
-func (b *Bus) Summarize() {
-	tmax := b.End()
-	if tmax == 0 {
-		return
-	}
-	busy := map[string]time.Duration{} // "layer\x00lane" → busy time
-	var keys []string
-	for i := range b.events {
-		ev := &b.events[i]
-		if ev.Ph != PhaseSpan || (ev.Layer != LayerCluster && ev.Layer != LayerCL) {
-			continue
-		}
-		k := ev.Layer + "\x00" + ev.Lane
-		if _, ok := busy[k]; !ok {
-			keys = append(keys, k)
-		}
-		busy[k] += ev.End.Sub(ev.Start)
-	}
-	sort.Strings(keys)
-	horizon := tmax.Sub(0).Seconds()
-	for _, k := range keys {
-		layer, lane, _ := strings.Cut(k, "\x00")
-		prefix := "queue"
-		if layer == LayerCluster {
-			prefix = "link"
-		}
-		b.metrics.Set(fmt.Sprintf("%s.%s.util", prefix, lane), busy[k].Seconds()/horizon)
-	}
-	b.metrics.Set("overlap.ratio", b.OverlapRatio())
-	for k, r := range b.IterationOverlap() {
-		b.metrics.Set(fmt.Sprintf("overlap.iter.%03d", k), r)
-	}
 }

@@ -89,26 +89,3 @@ func TestIterationOverlap(t *testing.T) {
 		t.Fatal("no markers should yield nil")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	b := NewBus()
-	b.Span(LayerCluster, "node0.tx", "xfer", ms(0), ms(5))
-	b.Span(LayerCL, "q0", "kernel k", ms(0), ms(10))
-	b.Instant(LayerApp, "rank0", "iter 0", ms(0))
-	b.Summarize()
-	m := b.Metrics()
-	if v, ok := m.Gauge("link.node0.tx.util"); !ok || v != 0.5 {
-		t.Fatalf("link util = %v, %v", v, ok)
-	}
-	if v, ok := m.Gauge("queue.q0.util"); !ok || v != 1 {
-		t.Fatalf("queue util = %v, %v", v, ok)
-	}
-	if _, ok := m.Gauge("overlap.ratio"); !ok {
-		t.Fatal("overlap.ratio gauge missing")
-	}
-	if _, ok := m.Gauge("overlap.iter.000"); !ok {
-		t.Fatal("overlap.iter.000 gauge missing")
-	}
-	// Summarizing an empty bus is a no-op, not a panic.
-	NewBus().Summarize()
-}

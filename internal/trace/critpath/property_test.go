@@ -156,7 +156,6 @@ func randomTracedRun(t *testing.T, seed int64) *trace.Bus {
 	if firstErr != nil {
 		t.Fatalf("seed %d: %v", seed, firstErr)
 	}
-	trc.Bus().Summarize()
 	t.Logf("seed=%d ranks=%d rounds=%d strategy=%v events=%d", seed, nranks, rounds, st, len(trc.Bus().Events()))
 	return trc.Bus()
 }

@@ -14,9 +14,10 @@ import (
 // job: cluster links (NIC, PCIe, GPU compute units), the MPI message
 // protocol, and the extension fabric's strategy selection and transfer
 // pipelines. Command queues attach individually via Tracer.Observer. Any
-// argument may be nil to skip that layer. Alongside spans and metrics the
-// adapters emit the typed causal edges the critical-path analyzer
-// (internal/trace/critpath) consumes.
+// argument may be nil to skip that layer. Alongside spans the adapters emit
+// the typed causal edges the critical-path analyzer
+// (internal/trace/critpath) consumes; the metrics report is derived from
+// what they record (Bus.Metrics).
 func (t *Tracer) Instrument(clus *cluster.Cluster, world *mpi.World, fab *clmpi.Fabric) {
 	b := t.bus
 	es := t.edges
@@ -27,10 +28,8 @@ func (t *Tracer) Instrument(clus *cluster.Cluster, world *mpi.World, fab *clmpi.
 		world.SetMsgObserver(newMsgAdapter(b, es))
 	}
 	if fab != nil {
-		m := b.Metrics()
 		fab.SetPlanObserver(func(st clmpi.Strategy, size int64) {
-			m.Add("clmpi.strategy."+st.String(), 1)
-			m.Observe("clmpi.plan_bytes", float64(size))
+			b.plans = append(b.plans, plan{strategy: st.String(), bytes: size})
 		})
 		fab.SetStageObserver(func(sp xfer.Span) { t.stageSpan(sp) })
 		fab.SetPipeObserver(func(lane, proc string, done bool) {
@@ -61,10 +60,6 @@ func (t *Tracer) Instrument(clus *cluster.Cluster, world *mpi.World, fab *clmpi.
 func (t *Tracer) stageSpan(sp xfer.Span) {
 	b, es := t.bus, t.edges
 	id := b.Span(LayerXfer, sp.Lane, sp.Stage, sp.Start, sp.End, AInt("bytes", sp.Bytes))
-	m := b.Metrics()
-	m.Add("xfer.stage."+sp.Stage+".spans", 1)
-	m.Add("xfer.stage."+sp.Stage+".bytes", float64(sp.Bytes))
-	m.Add("xfer.stage."+sp.Stage+".busy_ns", float64(sp.End.Sub(sp.Start)))
 
 	// First span of the pipeline: gated by the command that preceded the
 	// pipeline on the enqueueing worker.
@@ -106,10 +101,10 @@ func (t *Tracer) stageSpan(sp xfer.Span) {
 	es.pendingMsg = es.pendingMsg[:0]
 }
 
-// linkAdapter feeds sim.Link occupancy into cluster-layer spans and
-// per-link byte/busy counters. Tagged charges name the span after the
-// resource class and register it for EdgeCharge attribution to the span
-// (command, stage hop, message) that caused it.
+// linkAdapter feeds sim.Link occupancy into cluster-layer spans. Tagged
+// charges name the span after the resource class and register it for
+// EdgeCharge attribution to the span (command, stage hop, message) that
+// caused it.
 type linkAdapter struct {
 	b  *Bus
 	es *edgeState
@@ -123,7 +118,6 @@ func (a linkAdapter) LinkBusy(link string, bytes int64, start, end sim.Time) {
 		args = []Arg{AInt("bytes", bytes)}
 	}
 	a.b.Span(LayerCluster, link, name, start, end, args...)
-	a.linkMetrics(link, bytes, start, end)
 }
 
 func (a linkAdapter) LinkBusyTagged(link, tag, proc string, bytes int64, start, end sim.Time) {
@@ -133,19 +127,11 @@ func (a linkAdapter) LinkBusyTagged(link, tag, proc string, bytes int64, start, 
 	}
 	id := a.b.Span(LayerCluster, link, tag, start, end, args...)
 	a.es.chargesByProc[proc] = append(a.es.chargesByProc[proc], id)
-	a.linkMetrics(link, bytes, start, end)
-}
-
-func (a linkAdapter) linkMetrics(link string, bytes int64, start, end sim.Time) {
-	m := a.b.Metrics()
-	m.Add("link."+link+".bytes", float64(bytes))
-	m.Add("link."+link+".busy_ns", float64(end.Sub(start)))
 }
 
 // msgAdapter turns protocol-phase notifications into mpi-layer events (a
 // send-posted instant, a matched instant, and one span per message from
-// send-posted to delivered), protocol metrics, and the message legs of the
-// causal graph.
+// send-posted to delivered) and the message legs of the causal graph.
 type msgAdapter struct {
 	b    *Bus
 	es   *edgeState
@@ -159,7 +145,7 @@ func newMsgAdapter(b *Bus, es *edgeState) *msgAdapter {
 // msgLane names the per-pair lane a message's span lives on.
 func msgLane(src, dst int) string { return fmt.Sprintf("rank%d->rank%d", src, dst) }
 
-// proto names the protocol of a message for labels and metrics.
+// proto names the protocol of a message for labels and the "proto" arg.
 func proto(eager bool) string {
 	if eager {
 		return "eager"
@@ -167,26 +153,7 @@ func proto(eager bool) string {
 	return "rendezvous"
 }
 
-// matchDepth folds one event's destination-rank queue depths into the
-// matching gauges: current posted/unexpected depth plus sticky per-rank
-// high-water marks. The ".hw" gauges are what the large-world scaling
-// sweeps read back; MaxGauge("mpi.match.") yields the job-wide peak.
-func (a *msgAdapter) matchDepth(ev mpi.MsgEvent) {
-	m := a.b.Metrics()
-	pg := fmt.Sprintf("mpi.match.rank%03d.posted", ev.Dst)
-	ug := fmt.Sprintf("mpi.match.rank%03d.unexpected", ev.Dst)
-	m.Set(pg, float64(ev.PostedDepth))
-	m.Set(ug, float64(ev.UnexpectedDepth))
-	if v, ok := m.Gauge(pg + ".hw"); !ok || float64(ev.PostedDepth) > v {
-		m.Set(pg+".hw", float64(ev.PostedDepth))
-	}
-	if v, ok := m.Gauge(ug + ".hw"); !ok || float64(ev.UnexpectedDepth) > v {
-		m.Set(ug+".hw", float64(ev.UnexpectedDepth))
-	}
-}
-
 func (a *msgAdapter) MessageEvent(ev mpi.MsgEvent) {
-	m := a.b.Metrics()
 	es := a.es
 	if ev.Kind == mpi.MsgWireDone {
 		// Pure graph bookkeeping: adopt the NIC charges the transport
@@ -207,20 +174,15 @@ func (a *msgAdapter) MessageEvent(ev mpi.MsgEvent) {
 		}
 		return
 	}
-	a.matchDepth(ev)
 	switch ev.Kind {
 	case mpi.MsgSendPosted:
 		a.open[ev.Seq] = ev
 		es.sendNode[ev.Seq] = a.b.Instant(LayerMPI, msgLane(ev.Src, ev.Dst), "send posted", ev.At,
 			AInt("tag", int64(ev.Tag)), AInt("bytes", int64(ev.Bytes)), A("proto", proto(ev.Eager)))
-		m.Add("mpi."+proto(ev.Eager), 1)
-		m.Add("mpi.bytes", float64(ev.Bytes))
-		m.Observe("mpi.msg_bytes", float64(ev.Bytes))
 	case mpi.MsgRecvPosted:
 		es.recvNode[ev.Seq] = a.b.Instant(LayerMPI, fmt.Sprintf("rank%d.recv", ev.Dst), "irecv posted", ev.At,
 			AInt("src", int64(ev.Src)), AInt("tag", int64(ev.Tag)),
 			AInt("posted_q", int64(ev.PostedDepth)), AInt("unexpected_q", int64(ev.UnexpectedDepth)))
-		m.Add("mpi.recvs", 1)
 	case mpi.MsgMatched:
 		id := a.b.Instant(LayerMPI, msgLane(ev.Src, ev.Dst), "matched", ev.At,
 			AInt("tag", int64(ev.Tag)), AInt("bytes", int64(ev.Bytes)),

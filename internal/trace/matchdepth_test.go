@@ -13,9 +13,9 @@ import (
 
 // TestMatchQueueDepthMetrics drives a staged exchange whose queue depths are
 // known by construction — rank 1 holds three posted receives while two
-// unexpected messages wait — and checks the per-rank depth gauges,
-// high-water marks, and the Chrome-export instant args the matching engine
-// feeds through the observability layer.
+// unexpected messages wait — and checks the communicator's high-water marks
+// and the Chrome-export instant args the matching engine feeds through the
+// observability layer.
 func TestMatchQueueDepthMetrics(t *testing.T) {
 	e := sim.NewEngine()
 	clus := cluster.New(e, cluster.RICC(), 2)
@@ -63,32 +63,8 @@ func TestMatchQueueDepthMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := tr.Bus().Metrics()
-	gauge := func(name string) float64 {
-		v, ok := m.Gauge(name)
-		if !ok {
-			t.Fatalf("gauge %s missing", name)
-		}
-		return v
-	}
-	if hw := gauge("mpi.match.rank001.posted.hw"); hw != 3 {
-		t.Errorf("posted high-water = %v, want 3", hw)
-	}
-	if hw := gauge("mpi.match.rank001.unexpected.hw"); hw != 2 {
-		t.Errorf("unexpected high-water = %v, want 2", hw)
-	}
-	// Drained at the end: the current-depth gauges settle at zero.
-	if v := gauge("mpi.match.rank001.posted"); v != 0 {
-		t.Errorf("final posted depth = %v, want 0", v)
-	}
-	if v := gauge("mpi.match.rank001.unexpected"); v != 0 {
-		t.Errorf("final unexpected depth = %v, want 0", v)
-	}
-	if name, v, ok := m.MaxGauge("mpi.match."); !ok || v < 3 {
-		t.Errorf("MaxGauge(mpi.match.) = %s %v %v, want peak >= 3", name, v, ok)
-	}
-	if !strings.Contains(m.Format(), "mpi.match.rank001.posted.hw") {
-		t.Error("metrics registry dump does not list the high-water gauge")
+	if posted, unexpected := w.Comm().MatchQueueHighWater(1); posted != 3 || unexpected != 2 {
+		t.Errorf("rank 1 high-water = (%d, %d), want (3, 2)", posted, unexpected)
 	}
 
 	var chrome bytes.Buffer

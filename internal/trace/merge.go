@@ -39,8 +39,9 @@ func InstrumentPart(pw *mpi.PartWorld) []*Tracer {
 // MergeBuses merges per-partition buses into one bus: events sorted by
 // (start time, partition, record order) — so per-lane FIFO order is
 // preserved for the analyzer's implicit chains — each tagged with a "part"
-// argument, edges remapped to the merged ids, and metrics folded together
-// (counters summed, gauges maxed, histograms pooled).
+// argument, edges remapped to the merged ids, and the fabric plan lists
+// concatenated in partition order. The merged bus's metrics follow from its
+// events (Bus.Metrics), so no metric needs a merge rule.
 func MergeBuses(buses ...*Bus) *Bus {
 	type ref struct {
 		part, idx int
@@ -79,7 +80,7 @@ func MergeBuses(buses ...*Bus) *Bus {
 		for _, e := range b.edges {
 			merged.Edge(e.Kind, remap[pi][int(e.From)], remap[pi][int(e.To)])
 		}
-		merged.metrics.Merge(b.metrics)
+		merged.plans = append(merged.plans, b.plans...)
 	}
 	return merged
 }

@@ -4,160 +4,145 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
+	"time"
+
+	"repro/internal/obs"
 )
 
-// histBuckets is the fixed exponential bucket layout shared by every
+// histBounds is the fixed exponential bucket layout shared by every
 // histogram: powers of two from 1 up to 2^40 (1 TiB), which comfortably
-// covers message sizes in bytes and counts alike. A fixed layout keeps
-// histograms mergeable and their text rendering deterministic.
-const histBuckets = 41
+// covers message sizes in bytes and counts alike. Values above the last
+// bound land in the overflow bucket.
+var histBounds = func() []float64 {
+	b := make([]float64, 41)
+	for i := range b {
+		b[i] = float64(int64(1) << uint(i))
+	}
+	return b
+}()
 
-// Histogram is a fixed-bucket exponential histogram. Observations are
-// assigned to the first bucket whose upper bound 2^i is >= the value;
-// values above the last bound land in an overflow bucket.
-type Histogram struct {
-	Count    int64
-	Sum      float64
-	Min, Max float64
-	buckets  [histBuckets + 1]int64 // +1 overflow
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h.Count == 0 || v < h.Min {
-		h.Min = v
-	}
-	if h.Count == 0 || v > h.Max {
-		h.Max = v
-	}
-	h.Count++
-	h.Sum += v
-	for i := 0; i < histBuckets; i++ {
-		if v <= float64(int64(1)<<uint(i)) {
-			h.buckets[i]++
-			return
-		}
-	}
-	h.buckets[histBuckets]++
-}
-
-// merge folds another histogram's observations into h. The fixed shared
-// bucket layout makes this exact: bucket counts simply add.
-func (h *Histogram) merge(o *Histogram) {
-	if o.Count == 0 {
-		return
-	}
-	if h.Count == 0 || o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if h.Count == 0 || o.Max > h.Max {
-		h.Max = o.Max
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-}
-
-// Mean reports the arithmetic mean of all observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-// Quantile reports an upper bound for the q-quantile (0 < q <= 1) from the
-// bucket counts: the bound of the bucket containing the q-th observation,
-// clamped to the observed maximum. The clamp matters in two places: the
-// bucket holding the largest observations usually has a bound above every
-// actual value, and the overflow bucket has no finite bound at all — naively
-// reporting 2^histBuckets there would understate a larger real observation
-// and overstate a run whose maximum lies just past the last tracked bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(h.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i]
-		if seen >= rank {
-			if b := float64(int64(1) << uint(i)); b < h.Max {
-				return b
-			}
-			return h.Max
-		}
-	}
-	// The q-th observation landed in the overflow bucket: the observed
-	// maximum is the only honest upper bound left.
-	return h.Max
-}
-
-// Metrics is a registry of named counters, gauges, and histograms measured
-// in virtual time/quantities. Names are flat dotted strings
-// ("link.node0.tx.bytes"); rendering is sorted by name, so two identical
-// simulations format identically byte for byte.
+// Metrics is the virtual-time metrics report of one bus: named counters,
+// gauges, and histograms derived from the recorded events by Bus.Metrics.
+// Names are flat dotted strings ("link.node0.tx.bytes"); rendering is
+// sorted by name, so two identical simulations format identically byte for
+// byte.
 type Metrics struct {
 	counters map[string]float64
 	gauges   map[string]float64
-	hists    map[string]*Histogram
+	hists    map[string]*obs.Histogram
 }
 
-// NewMetrics creates an empty registry.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		counters: map[string]float64{},
-		gauges:   map[string]float64{},
-		hists:    map[string]*Histogram{},
-	}
-}
+func (m *Metrics) add(name string, v float64) { m.counters[name] += v }
 
-// Add increments the named counter by v.
-func (m *Metrics) Add(name string, v float64) { m.counters[name] += v }
+func (m *Metrics) set(name string, v float64) { m.gauges[name] = v }
 
-// Set sets the named gauge to v.
-func (m *Metrics) Set(name string, v float64) { m.gauges[name] = v }
-
-// Observe records v into the named histogram.
-func (m *Metrics) Observe(name string, v float64) {
+func (m *Metrics) observe(name string, v float64) {
 	h, ok := m.hists[name]
 	if !ok {
-		h = &Histogram{}
+		h = obs.NewHistogram(histBounds)
 		m.hists[name] = h
 	}
 	h.Observe(v)
 }
 
-// Merge folds another registry into m: counters sum, gauges take the
-// maximum (every gauge in the repository is a utilization or high-water
-// style quantity, for which the cross-partition peak is the meaningful
-// aggregate), and histograms pool their observations.
-func (m *Metrics) Merge(o *Metrics) {
-	for n, v := range o.counters {
-		m.counters[n] += v
+// Metrics derives the bus's metrics report in one pass over the recorded
+// events:
+//
+//   - cl spans count as cl.commands and cl.cmd.<glyph>;
+//   - xfer spans sum into xfer.stage.<stage>.{spans,bytes,busy_ns};
+//   - cluster spans sum into link.<lane>.{bytes,busy_ns};
+//   - "send posted" instants count as mpi.<proto>, mpi.bytes, and the
+//     mpi.msg_bytes histogram; "irecv posted" instants as mpi.recvs;
+//   - the fabric's plan resolutions count as clmpi.strategy.<strategy> and
+//     the clmpi.plan_bytes histogram.
+//
+// Over a non-empty horizon it adds the gauges: per-link and per-queue
+// utilization, the global overlap ratio, and the per-iteration overlap
+// when application markers are present. A missing or non-integer "bytes"
+// argument counts as 0. The report is a pure function of what the bus
+// recorded, so a merged or reloaded bus reports the same metrics as the
+// live one.
+func (b *Bus) Metrics() *Metrics {
+	m := &Metrics{
+		counters: map[string]float64{},
+		gauges:   map[string]float64{},
+		hists:    map[string]*obs.Histogram{},
 	}
-	for n, v := range o.gauges {
-		if cur, ok := m.gauges[n]; !ok || v > cur {
-			m.gauges[n] = v
+	for _, p := range b.plans {
+		m.add("clmpi.strategy."+p.strategy, 1)
+		m.observe("clmpi.plan_bytes", float64(p.bytes))
+	}
+	busy := map[string]time.Duration{} // utilization gauge name → busy time
+	for i := range b.events {
+		ev := &b.events[i]
+		if ev.Ph == PhaseInstant {
+			if ev.Layer != LayerMPI {
+				continue
+			}
+			switch ev.Name {
+			case "send posted":
+				n := float64(argInt(ev, "bytes"))
+				m.add("mpi."+argStr(ev, "proto"), 1)
+				m.add("mpi.bytes", n)
+				m.observe("mpi.msg_bytes", n)
+			case "irecv posted":
+				m.add("mpi.recvs", 1)
+			}
+			continue
+		}
+		d := ev.End.Sub(ev.Start)
+		switch ev.Layer {
+		case LayerCL:
+			m.add("cl.commands", 1)
+			m.add("cl.cmd."+string(glyphOrOther(ev.Name)), 1)
+			busy["queue."+ev.Lane+".util"] += d
+		case LayerXfer:
+			pre := "xfer.stage." + ev.Name
+			m.add(pre+".spans", 1)
+			m.add(pre+".bytes", float64(argInt(ev, "bytes")))
+			m.add(pre+".busy_ns", float64(d))
+		case LayerCluster:
+			pre := "link." + ev.Lane
+			m.add(pre+".bytes", float64(argInt(ev, "bytes")))
+			m.add(pre+".busy_ns", float64(d))
+			busy[pre+".util"] += d
 		}
 	}
-	for n, oh := range o.hists {
-		h, ok := m.hists[n]
-		if !ok {
-			h = &Histogram{}
-			m.hists[n] = h
-		}
-		h.merge(oh)
+	tmax := b.End()
+	if tmax == 0 {
+		return m
 	}
+	horizon := tmax.Sub(0).Seconds()
+	for name, d := range busy {
+		m.set(name, d.Seconds()/horizon)
+	}
+	m.set("overlap.ratio", b.OverlapRatio())
+	for k, r := range b.IterationOverlap() {
+		m.set(fmt.Sprintf("overlap.iter.%03d", k), r)
+	}
+	return m
+}
+
+// argStr returns the value of the event's first argument named key, or "".
+func argStr(ev *Event, key string) string {
+	for _, a := range ev.Args {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return ""
+}
+
+// argInt parses the event's argument named key; missing or malformed
+// values read 0.
+func argInt(ev *Event, key string) int64 {
+	v, err := strconv.ParseInt(argStr(ev, key), 10, 64)
+	if err != nil {
+		return 0
+	}
+	return v
 }
 
 // Counter reports the named counter's value.
@@ -173,35 +158,23 @@ func (m *Metrics) Gauge(name string) (float64, bool) {
 }
 
 // Hist reports the named histogram, or nil.
-func (m *Metrics) Hist(name string) *Histogram { return m.hists[name] }
+func (m *Metrics) Hist(name string) *obs.Histogram { return m.hists[name] }
 
-// EachGauge calls fn for every gauge in sorted name order.
-func (m *Metrics) EachGauge(fn func(name string, v float64)) {
-	names := make([]string, 0, len(m.gauges))
-	for n := range m.gauges {
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for _, n := range names {
-		fn(n, m.gauges[n])
-	}
+	return names
 }
 
-// MaxGauge reports the largest gauge whose name starts with prefix.
-func (m *Metrics) MaxGauge(prefix string) (name string, v float64, ok bool) {
-	names := make([]string, 0, len(m.gauges))
-	for n := range m.gauges {
-		if strings.HasPrefix(n, prefix) {
-			names = append(names, n)
-		}
+// EachGauge calls fn for every gauge in sorted name order.
+func (m *Metrics) EachGauge(fn func(name string, v float64)) {
+	for _, n := range sortedKeys(m.gauges) {
+		fn(n, m.gauges[n])
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		if !ok || m.gauges[n] > v {
-			name, v, ok = n, m.gauges[n], true
-		}
-	}
-	return name, v, ok
 }
 
 // fmtVal renders a metric value compactly and deterministically.
@@ -212,38 +185,23 @@ func fmtVal(v float64) string {
 	return fmt.Sprintf("%.6g", v)
 }
 
-// Format renders the registry as sorted text, one metric per line:
+// Format renders the report as sorted text, one metric per line:
 //
 //	counter mpi.eager 12
 //	gauge   link.node0.tx.util 0.42
 //	hist    mpi.msg_bytes count=24 sum=1.8e+07 mean=750000 p50=1.04858e+06 max=1.048576e+06
 func (m *Metrics) Format() string {
 	var b strings.Builder
-	names := make([]string, 0, len(m.counters))
-	for n := range m.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(m.counters) {
 		fmt.Fprintf(&b, "counter %s %s\n", n, fmtVal(m.counters[n]))
 	}
-	names = names[:0]
-	for n := range m.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(m.gauges) {
 		fmt.Fprintf(&b, "gauge   %s %s\n", n, fmtVal(m.gauges[n]))
 	}
-	names = names[:0]
-	for n := range m.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(m.hists) {
 		h := m.hists[n]
 		fmt.Fprintf(&b, "hist    %s count=%d sum=%s mean=%s p50=%s max=%s\n",
-			n, h.Count, fmtVal(h.Sum), fmtVal(h.Mean()), fmtVal(h.Quantile(0.5)), fmtVal(h.Max))
+			n, h.Count(), fmtVal(h.Sum()), fmtVal(h.Sum()/float64(h.Count())), fmtVal(h.Quantile(0.5)), fmtVal(h.Max()))
 	}
 	return b.String()
 }

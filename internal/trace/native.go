@@ -52,8 +52,10 @@ var edgeKindByName = map[string]EdgeKind{
 	"host":    EdgeHost,
 }
 
-// ReadNative parses a native trace into a fresh bus (with an empty metrics
-// registry — metrics are not part of the format).
+// ReadNative parses a native trace into a fresh bus. Its Metrics report is
+// derived from the loaded events like a live bus's, minus the fabric's
+// clmpi.strategy plan counts, which are not events and not part of the
+// format.
 func ReadNative(r io.Reader) (*Bus, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)

@@ -1,10 +1,12 @@
 // Package trace is the repository's observability layer: a unified event
 // bus collecting lifecycle spans from every instrumented subsystem — OpenCL
 // command queues (internal/cl), MPI message protocol phases (internal/mpi),
-// and link/NIC/PCIe occupancy (internal/cluster resources) — plus a metrics
-// registry (counters, gauges, histograms in virtual time) and two exporters:
-// the ASCII Gantt timelines behind the reproduction of the paper's Figure 4,
-// and Chrome trace_event JSON loadable in chrome://tracing or Perfetto.
+// and link/NIC/PCIe occupancy (internal/cluster resources) — plus the views
+// computed from it after a run: a virtual-time metrics report (counters,
+// gauges, histograms derived from the events, so there is one source of
+// truth), the ASCII Gantt timelines behind the reproduction of the paper's
+// Figure 4, and Chrome trace_event JSON loadable in chrome://tracing or
+// Perfetto.
 package trace
 
 import (
@@ -28,8 +30,8 @@ type Span struct {
 // Tracer is the command-queue view over a Bus: it adapts cl.Observer
 // notifications into cl-layer spans and renders them as the Fig. 4 ASCII
 // timelines. The other layers (MPI protocol, cluster links) record onto the
-// same bus via Instrument; the Chrome exporter and metrics registry see all
-// of them. Not safe for host-level concurrency, which is fine: simulation
+// same bus via Instrument; the Chrome exporter and the metrics report see
+// all of them. Not safe for host-level concurrency, which is fine: simulation
 // processes run one at a time.
 type Tracer struct {
 	bus   *Bus
@@ -87,9 +89,6 @@ func (o *queueObserver) CommandFinished(_ *cl.CommandQueue, label string, at sim
 	delete(o.t.open, o.lane)
 	sp.End = at
 	o.t.bus.Span(LayerCL, sp.Lane, sp.Label, sp.Start, sp.End)
-	m := o.t.bus.Metrics()
-	m.Add("cl.commands", 1)
-	m.Add(fmt.Sprintf("cl.cmd.%c", glyphOrOther(label)), 1)
 }
 
 // CommandCompleted implements cl.CausalObserver: it runs right after
