@@ -132,12 +132,6 @@ func Fig4(impl himeno.Impl, size himeno.Size, iters int) (string, error) {
 	return out, err
 }
 
-// Fig4On is Fig4 on an arbitrary system.
-func Fig4On(sys cluster.System, impl himeno.Impl, size himeno.Size, iters int) (string, error) {
-	_, out, err := Fig4TracedOn(sys, impl, size, iters)
-	return out, err
-}
-
 // Fig4Traced is Fig4 returning the tracer as well, so callers can export
 // the same run as Chrome trace_event JSON or read its bus's Metrics.
 func Fig4Traced(impl himeno.Impl, size himeno.Size, iters int) (*trace.Tracer, string, error) {

@@ -185,19 +185,14 @@ func matchWorkloadPart(sys cluster.System, ranks, outstanding, wildPct, rounds, 
 	return pt, nil
 }
 
-// MatchScalePoint runs a single cell of the matching-scaling sweep: the
+// MatchScalePointObs runs a single cell of the matching-scaling sweep: the
 // dense wildcard exchange at one rank count, on the serial engine or — for
 // parts > 1 — on a parts-way partitioned engine driven by `workers` host
 // workers. This is the unit the serve daemon shards; callers running a
-// whole rank grid want MatchScale or MatchScalePartitioned.
-func MatchScalePoint(sys cluster.System, ranks, outstanding, wildPct, rounds, parts, workers int) (MatchPoint, error) {
-	return MatchScalePointObs(sys, ranks, outstanding, wildPct, rounds, parts, workers, nil)
-}
-
-// MatchScalePointObs is MatchScalePoint with a host-time observability
-// aggregator: a partitioned point attaches a fresh obs.PDES to its engine,
-// so stall attribution and flight-recorder events land in sm's registry and
-// recorder. sm may be nil (identical to MatchScalePoint).
+// whole rank grid want MatchScale or MatchScalePartitioned. A partitioned
+// point attaches a fresh obs.PDES aggregator to its engine, so stall
+// attribution and flight-recorder events land in sm's registry and
+// recorder; sm may be nil.
 func MatchScalePointObs(sys cluster.System, ranks, outstanding, wildPct, rounds, parts, workers int, sm *obs.Sim) (MatchPoint, error) {
 	if parts > 1 {
 		return matchWorkloadPart(sys, ranks, outstanding, wildPct, rounds, parts, workers, sm)

@@ -129,9 +129,6 @@ func MeasureP2PTraced(sys cluster.System, st clmpi.Strategy, block, size int64, 
 		}
 		rt := fab.Attach(ctx, ep)
 		q := ctx.NewQueue(fmt.Sprintf("bwq%d", ep.Rank()))
-		if trc != nil {
-			q.SetObserver(trc.Observer(fmt.Sprintf("bwq%d", ep.Rank())))
-		}
 		buf, err := ctx.CreateBuffer("payload", size)
 		if err != nil {
 			firstErr = err

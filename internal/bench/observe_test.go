@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/himeno"
 	"repro/internal/trace"
+	"repro/internal/trace/critpath"
 )
 
 // traceCLMPI runs the reference instrumented configuration and returns the
@@ -159,5 +161,40 @@ func TestXferSpansInChromeExport(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("d2h.peer")) {
 		t.Error("Chrome export missing the d2h.peer stage spans")
+	}
+}
+
+// TestTraceOutOfOrderQueues pins that an instrumented context traces its
+// out-of-order queues like its in-order ones: the single-queue Himeno
+// variant records every command of every rank — 7 per rank per iteration
+// (two kernels, two packs, a send, a receive, and the unpack) — as a span
+// on its queue's lane, and the causal graph leaves none of them orphaned.
+func TestTraceOutOfOrderQueues(t *testing.T) {
+	const nodes, iters, perIter = 2, 2, 7
+	for _, sys := range []cluster.System{cluster.Cichlid(), cluster.RICC()} {
+		trc, _, err := TraceHimeno(sys, himeno.CLMPIOutOfOrder, himeno.SizeXS, nodes, iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perLane := map[string]int{}
+		for _, sp := range trc.Spans() {
+			perLane[sp.Lane]++
+			if strings.HasPrefix(sp.Label, "kernel") && sp.End <= sp.Start {
+				t.Errorf("%s: kernel span %+v has no length", sys.Name, sp)
+			}
+		}
+		want := map[string]int{}
+		for r := 0; r < nodes; r++ {
+			want[fmt.Sprintf("clmpiooo.q%d", r)] = perIter * iters
+		}
+		if fmt.Sprint(perLane) != fmt.Sprint(want) {
+			t.Errorf("%s: cl spans per lane = %v, want %v", sys.Name, perLane, want)
+		}
+		if n, _ := trc.Bus().Metrics().Counter("cl.commands"); n != nodes*iters*perIter {
+			t.Errorf("%s: cl.commands = %v, want %d", sys.Name, n, nodes*iters*perIter)
+		}
+		if orphans := critpath.Orphans(trc.Bus()); len(orphans) != 0 {
+			t.Errorf("%s: %d orphaned spans: %v", sys.Name, len(orphans), orphans)
+		}
 	}
 }

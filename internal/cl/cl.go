@@ -3,16 +3,17 @@
 // (internal/cluster).
 //
 // The runtime reproduces the OpenCL 1.1 execution model the clMPI paper
-// builds on: a host thread manages devices through in-order command queues;
-// commands carry event wait lists and publish event objects; user events let
-// external activities participate in command dependencies. Data transfers
-// and kernels move real bytes (so results are testable) while charging
-// virtual time according to the node's PCIe and GPU cost model.
+// builds on: a host thread manages devices through command queues (in-order,
+// as the paper uses, or out-of-order); commands carry event wait lists and
+// publish event objects whose profiling stamps a per-context Observer
+// reads; user events let external activities participate in command
+// dependencies. Data transfers and kernels move real bytes (so results are
+// testable) while charging virtual time according to the node's PCIe and
+// GPU cost model.
 //
 // Deliberate simplifications, none of which the paper's evaluation touches:
-// only in-order queues (the paper uses nothing else), one device per
-// context, and kernels expressed as Go functions with an explicit cost
-// instead of compiled OpenCL C.
+// one device per context, and kernels expressed as Go functions with an
+// explicit cost instead of compiled OpenCL C.
 package cl
 
 import (

@@ -63,29 +63,35 @@ type Context struct {
 	queues   []*CommandQueue
 	released bool
 
-	// hostObs, when set, is notified of host-thread interactions with the
-	// event graph (enqueues and wait returns); dependency-graph builders use
-	// it to recover host program order, which OpenCL's event DAG does not
-	// express.
-	hostObs HostObserver
+	// obs, when set, hears every command of every queue of the context and
+	// every host-thread wait on its events.
+	obs Observer
 }
 
-// HostObserver receives host-thread causal notifications from a context:
-// which simulated process enqueued each command, and when a process's Wait
-// on an event returned. Together these recover host program order — the
-// serialization imposed by the application thread itself rather than by
-// queues or wait lists — which critical-path analysis needs to connect
-// command chains that share no event dependency.
-type HostObserver interface {
+// Observer receives one context's command notifications, from in-order and
+// out-of-order queues alike, plus the host thread's interactions with the
+// event graph. The tracer (internal/trace) builds Fig. 4 timelines from it,
+// and critical-path analysis the causal edges: a command's interval is its
+// event's own profiling stamps, and the enqueue and wait reports recover
+// host program order — the serialization imposed by the application thread
+// itself, which OpenCL's event DAG does not express.
+type Observer interface {
 	// CommandEnqueued reports that process proc enqueued the command whose
 	// completion ev tracks. It runs before the command can execute.
 	CommandEnqueued(proc string, ev *Event)
+	// CommandDone reports that the command ev tracks, run by worker
+	// process proc of the queue labelled lane after its wait list waits,
+	// finished at end; it started at ev.StartedAt. inOrder tells an
+	// in-order queue from an out-of-order one. It runs before ev
+	// completes, so before any dependent can observe the completion.
+	CommandDone(lane string, inOrder bool, ev *Event, waits []*Event, proc string, end sim.Time)
 	// WaitReturned reports that process proc's Wait on ev returned.
 	WaitReturned(proc string, ev *Event)
 }
 
-// SetHostObserver installs a host-thread observer (nil to remove).
-func (c *Context) SetHostObserver(o HostObserver) { c.hostObs = o }
+// SetObserver installs the context's observer (nil to remove). It covers
+// every queue of the context, including queues created before the call.
+func (c *Context) SetObserver(o Observer) { c.obs = o }
 
 // NewContext creates a context for the device.
 func NewContext(d *Device, label string) *Context {

@@ -101,8 +101,8 @@ func (ev *Event) complete(at sim.Time, err error) {
 // error, if any.
 func (ev *Event) Wait(p *sim.Proc) error {
 	ev.done.Wait(p)
-	if ho := ev.ctx.hostObs; ho != nil {
-		ho.WaitReturned(p.Name(), ev)
+	if o := ev.ctx.obs; o != nil {
+		o.WaitReturned(p.Name(), ev)
 	}
 	return ev.err
 }

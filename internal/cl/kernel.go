@@ -56,7 +56,7 @@ func runKernel(wp *sim.Proc, dev *Device, k *Kernel, args []any) error {
 	if d < 0 {
 		return fmt.Errorf("%w: negative kernel cost %v", ErrInvalidKernel, d)
 	}
-	dev.Unit.GPUCompute.OccupyTagged(wp, d, "compute", 0)
+	dev.Unit.GPUCompute.Occupy(wp, d, "compute", 0)
 	if k.Work != nil {
 		if err := k.Work(args); err != nil {
 			return fmt.Errorf("kernel %s: %w", k.Name, err)

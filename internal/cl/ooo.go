@@ -29,7 +29,6 @@ type OOQueue struct {
 	// outstanding tracks events of all enqueued, not-yet-complete
 	// commands, for Finish and markers.
 	outstanding []*Event
-	observer    Observer
 }
 
 // NewOutOfOrderQueue creates an out-of-order queue on the context's device.
@@ -42,11 +41,6 @@ func (q *OOQueue) Label() string { return q.label }
 
 // Context returns the owning context.
 func (q *OOQueue) Context() *Context { return q.ctx }
-
-// SetObserver installs a lifecycle observer (nil to remove). The observer
-// receives a nil *CommandQueue (there is no serial lane); lanes are better
-// derived from the label.
-func (q *OOQueue) SetObserver(o Observer) { q.observer = o }
 
 // pending prunes completed events from the outstanding list and returns the
 // remainder.
@@ -67,38 +61,16 @@ func (q *OOQueue) Enqueue(label string, waits []*Event, run func(p *sim.Proc) er
 	if q.released {
 		return nil, ErrQueueShutDown
 	}
-	ev := newEvent(q.ctx, label, false)
-	if ho := q.ctx.hostObs; ho != nil {
-		if pn := q.ctx.eng.CurrentProcName(); pn != "" {
-			ho.CommandEnqueued(pn, ev)
-		}
-	}
-	allWaits := append([]*Event(nil), waits...)
+	cmd := q.ctx.newCommand(label, waits, run)
 	if q.barrier != nil {
-		allWaits = append(allWaits, q.barrier)
+		cmd.waits = append(cmd.waits, q.barrier)
 	}
 	q.seq++
-	q.outstanding = append(q.outstanding, ev)
+	q.outstanding = append(q.outstanding, cmd.ev)
 	q.ctx.eng.SpawnDaemon(fmt.Sprintf("clooq-%s-%d", q.label, q.seq), func(p *sim.Proc) {
-		ev.markSubmitted(p.Now())
-		if depErr := WaitForEvents(p, allWaits...); depErr != nil {
-			ev.complete(p.Now(), fmt.Errorf("%w: dependency failed: %v", ErrExecStatusError, depErr))
-			return
-		}
-		ev.markRunning(p.Now())
-		if q.observer != nil {
-			q.observer.CommandStarted(nil, label, p.Now())
-		}
-		err := run(p)
-		if q.observer != nil {
-			q.observer.CommandFinished(nil, label, p.Now())
-			if co, ok := q.observer.(CausalObserver); ok {
-				co.CommandCompleted(nil, ev, allWaits, p.Name())
-			}
-		}
-		ev.complete(p.Now(), err)
+		q.ctx.execute(p, q.label, false, cmd)
 	})
-	return ev, nil
+	return cmd.ev, nil
 }
 
 // EnqueueNDRangeKernel launches a kernel out of order; see

@@ -16,6 +16,37 @@ type command struct {
 	run func(p *sim.Proc) error
 }
 
+// newCommand creates an enqueued command's event and reports the enqueue
+// to the context's observer; both queue kinds enqueue through it.
+func (c *Context) newCommand(label string, waits []*Event, run func(p *sim.Proc) error) *command {
+	ev := newEvent(c, label, false)
+	if c.obs != nil {
+		if pn := c.eng.CurrentProcName(); pn != "" {
+			c.obs.CommandEnqueued(pn, ev)
+		}
+	}
+	return &command{ev: ev, waits: append([]*Event(nil), waits...), run: run}
+}
+
+// execute runs one command's lifecycle on worker process p of the queue
+// labelled lane, for both queue kinds: submitted, wait list, running, run,
+// report, complete.
+func (c *Context) execute(p *sim.Proc, lane string, inOrder bool, cmd *command) {
+	cmd.ev.markSubmitted(p.Now())
+	if depErr := WaitForEvents(p, cmd.waits...); depErr != nil {
+		// A failed dependency terminates the command abnormally,
+		// mirroring OpenCL's negative-status propagation.
+		cmd.ev.complete(p.Now(), fmt.Errorf("%w: dependency failed: %v", ErrExecStatusError, depErr))
+		return
+	}
+	cmd.ev.markRunning(p.Now())
+	err := cmd.run(p)
+	if c.obs != nil {
+		c.obs.CommandDone(lane, inOrder, cmd.ev, cmd.waits, p.Name(), p.Now())
+	}
+	cmd.ev.complete(p.Now(), err)
+}
+
 // CommandQueue is an in-order cl_command_queue: commands execute one at a
 // time in enqueue order, each additionally gated on its event wait list.
 // A dedicated worker process models the driver thread that feeds the device,
@@ -26,27 +57,6 @@ type CommandQueue struct {
 	label    string
 	cmds     *sim.Queue[*command]
 	released bool
-
-	// observer, when set, is notified of command lifecycle transitions;
-	// the tracer (internal/trace) uses this to build Fig. 4 timelines.
-	observer Observer
-}
-
-// Observer receives command lifecycle notifications from a queue.
-type Observer interface {
-	CommandStarted(q *CommandQueue, label string, at sim.Time)
-	CommandFinished(q *CommandQueue, label string, at sim.Time)
-}
-
-// CausalObserver is an optional extension of Observer: observers that also
-// implement it are told, right after CommandFinished and before the
-// command's event completes (i.e. before any dependent callbacks can run),
-// which event finished, what its wait list was, and which worker process ran
-// it. Dependency-graph builders use this to attach causal edges. q is nil
-// for out-of-order queues.
-type CausalObserver interface {
-	Observer
-	CommandCompleted(q *CommandQueue, ev *Event, waits []*Event, proc string)
 }
 
 // NewQueue creates an in-order command queue on the context's device.
@@ -67,39 +77,16 @@ func (q *CommandQueue) Label() string { return q.label }
 // Context returns the owning context.
 func (q *CommandQueue) Context() *Context { return q.ctx }
 
-// SetObserver installs a lifecycle observer (nil to remove).
-func (q *CommandQueue) SetObserver(o Observer) { q.observer = o }
-
-// loop is the worker process: pop, wait dependencies, run, complete.
+// loop is the worker process. In-order semantics: previous commands have
+// already completed because this loop is serial; each command's wait list
+// adds cross-queue and user-event dependencies.
 func (q *CommandQueue) loop(p *sim.Proc) {
 	for {
 		cmd, ok := q.cmds.Get(p)
 		if !ok {
 			return
 		}
-		cmd.ev.markSubmitted(p.Now())
-		// In-order semantics: previous commands have already completed
-		// because this loop is serial; the wait list adds cross-queue
-		// and user-event dependencies.
-		depErr := WaitForEvents(p, cmd.waits...)
-		if depErr != nil {
-			// A failed dependency terminates the command abnormally,
-			// mirroring OpenCL's negative-status propagation.
-			cmd.ev.complete(p.Now(), fmt.Errorf("%w: dependency failed: %v", ErrExecStatusError, depErr))
-			continue
-		}
-		cmd.ev.markRunning(p.Now())
-		if q.observer != nil {
-			q.observer.CommandStarted(q, cmd.ev.label, p.Now())
-		}
-		err := cmd.run(p)
-		if q.observer != nil {
-			q.observer.CommandFinished(q, cmd.ev.label, p.Now())
-			if co, ok := q.observer.(CausalObserver); ok {
-				co.CommandCompleted(q, cmd.ev, cmd.waits, p.Name())
-			}
-		}
-		cmd.ev.complete(p.Now(), err)
+		q.ctx.execute(p, q.label, true, cmd)
 	}
 }
 
@@ -113,14 +100,9 @@ func (q *CommandQueue) Enqueue(label string, waits []*Event, run func(p *sim.Pro
 	if q.released {
 		return nil, ErrQueueShutDown
 	}
-	ev := newEvent(q.ctx, label, false)
-	if ho := q.ctx.hostObs; ho != nil {
-		if pn := q.ctx.eng.CurrentProcName(); pn != "" {
-			ho.CommandEnqueued(pn, ev)
-		}
-	}
-	q.cmds.Put(&command{ev: ev, waits: append([]*Event(nil), waits...), run: run})
-	return ev, nil
+	cmd := q.ctx.newCommand(label, waits, run)
+	q.cmds.Put(cmd)
+	return cmd.ev, nil
 }
 
 // EnqueueMarker submits a no-op command whose event completes when all

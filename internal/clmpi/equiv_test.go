@@ -247,7 +247,7 @@ type linkEvent struct {
 // linkLog records every link occupancy of a run, in engine order.
 type linkLog struct{ evs []linkEvent }
 
-func (l *linkLog) LinkBusy(link string, bytes int64, start, end sim.Time) {
+func (l *linkLog) LinkBusy(link, _, _ string, bytes int64, start, end sim.Time) {
 	l.evs = append(l.evs, linkEvent{link, bytes, start, end})
 }
 

@@ -318,13 +318,13 @@ func (nd *Node) DeviceToHost(p *sim.Proc, n int64, kind HostMemKind) {
 // HostToDeviceOn charges a host→device copy on a specific GPU unit's PCIe
 // slot.
 func (nd *Node) HostToDeviceOn(u *GPUUnit, p *sim.Proc, n int64, kind HostMemKind) {
-	u.H2D.OccupyTagged(p, nd.PCIeTime(n, kind), "h2d."+kind.String(), n)
+	u.H2D.Occupy(p, nd.PCIeTime(n, kind), "h2d."+kind.String(), n)
 }
 
 // DeviceToHostOn charges a device→host copy on a specific GPU unit's PCIe
 // slot.
 func (nd *Node) DeviceToHostOn(u *GPUUnit, p *sim.Proc, n int64, kind HostMemKind) {
-	u.D2H.OccupyTagged(p, nd.PCIeTime(n, kind), "d2h."+kind.String(), n)
+	u.D2H.Occupy(p, nd.PCIeTime(n, kind), "d2h."+kind.String(), n)
 }
 
 // NetSendTime reports how long n bytes occupy the sender's NIC.

@@ -102,7 +102,7 @@ func TestNodesIndependentNICs(t *testing.T) {
 	d := c.Nodes[0].TX.SerializationTime(1 << 20)
 	for i := 0; i < 3; i++ {
 		nd := c.Nodes[i]
-		e.Spawn("tx", func(p *sim.Proc) { nd.TX.Transfer(p, 1<<20, 0) })
+		e.Spawn("tx", func(p *sim.Proc) { nd.TX.Occupy(p, nd.TX.SerializationTime(1<<20), "wire", 1<<20) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

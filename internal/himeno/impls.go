@@ -153,7 +153,7 @@ func (rk *rank) hostExchangeBoth(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm
 // lower bound). It records the split of compute vs communication time that
 // Fig. 9(a) annotates.
 func (rk *rank) runSerial(p *sim.Proc, comm *mpi.Comm, iters int) error {
-	q := rk.newQueue(fmt.Sprintf("serial.q%d", rk.ep.Rank()))
+	q := rk.ctx.NewQueue(fmt.Sprintf("serial.q%d", rk.ep.Rank()))
 	for it := 0; it < iters; it++ {
 		rk.markIter(p, it)
 		rk.gosa = 0
@@ -201,8 +201,8 @@ func (rk *rank) kernelRange(partA bool) (from, to int) {
 // exchange, but the host thread itself performs the exchange and therefore
 // blocks — the limitation Fig. 4(b) illustrates.
 func (rk *rank) runHandOpt(p *sim.Proc, comm *mpi.Comm, iters int) error {
-	qc := rk.newQueue(fmt.Sprintf("handopt.qc%d", rk.ep.Rank()))
-	qx := rk.newQueue(fmt.Sprintf("handopt.qx%d", rk.ep.Rank()))
+	qc := rk.ctx.NewQueue(fmt.Sprintf("handopt.qc%d", rk.ep.Rank()))
+	qx := rk.ctx.NewQueue(fmt.Sprintf("handopt.qx%d", rk.ep.Rank()))
 	firstDir, secondDir, firstA := rk.stageOrder()
 	for it := 0; it < iters; it++ {
 		rk.markIter(p, it)
@@ -243,9 +243,9 @@ func (rk *rank) runHandOpt(p *sim.Proc, comm *mpi.Comm, iters int) error {
 // once (§IV-B).
 func (rk *rank) runCLMPI(p *sim.Proc, comm *mpi.Comm, iters int) error {
 	me := rk.ep.Rank()
-	qc := rk.newQueue(fmt.Sprintf("clmpi.qc%d", me))
-	qs := rk.newQueue(fmt.Sprintf("clmpi.qs%d", me))
-	qr := rk.newQueue(fmt.Sprintf("clmpi.qr%d", me))
+	qc := rk.ctx.NewQueue(fmt.Sprintf("clmpi.qc%d", me))
+	qs := rk.ctx.NewQueue(fmt.Sprintf("clmpi.qs%d", me))
+	qr := rk.ctx.NewQueue(fmt.Sprintf("clmpi.qr%d", me))
 	firstDir, secondDir, firstA := rk.stageOrder()
 	pb := rk.size.planeBytes()
 
@@ -375,8 +375,8 @@ func (rk *rank) gpuAwareExchange(p *sim.Proc, qx *cl.CommandQueue, comm *mpi.Com
 // isolating the scheduling half of the paper's contribution from the
 // transfer-selection half.
 func (rk *rank) runGPUAware(p *sim.Proc, comm *mpi.Comm, iters int) error {
-	qc := rk.newQueue(fmt.Sprintf("gpuaware.qc%d", rk.ep.Rank()))
-	qx := rk.newQueue(fmt.Sprintf("gpuaware.qx%d", rk.ep.Rank()))
+	qc := rk.ctx.NewQueue(fmt.Sprintf("gpuaware.qc%d", rk.ep.Rank()))
+	qx := rk.ctx.NewQueue(fmt.Sprintf("gpuaware.qx%d", rk.ep.Rank()))
 	firstDir, secondDir, firstA := rk.stageOrder()
 	for it := 0; it < iters; it++ {
 		rk.markIter(p, it)

@@ -14,15 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// newQueue creates a command queue, attaching the tracer when present.
-func (rk *rank) newQueue(name string) *cl.CommandQueue {
-	q := rk.ctx.NewQueue(name)
-	if rk.trc != nil {
-		q.SetObserver(rk.trc.Observer(name))
-	}
-	return q
-}
-
 // markIter records an app-layer iteration boundary on the trace bus, the
 // anchor for per-iteration overlap metrics.
 func (rk *rank) markIter(p *sim.Proc, it int) {
@@ -322,7 +313,7 @@ func (rk *rank) initCheckpointer(every int, path string) error {
 		every: every,
 		path:  fmt.Sprintf("%s.rank%d", path, rk.ep.Rank()),
 		buf:   buf,
-		qio:   rk.newQueue(fmt.Sprintf("ckpt.q%d", rk.ep.Rank())),
+		qio:   rk.ctx.NewQueue(fmt.Sprintf("ckpt.q%d", rk.ep.Rank())),
 	}
 	return nil
 }

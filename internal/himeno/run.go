@@ -70,8 +70,8 @@ func Run(cfg Config) (*Result, error) {
 	world := mpi.NewWorld(clus)
 	fab := clmpi.New(world, cfg.Options)
 	if cfg.Trace != nil {
-		// Feed all three runtime layers (queues attach per-queue in
-		// newQueue) into the tracer's bus.
+		// Feed the cluster, MPI and fabric layers into the tracer's bus;
+		// each rank's context adds its queues below.
 		cfg.Trace.Instrument(clus, world, fab)
 	}
 

@@ -29,7 +29,7 @@ type mLinkEvent struct {
 
 type mLinkLog struct{ evs []mLinkEvent }
 
-func (l *mLinkLog) LinkBusy(link string, bytes int64, start, end sim.Time) {
+func (l *mLinkLog) LinkBusy(link, _, _ string, bytes int64, start, end sim.Time) {
 	l.evs = append(l.evs, mLinkEvent{link, bytes, start, end})
 }
 

@@ -27,8 +27,8 @@ func (ep *Endpoint) checkArgs(dest, tag int) error {
 // then wire serialization of n bytes.
 func chargeWire(l *sim.Link, pname string, n int64, start, end sim.Time, ov time.Duration) {
 	mid := start.Add(ov)
-	l.ChargeTagged("mpi.sw", pname, 0, start, mid)
-	l.ChargeTagged("wire", pname, n, mid, end)
+	l.Charge("mpi.sw", pname, 0, start, mid)
+	l.Charge("wire", pname, n, mid, end)
 }
 
 // wireXfer is the transport's one NIC occupancy, run as a coroutine-free

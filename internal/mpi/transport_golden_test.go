@@ -24,8 +24,8 @@ import (
 //     partitioned form prefixes each shard's stream with "shard <i>\n"),
 //     then "end <ns>\n";
 //   - links: "<link> <bytes> <start> <end>\n" for every LinkBusy charge on
-//     every node's TX and RX, seen through a plain LinkObserver (shard by
-//     shard in the partitioned form).
+//     every node's TX and RX, tag and process ignored (shard by shard in
+//     the partitioned form).
 var transportGolden = map[string]string{
 	"serial cichlid n=8 rich":    "ev=7740fc9d9ecdf22b links=2c992e8a232ae368",
 	"K=2 cichlid n=8 rich":       "ev=ca0af1cb856dc849 links=1abf6e4971456b3f",
@@ -62,10 +62,10 @@ var transportGolden = map[string]string{
 }
 
 // linkLines records every charge on the links it observes as one digest
-// line. It is a plain LinkObserver, so tagged charges arrive as LinkBusy.
+// line, ignoring the charge's tag and process.
 type linkLines struct{ lines []string }
 
-func (l *linkLines) LinkBusy(link string, bytes int64, start, end sim.Time) {
+func (l *linkLines) LinkBusy(link, _, _ string, bytes int64, start, end sim.Time) {
 	l.lines = append(l.lines, fmt.Sprintf("%s %d %d %d\n", link, bytes, start, end))
 }
 

@@ -68,15 +68,8 @@ func NewRecorder(rings, perRing int) *Recorder {
 	return r
 }
 
-// Rings reports the number of independent buffers.
-func (r *Recorder) Rings() int { return len(r.rings) }
-
 // Start reports the instant event timestamps are relative to.
 func (r *Recorder) Start() time.Time { return r.start }
-
-// NowNs reports the recorder's current timestamp (host nanoseconds since
-// Start, monotonic).
-func (r *Recorder) NowNs() int64 { return int64(time.Since(r.start)) }
 
 // packMeta folds kind, shard, and ch into one word.
 func packMeta(k Kind, shard, ch int16) int64 {

@@ -2,7 +2,8 @@ package serve
 
 import (
 	"container/list"
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,8 +16,9 @@ import (
 // are MarshalResult documents and must be treated as immutable by callers.
 //
 // The disk layer is write-through: Put persists before inserting in memory,
-// and a memory miss falls back to the directory, promoting what it finds
-// unless it is not valid JSON. Because results are deterministic, a stale
+// each entry followed by a sidecar holding the payload's sha256, and a
+// memory miss falls back to the directory, promoting what it finds only if
+// the payload matches its checksum. Because results are deterministic, a stale
 // or concurrently rewritten file can only ever contain the same bytes, so
 // there is no invalidation protocol — the one luxury of caching a pure
 // function.
@@ -55,8 +57,10 @@ func NewCache(capEntries int, dir string) (*Cache, error) {
 
 // Get returns the result for key, consulting memory then disk, and promotes
 // the entry to most-recently-used. The disk read runs outside c.mu, so a
-// slow disk never stalls memory hits. A file that is not valid JSON — a
-// truncated or torn entry — is a miss and is not promoted.
+// slow disk never stalls memory hits. An entry whose checksum is missing or
+// does not match — a truncated, torn or bit-flipped file — is a miss and is
+// not promoted; results are deterministic, so a miss costs only a
+// re-simulation.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -70,7 +74,10 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	data, err := os.ReadFile(c.path(key))
-	if err != nil || !json.Valid(data) {
+	if err != nil {
+		return nil, false
+	}
+	if sum, err := os.ReadFile(c.sumPath(key)); err != nil || string(sum) != checksum(data) {
 		return nil, false
 	}
 	c.mu.Lock()
@@ -92,21 +99,40 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 
 // Put stores a result, evicting the least-recently-used entries beyond
 // capacity. With a disk layer the write happens first, so an entry is never
-// memory-resident but unpersisted.
+// memory-resident but unpersisted; the checksum is written after the entry,
+// so a write cut short between the two leaves a miss, not a bad hit.
 func (c *Cache) Put(key string, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dir != "" {
-		tmp := c.path(key) + ".tmp"
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			return fmt.Errorf("serve: cache write: %w", err)
+		if err := writeFile(c.path(key), data); err != nil {
+			return err
 		}
-		if err := os.Rename(tmp, c.path(key)); err != nil {
-			return fmt.Errorf("serve: cache write: %w", err)
+		if err := writeFile(c.sumPath(key), []byte(checksum(data))); err != nil {
+			return err
 		}
 	}
 	c.insert(key, data)
 	return nil
+}
+
+// writeFile replaces path with data through a temporary file and a rename,
+// so readers see the old file or the new one, never a partial write.
+func writeFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return fmt.Errorf("serve: cache write: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("serve: cache write: %w", err)
+	}
+	return nil
+}
+
+// checksum is the hex sha256 a disk entry's sidecar holds.
+func checksum(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // insert adds or refreshes a memory entry and trims to capacity.
@@ -135,4 +161,9 @@ func (c *Cache) Len() int {
 // path maps a key to its disk file.
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
+}
+
+// sumPath maps a key to its checksum sidecar.
+func (c *Cache) sumPath(key string) string {
+	return filepath.Join(c.dir, key+".sha256")
 }

@@ -112,3 +112,29 @@ func TestCacheTruncatedEntryIsMiss(t *testing.T) {
 		t.Fatal("a miss evicted the resident entry")
 	}
 }
+
+// TestCacheCorruptEntryIsMiss: a persisted entry corrupted into different
+// but still valid JSON — one flipped digit — fails its checksum, so it is a
+// miss and is not promoted instead of being served as a cached result.
+func TestCacheCorruptEntryIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("k1", []byte(`{"points":[1,2,3]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("k2", []byte(`{"points":[4]}`)); err != nil { // evicts k1 from memory
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "k1.json"), []byte(`{"points":[1,7,3]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := c.Get("k1"); ok {
+		t.Fatalf("corrupt entry served as a hit: %q", data)
+	}
+	if _, ok := c.Peek("k1"); ok {
+		t.Fatal("corrupt entry promoted into memory")
+	}
+}

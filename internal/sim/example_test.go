@@ -49,7 +49,7 @@ func ExampleLink() {
 	link := sim.NewLink(eng, "nic", 100e6) // 100 MB/s
 	for i := 0; i < 2; i++ {
 		eng.Spawn("sender", func(p *sim.Proc) {
-			link.Transfer(p, 50e6, 0) // 50 MB → 500 ms each
+			link.Occupy(p, link.SerializationTime(50e6), "xfer", 50e6) // 50 MB → 500 ms each
 		})
 	}
 	eng.Run()

@@ -156,7 +156,7 @@ func TestPropLinkThroughputAdditive(t *testing.T) {
 		for _, s := range sizes {
 			n := int64(s)
 			total += l.SerializationTime(n)
-			e.Spawn("t", func(p *Proc) { l.Transfer(p, n, 0) })
+			e.Spawn("t", func(p *Proc) { l.Occupy(p, l.SerializationTime(n), "xfer", n) })
 		}
 		if err := e.Run(); err != nil {
 			return false

@@ -311,7 +311,8 @@ func TestLinkSerialization(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "net", 1e9) // 1 GB/s
 	e.Spawn("p", func(p *Proc) {
-		end := l.Transfer(p, 1<<20, 0) // 1 MiB
+		l.Occupy(p, l.SerializationTime(1<<20), "xfer", 1<<20) // 1 MiB
+		end := p.Now()
 		want := Time(time.Duration(float64(1<<20) / 1e9 * 1e9))
 		if end != want {
 			t.Errorf("transfer ended at %v, want %v", end, want)
@@ -326,7 +327,7 @@ func TestLinkContention(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "net", 1e6) // 1 MB/s: 1 ms per KB
 	for i := 0; i < 3; i++ {
-		e.Spawn("p", func(p *Proc) { l.Transfer(p, 1000, 0) })
+		e.Spawn("p", func(p *Proc) { l.Occupy(p, l.SerializationTime(1000), "xfer", 1000) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -334,17 +335,13 @@ func TestLinkContention(t *testing.T) {
 	if e.Now() != Time(3*time.Millisecond) {
 		t.Fatalf("3 contending transfers ended at %v, want 3ms", e.Now())
 	}
-	busy, moved := l.Stats()
-	if busy != 3*time.Millisecond || moved != 3000 {
-		t.Fatalf("stats busy=%v moved=%d", busy, moved)
-	}
 }
 
 func TestLinkZeroBandwidthInstant(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "infinite", 0)
 	e.Spawn("p", func(p *Proc) {
-		l.Transfer(p, 1<<30, 0)
+		l.Occupy(p, l.SerializationTime(1<<30), "xfer", 1<<30)
 		if p.Now() != 0 {
 			t.Errorf("infinite link took time: %v", p.Now())
 		}
@@ -358,7 +355,7 @@ func TestLinkExtraOverhead(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "net", 1e6)
 	e.Spawn("p", func(p *Proc) {
-		l.Transfer(p, 1000, 2*time.Millisecond)
+		l.Occupy(p, l.SerializationTime(1000)+2*time.Millisecond, "xfer", 1000)
 		if p.Now() != Time(3*time.Millisecond) {
 			t.Errorf("transfer with overhead ended at %v, want 3ms", p.Now())
 		}
@@ -371,8 +368,8 @@ func TestLinkExtraOverhead(t *testing.T) {
 func TestLinkOccupy(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, "net", 1e6)
-	e.Spawn("a", func(p *Proc) { l.Occupy(p, 2*time.Millisecond) })
-	e.Spawn("b", func(p *Proc) { l.Transfer(p, 1000, 0) })
+	e.Spawn("a", func(p *Proc) { l.Occupy(p, 2*time.Millisecond, "ctl", 0) })
+	e.Spawn("b", func(p *Proc) { l.Occupy(p, l.SerializationTime(1000), "xfer", 1000) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

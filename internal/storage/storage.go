@@ -63,7 +63,7 @@ func (d *Disk) WriteAt(p *sim.Proc, path string, offset int64, data []byte) erro
 	if offset < 0 {
 		return fmt.Errorf("%w: offset %d", ErrBadRange, offset)
 	}
-	d.link.Transfer(p, int64(len(data)), d.seek)
+	d.link.Occupy(p, d.TransferTime(int64(len(data))), "disk", int64(len(data)))
 	f := d.fs[path]
 	need := offset + int64(len(data))
 	if int64(len(f)) < need {
@@ -85,7 +85,7 @@ func (d *Disk) ReadAt(p *sim.Proc, path string, offset int64, buf []byte) error 
 	if offset < 0 || offset+int64(len(buf)) > int64(len(f)) {
 		return fmt.Errorf("%w: [%d,%d) of %q (%d bytes)", ErrBadRange, offset, offset+int64(len(buf)), path, len(f))
 	}
-	d.link.Transfer(p, int64(len(buf)), d.seek)
+	d.link.Occupy(p, d.TransferTime(int64(len(buf))), "disk", int64(len(buf)))
 	copy(buf, f[offset:])
 	return nil
 }

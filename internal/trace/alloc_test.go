@@ -9,7 +9,7 @@ import (
 )
 
 // runCmds drives one simulated queue through n no-op commands, optionally
-// fully instrumented (queue observer + host observer + cluster adapters),
+// fully instrumented (context observer + cluster adapters),
 // and returns nothing — the caller measures its allocations.
 func runCmds(tb testing.TB, n int, traced bool) {
 	e := sim.NewEngine()
@@ -20,7 +20,6 @@ func runCmds(tb testing.TB, n int, traced bool) {
 		tr := New()
 		tr.Instrument(c, nil, nil)
 		tr.InstrumentContext(ctx)
-		q.SetObserver(tr.Observer("q"))
 	}
 	e.Spawn("host", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {

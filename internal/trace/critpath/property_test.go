@@ -89,10 +89,7 @@ func randomTracedRun(t *testing.T, seed int64) *trace.Bus {
 		trc.InstrumentContext(ctx)
 		rt := fab.Attach(ctx, ep)
 		newQ := func(kind string) *cl.CommandQueue {
-			name := fmt.Sprintf("rand.%s%d", kind, me)
-			q := ctx.NewQueue(name)
-			q.SetObserver(trc.Observer(name))
-			return q
+			return ctx.NewQueue(fmt.Sprintf("rand.%s%d", kind, me))
 		}
 		qc, qs, qr := newQ("qc"), newQ("qs"), newQ("qr")
 		// The recv buffer must fit the *sender's* message sizes — a correct

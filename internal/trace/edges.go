@@ -5,7 +5,7 @@ import (
 )
 
 // edgeState is the shared bookkeeping behind causal-edge emission: every
-// adapter the tracer installs (queue observers, the link adapter, the
+// adapter the tracer installs (context observers, the link adapter, the
 // message adapter, the xfer stage/pipe observers) records what it has seen
 // here so later notifications can attach typed edges to earlier events.
 // Like the bus it relies on the DES single-runner property.

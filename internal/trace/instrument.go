@@ -13,7 +13,7 @@ import (
 // Instrument attaches the tracer's bus to every instrumentable layer of a
 // job: cluster links (NIC, PCIe, GPU compute units), the MPI message
 // protocol, and the extension fabric's strategy selection and transfer
-// pipelines. Command queues attach individually via Tracer.Observer. Any
+// pipelines. Command queues attach per context via InstrumentContext. Any
 // argument may be nil to skip that layer. Alongside spans the adapters emit
 // the typed causal edges the critical-path analyzer
 // (internal/trace/critpath) consumes; the metrics report is derived from
@@ -101,26 +101,15 @@ func (t *Tracer) stageSpan(sp xfer.Span) {
 	es.pendingMsg = es.pendingMsg[:0]
 }
 
-// linkAdapter feeds sim.Link occupancy into cluster-layer spans. Tagged
-// charges name the span after the resource class and register it for
-// EdgeCharge attribution to the span (command, stage hop, message) that
-// caused it.
+// linkAdapter feeds sim.Link occupancy into cluster-layer spans. Each span
+// is named after the charge's resource class and registered for EdgeCharge
+// attribution to the span (command, stage hop, message) that caused it.
 type linkAdapter struct {
 	b  *Bus
 	es *edgeState
 }
 
-func (a linkAdapter) LinkBusy(link string, bytes int64, start, end sim.Time) {
-	name := "busy"
-	var args []Arg
-	if bytes > 0 {
-		name = "xfer"
-		args = []Arg{AInt("bytes", bytes)}
-	}
-	a.b.Span(LayerCluster, link, name, start, end, args...)
-}
-
-func (a linkAdapter) LinkBusyTagged(link, tag, proc string, bytes int64, start, end sim.Time) {
+func (a linkAdapter) LinkBusy(link, tag, proc string, bytes int64, start, end sim.Time) {
 	var args []Arg
 	if bytes > 0 {
 		args = []Arg{AInt("bytes", bytes)}

@@ -27,15 +27,15 @@ type Span struct {
 	End   sim.Time
 }
 
-// Tracer is the command-queue view over a Bus: it adapts cl.Observer
-// notifications into cl-layer spans and renders them as the Fig. 4 ASCII
-// timelines. The other layers (MPI protocol, cluster links) record onto the
-// same bus via Instrument; the Chrome exporter and the metrics report see
-// all of them. Not safe for host-level concurrency, which is fine: simulation
-// processes run one at a time.
+// Tracer is the command-queue view over a Bus: installed on a context with
+// InstrumentContext it is the context's cl.Observer, recording every
+// command of every queue as a cl-layer span and rendering them as the
+// Fig. 4 ASCII timelines. The other layers (MPI protocol, cluster links)
+// record onto the same bus via Instrument; the Chrome exporter and the
+// metrics report see all of them. Not safe for host-level concurrency,
+// which is fine: simulation processes run one at a time.
 type Tracer struct {
 	bus   *Bus
-	open  map[string]Span // keyed by lane; queues run one command at a time
 	edges *edgeState
 }
 
@@ -43,17 +43,10 @@ type Tracer struct {
 func New() *Tracer { return OnBus(NewBus()) }
 
 // OnBus creates a tracer recording onto an existing bus.
-func OnBus(b *Bus) *Tracer {
-	return &Tracer{bus: b, open: make(map[string]Span), edges: newEdgeState()}
-}
+func OnBus(b *Bus) *Tracer { return &Tracer{bus: b, edges: newEdgeState()} }
 
 // Bus returns the underlying event bus.
 func (t *Tracer) Bus() *Bus { return t.bus }
-
-// Add records a completed queue span directly.
-func (t *Tracer) Add(lane, label string, start, end sim.Time) {
-	t.bus.Span(LayerCL, lane, label, start, end)
-}
 
 // Spans returns the recorded cl-layer spans in completion order.
 func (t *Tracer) Spans() []Span {
@@ -67,51 +60,44 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// queueObserver adapts a lane to cl.Observer.
-type queueObserver struct {
-	t    *Tracer
-	lane string
-}
+// InstrumentContext installs the tracer as the context's observer: every
+// command of every queue of the context, in-order or out-of-order, becomes
+// a span on a lane named after its queue, and host program order (which
+// process enqueued each command, and after which observed completion) is
+// recorded as EdgeHost edges. Without the latter, command chains
+// serialized only by the application thread — Fig. 6's "enqueue
+// everything, clFinish once" pattern — would appear causally disconnected.
+func (t *Tracer) InstrumentContext(c *cl.Context) { c.SetObserver(t) }
 
-// Observer returns a cl.Observer that records each command executed by the
-// observed queue as a span on the given lane.
-func (t *Tracer) Observer(lane string) cl.Observer { return &queueObserver{t: t, lane: lane} }
-
-func (o *queueObserver) CommandStarted(_ *cl.CommandQueue, label string, at sim.Time) {
-	o.t.open[o.lane] = Span{Lane: o.lane, Label: label, Start: at}
-}
-
-func (o *queueObserver) CommandFinished(_ *cl.CommandQueue, label string, at sim.Time) {
-	sp, ok := o.t.open[o.lane]
-	if !ok || sp.Label != label {
-		sp = Span{Lane: o.lane, Label: label, Start: at}
+// CommandEnqueued implements cl.Observer: remember, for the command's
+// eventual span, the last completion its enqueuing process observed.
+func (t *Tracer) CommandEnqueued(proc string, ev *cl.Event) {
+	if dep, ok := t.edges.lastHostNode[proc]; ok {
+		t.edges.enqDep[ev] = dep
 	}
-	delete(o.t.open, o.lane)
-	sp.End = at
-	o.t.bus.Span(LayerCL, sp.Lane, sp.Label, sp.Start, sp.End)
 }
 
-// CommandCompleted implements cl.CausalObserver: it runs right after
-// CommandFinished recorded the command's span (and before the command's
-// event fires any dependents) and attaches the span's causal edges —
-// in-order queue serialization, wait-list dependencies, resource charges
-// made by the worker, and transfer pipelines the command ran.
-func (o *queueObserver) CommandCompleted(q *cl.CommandQueue, ev *cl.Event, waits []*cl.Event, proc string) {
-	es := o.t.edges
-	b := o.t.bus
-	id := EventID(len(b.events) - 1) // the span CommandFinished just recorded
+// CommandDone implements cl.Observer: it records the command's span, from
+// its event's start stamp to end, and attaches the span's causal edges —
+// host program order, in-order queue serialization, wait-list
+// dependencies, resource charges made by the worker, and transfer
+// pipelines the command ran. It runs before the command's event fires any
+// dependents.
+func (t *Tracer) CommandDone(lane string, inOrder bool, ev *cl.Event, waits []*cl.Event, proc string, end sim.Time) {
+	es, b := t.edges, t.bus
+	id := b.Span(LayerCL, lane, ev.Label(), ev.StartedAt, end)
 	es.evmap[ev] = id
 	if dep, ok := es.enqDep[ev]; ok {
 		delete(es.enqDep, ev)
 		b.Edge(EdgeHost, dep, id)
 	}
-	if q != nil {
-		// In-order queues serialize commands; out-of-order queues (nil q)
-		// order only through wait lists and barriers.
-		if prev, ok := es.lastCmdByLane[o.lane]; ok {
+	if inOrder {
+		// In-order queues serialize commands; out-of-order queues order
+		// only through wait lists and barriers.
+		if prev, ok := es.lastCmdByLane[lane]; ok {
 			b.Edge(EdgeQueue, prev, id)
 		}
-		es.lastCmdByLane[o.lane] = id
+		es.lastCmdByLane[lane] = id
 	}
 	es.lastCmdByProc[proc] = id
 	for _, w := range waits {
@@ -122,7 +108,7 @@ func (o *queueObserver) CommandCompleted(q *cl.CommandQueue, ev *cl.Event, waits
 		if !ok {
 			// External dependency (user event, bridged MPI request): give
 			// it a completion instant so the edge has a graph node.
-			wid = b.Instant(LayerCL, o.lane, "ev "+w.Label(), w.FinishedAt)
+			wid = b.Instant(LayerCL, lane, "ev "+w.Label(), w.FinishedAt)
 			es.evmap[w] = wid
 		}
 		b.Edge(EdgeWait, wid, id)
@@ -136,22 +122,7 @@ func (o *queueObserver) CommandCompleted(q *cl.CommandQueue, ev *cl.Event, waits
 	es.pendingPipe = es.pendingPipe[:0]
 }
 
-// InstrumentContext installs the tracer as the context's host observer, so
-// host program order (which process enqueued each command, and after which
-// observed completion) is recorded as EdgeHost edges. Without it, command
-// chains serialized only by the application thread — Fig. 6's "enqueue
-// everything, clFinish once" pattern — appear causally disconnected.
-func (t *Tracer) InstrumentContext(c *cl.Context) { c.SetHostObserver(t) }
-
-// CommandEnqueued implements cl.HostObserver: remember, for the command's
-// eventual span, the last completion its enqueuing process observed.
-func (t *Tracer) CommandEnqueued(proc string, ev *cl.Event) {
-	if dep, ok := t.edges.lastHostNode[proc]; ok {
-		t.edges.enqDep[ev] = dep
-	}
-}
-
-// WaitReturned implements cl.HostObserver: a process that returns from
+// WaitReturned implements cl.Observer: a process that returns from
 // Event.Wait has observed that event's completion; subsequent commands it
 // enqueues are in host program order after it.
 func (t *Tracer) WaitReturned(proc string, ev *cl.Event) {

@@ -12,8 +12,8 @@ import (
 
 func TestAddAndSpans(t *testing.T) {
 	tr := New()
-	tr.Add("lane", "kernel x", 0, sim.Time(time.Millisecond))
-	tr.Add("lane", "read b", sim.Time(time.Millisecond), sim.Time(2*time.Millisecond))
+	tr.Bus().Span(LayerCL, "lane", "kernel x", 0, sim.Time(time.Millisecond))
+	tr.Bus().Span(LayerCL, "lane", "read b", sim.Time(time.Millisecond), sim.Time(2*time.Millisecond))
 	sp := tr.Spans()
 	if len(sp) != 2 || sp[0].Label != "kernel x" || sp[1].End != sim.Time(2*time.Millisecond) {
 		t.Fatalf("spans = %+v", sp)
@@ -35,13 +35,13 @@ func TestRenderEmpty(t *testing.T) {
 func TestRenderGlyphs(t *testing.T) {
 	tr := New()
 	ms := func(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
-	tr.Add("q0", "kernel jacobi", ms(0), ms(4))
-	tr.Add("q0", "clmpi.send x", ms(4), ms(6))
-	tr.Add("q1", "clmpi.recv y", ms(0), ms(2))
-	tr.Add("q1", "write buf", ms(2), ms(3))
-	tr.Add("q1", "pack(li=1)", ms(3), ms(4))
-	tr.Add("q1", "marker", ms(4), ms(5)) // invisible
-	tr.Add("q1", "mystery", ms(5), ms(6))
+	tr.Bus().Span(LayerCL, "q0", "kernel jacobi", ms(0), ms(4))
+	tr.Bus().Span(LayerCL, "q0", "clmpi.send x", ms(4), ms(6))
+	tr.Bus().Span(LayerCL, "q1", "clmpi.recv y", ms(0), ms(2))
+	tr.Bus().Span(LayerCL, "q1", "write buf", ms(2), ms(3))
+	tr.Bus().Span(LayerCL, "q1", "pack(li=1)", ms(3), ms(4))
+	tr.Bus().Span(LayerCL, "q1", "marker", ms(4), ms(5)) // invisible
+	tr.Bus().Span(LayerCL, "q1", "mystery", ms(5), ms(6))
 	out := tr.Render(60)
 	for _, want := range []string{"K", "S", "R", "D", "P", "o", "legend"} {
 		if !strings.Contains(out, want) {
@@ -57,8 +57,8 @@ func TestRenderGlyphs(t *testing.T) {
 
 func TestRenderProportions(t *testing.T) {
 	tr := New()
-	tr.Add("q", "kernel k", 0, sim.Time(50*time.Millisecond))
-	tr.Add("q", "read r", sim.Time(50*time.Millisecond), sim.Time(100*time.Millisecond))
+	tr.Bus().Span(LayerCL, "q", "kernel k", 0, sim.Time(50*time.Millisecond))
+	tr.Bus().Span(LayerCL, "q", "read r", sim.Time(50*time.Millisecond), sim.Time(100*time.Millisecond))
 	out := tr.Render(100)
 	ks := strings.Count(out, "K")
 	ds := strings.Count(out, "D")
@@ -73,9 +73,9 @@ func TestObserverIntegration(t *testing.T) {
 	e := sim.NewEngine()
 	c := cluster.New(e, cluster.Cichlid(), 1)
 	ctx := cl.NewContext(cl.NewDevice(e, c.Nodes[0]), "ctx")
-	q := ctx.NewQueue("q")
+	q := ctx.NewQueue("lane0")
 	tr := New()
-	q.SetObserver(tr.Observer("lane0"))
+	tr.InstrumentContext(ctx)
 	k := &cl.Kernel{Name: "busy", Cost: func([]any) time.Duration { return 5 * time.Millisecond }}
 	e.Spawn("host", func(p *sim.Proc) {
 		if _, err := q.EnqueueNDRangeKernel(k, nil, nil); err != nil {
@@ -103,8 +103,8 @@ func TestObserverIntegration(t *testing.T) {
 
 func TestSpanZeroWidthStillVisible(t *testing.T) {
 	tr := New()
-	tr.Add("q", "kernel k", sim.Time(time.Millisecond), sim.Time(time.Millisecond))
-	tr.Add("q", "pad", 0, sim.Time(100*time.Millisecond))
+	tr.Bus().Span(LayerCL, "q", "kernel k", sim.Time(time.Millisecond), sim.Time(time.Millisecond))
+	tr.Bus().Span(LayerCL, "q", "pad", 0, sim.Time(100*time.Millisecond))
 	out := tr.Render(50)
 	if !strings.Contains(out, "K") {
 		t.Fatalf("zero-width span invisible:\n%s", out)
@@ -114,8 +114,8 @@ func TestSpanZeroWidthStillVisible(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	tr := New()
 	ms := func(n int) sim.Time { return sim.Time(time.Duration(n) * time.Millisecond) }
-	tr.Add("busy", "kernel k", ms(0), ms(10))
-	tr.Add("half", "kernel k", ms(0), ms(5))
+	tr.Bus().Span(LayerCL, "busy", "kernel k", ms(0), ms(10))
+	tr.Bus().Span(LayerCL, "half", "kernel k", ms(0), ms(5))
 	out := tr.Utilization()
 	if !strings.Contains(out, "busy") || !strings.Contains(out, "100.0%") {
 		t.Fatalf("utilization missing full lane:\n%s", out)
