@@ -3,6 +3,7 @@ package cl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -17,6 +18,16 @@ func testRig(t *testing.T) (*sim.Engine, *Context) {
 	c := cluster.New(e, cluster.Cichlid(), 1)
 	dev := NewDevice(e, c.Nodes[0])
 	return e, NewContext(dev, "test")
+}
+
+// queueModes builds a queue of either execution mode, for the tests that
+// hold for both.
+var queueModes = []struct {
+	name string
+	mk   func(*Context, string) *CommandQueue
+}{
+	{"in-order", (*Context).NewQueue},
+	{"out-of-order", (*Context).NewOutOfOrderQueue},
 }
 
 // run executes body as the host process and fails the test on sim errors.
@@ -232,21 +243,25 @@ func TestKernelsSerializeOnDevice(t *testing.T) {
 }
 
 func TestKernelValidation(t *testing.T) {
-	_, ctx := testRig(t)
-	q := ctx.NewQueue("q0")
-	if _, err := q.EnqueueNDRangeKernel(nil, nil, nil); !errors.Is(err, ErrInvalidKernel) {
-		t.Errorf("nil kernel: %v", err)
-	}
-	if _, err := q.EnqueueNDRangeKernel(&Kernel{Name: "none"}, nil, nil); !errors.Is(err, ErrInvalidKernel) {
-		t.Errorf("no cost model: %v", err)
-	}
-	both := &Kernel{
-		Name:  "both",
-		FLOPs: func([]any) float64 { return 1 },
-		Cost:  func([]any) time.Duration { return 1 },
-	}
-	if _, err := q.EnqueueNDRangeKernel(both, nil, nil); !errors.Is(err, ErrInvalidKernel) {
-		t.Errorf("both cost models: %v", err)
+	for _, m := range queueModes {
+		t.Run(m.name, func(t *testing.T) {
+			_, ctx := testRig(t)
+			q := m.mk(ctx, "q0")
+			if _, err := q.EnqueueNDRangeKernel(nil, nil, nil); !errors.Is(err, ErrInvalidKernel) {
+				t.Errorf("nil kernel: %v", err)
+			}
+			if _, err := q.EnqueueNDRangeKernel(&Kernel{Name: "none"}, nil, nil); !errors.Is(err, ErrInvalidKernel) {
+				t.Errorf("no cost model: %v", err)
+			}
+			both := &Kernel{
+				Name:  "both",
+				FLOPs: func([]any) float64 { return 1 },
+				Cost:  func([]any) time.Duration { return 1 },
+			}
+			if _, err := q.EnqueueNDRangeKernel(both, nil, nil); !errors.Is(err, ErrInvalidKernel) {
+				t.Errorf("both cost models: %v", err)
+			}
+		})
 	}
 }
 
@@ -279,19 +294,23 @@ func TestUserEventGatesCommand(t *testing.T) {
 }
 
 func TestUserEventErrorPropagates(t *testing.T) {
-	e, ctx := testRig(t)
-	q := ctx.NewQueue("q0")
-	user := ctx.CreateUserEvent("bad")
-	k := &Kernel{Name: "victim", Cost: func([]any) time.Duration { return time.Millisecond }}
-	bang := errors.New("bang")
-	run(t, e, func(p *sim.Proc) {
-		ev, _ := q.EnqueueNDRangeKernel(k, nil, []*Event{user})
-		user.SetStatus(bang)
-		err := ev.Wait(p)
-		if !errors.Is(err, ErrExecStatusError) {
-			t.Errorf("dependent command error = %v, want ErrExecStatusError", err)
-		}
-	})
+	for _, m := range queueModes {
+		t.Run(m.name, func(t *testing.T) {
+			e, ctx := testRig(t)
+			q := m.mk(ctx, "q0")
+			user := ctx.CreateUserEvent("bad")
+			k := &Kernel{Name: "victim", Cost: func([]any) time.Duration { return time.Millisecond }}
+			bang := errors.New("bang")
+			run(t, e, func(p *sim.Proc) {
+				ev, _ := q.EnqueueNDRangeKernel(k, nil, []*Event{user})
+				user.SetStatus(bang)
+				err := ev.Wait(p)
+				if !errors.Is(err, ErrExecStatusError) {
+					t.Errorf("dependent command error = %v, want ErrExecStatusError", err)
+				}
+			})
+		})
+	}
 }
 
 func TestSetStatusMisuse(t *testing.T) {
@@ -432,15 +451,74 @@ func TestFinishDrainsQueue(t *testing.T) {
 }
 
 func TestShutdownRejectsEnqueues(t *testing.T) {
-	e, ctx := testRig(t)
-	q := ctx.NewQueue("q0")
-	run(t, e, func(p *sim.Proc) {
-		q.Shutdown()
-		q.Shutdown() // idempotent
-		if _, err := q.EnqueueMarker(nil); !errors.Is(err, ErrQueueShutDown) {
-			t.Errorf("enqueue after shutdown: %v", err)
+	for _, m := range queueModes {
+		t.Run(m.name, func(t *testing.T) {
+			e, ctx := testRig(t)
+			q := m.mk(ctx, "q0")
+			run(t, e, func(p *sim.Proc) {
+				q.Shutdown()
+				q.Shutdown() // idempotent
+				if _, err := q.EnqueueMarker(nil); !errors.Is(err, ErrQueueShutDown) {
+					t.Errorf("enqueue after shutdown: %v", err)
+				}
+			})
+		})
+	}
+}
+
+func TestFinishIdempotentAndEmpty(t *testing.T) {
+	for _, m := range queueModes {
+		t.Run(m.name, func(t *testing.T) {
+			e, ctx := testRig(t)
+			q := m.mk(ctx, "q0")
+			run(t, e, func(p *sim.Proc) {
+				if err := q.Finish(p); err != nil {
+					t.Errorf("empty finish: %v", err)
+				}
+				q.Enqueue("x", nil, func(*sim.Proc) error { return nil })
+				for i := 0; i < 3; i++ {
+					if err := q.Finish(p); err != nil {
+						t.Errorf("finish %d: %v", i, err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestFinishReturnsCommandError: Finish reports the first error of any
+// command that completed on the queue since the previous Finish, whether
+// the command was still running when Finish was called or had already
+// completed, and the next Finish starts clean.
+func TestFinishReturnsCommandError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, m := range queueModes {
+		for _, waitFirst := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/completed=%v", m.name, waitFirst), func(t *testing.T) {
+				e, ctx := testRig(t)
+				q := m.mk(ctx, "q0")
+				run(t, e, func(p *sim.Proc) {
+					ev, err := q.Enqueue("bad", nil, func(wp *sim.Proc) error {
+						wp.Sleep(time.Millisecond)
+						return boom
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					q.Enqueue("good", nil, func(*sim.Proc) error { return nil })
+					if waitFirst {
+						ev.Wait(p)
+					}
+					if err := q.Finish(p); !errors.Is(err, boom) {
+						t.Errorf("finish = %v, want boom", err)
+					}
+					if err := q.Finish(p); err != nil {
+						t.Errorf("second finish = %v, want nil", err)
+					}
+				})
+			})
 		}
-	})
+	}
 }
 
 func TestProfilingTimestampsOrdered(t *testing.T) {
@@ -548,6 +626,8 @@ func TestEventChainDepth(t *testing.T) {
 	}
 }
 
+// TestFinishAllDrainsEveryQueue finishes two queues of one device: their
+// kernels overlap in launch but serialize on the single GPU.
 func TestFinishAllDrainsEveryQueue(t *testing.T) {
 	e, ctx := testRig(t)
 	q1 := ctx.NewQueue("q1")
@@ -556,19 +636,16 @@ func TestFinishAllDrainsEveryQueue(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		q1.EnqueueNDRangeKernel(k, nil, nil)
 		q2.EnqueueNDRangeKernel(k, nil, nil)
-		if err := ctx.FinishAll(p); err != nil {
-			t.Errorf("finish all: %v", err)
+		for _, q := range []*CommandQueue{q1, q2} {
+			if err := q.Finish(p); err != nil {
+				t.Errorf("finish %s: %v", q.Label(), err)
+			}
 		}
 		// The two launches overlap (separate queue workers) but the
 		// kernels serialize on the single GPU: launch + 2 × 3ms.
 		launch := ctx.Device.Node.Sys.GPU.KernelLaunch
 		if p.Now() != sim.Time(6*time.Millisecond+launch) {
-			t.Errorf("FinishAll returned at %v", p.Now())
-		}
-		// A shut-down queue is skipped, not an error.
-		q1.Shutdown()
-		if err := ctx.FinishAll(p); err != nil {
-			t.Errorf("finish all after shutdown: %v", err)
+			t.Errorf("both queues drained at %v", p.Now())
 		}
 	})
 }

@@ -60,9 +60,6 @@ type Context struct {
 	Device *Device
 	label  string
 
-	queues   []*CommandQueue
-	released bool
-
 	// obs, when set, hears every command of every queue of the context and
 	// every host-thread wait on its events.
 	obs Observer

@@ -25,22 +25,21 @@ func TestPropRandomDAGRespectsDependencies(t *testing.T) {
 		c := cluster.New(e, cluster.RICC(), 1)
 		ctx := NewContext(NewDevice(e, c.Nodes[0]), "dag")
 
+		// One to three in-order queues, then up to one out-of-order one.
 		nInOrder := rng.Intn(3) + 1
-		nOOO := rng.Intn(2)
-		var inQs []*CommandQueue
-		var oooQs []*OOQueue
-		for i := 0; i < nInOrder; i++ {
-			inQs = append(inQs, ctx.NewQueue(fmt.Sprintf("q%d", i)))
+		qs := []*CommandQueue{ctx.NewQueue("q0")}
+		for i := 1; i < nInOrder; i++ {
+			qs = append(qs, ctx.NewQueue(fmt.Sprintf("q%d", i)))
 		}
-		for i := 0; i < nOOO; i++ {
-			oooQs = append(oooQs, ctx.NewOutOfOrderQueue(fmt.Sprintf("o%d", i)))
+		if rng.Intn(2) == 1 {
+			qs = append(qs, ctx.NewOutOfOrderQueue("o0"))
 		}
 
 		nCmds := rng.Intn(24) + 4
 		type rec struct {
 			ev    *Event
 			waits []*Event
-			queue int // >= 0: in-order queue index; -1: OOO
+			q     *CommandQueue
 		}
 		var recs []*rec
 		ok := true
@@ -58,31 +57,19 @@ func TestPropRandomDAGRespectsDependencies(t *testing.T) {
 					wp.Sleep(d)
 					return nil
 				}
-				var ev *Event
-				var err error
-				qi := -1
-				if len(oooQs) > 0 && rng.Intn(3) == 0 {
-					ev, err = oooQs[rng.Intn(len(oooQs))].Enqueue(fmt.Sprintf("c%d", i), waits, run)
-				} else {
-					qi = rng.Intn(len(inQs))
-					ev, err = inQs[qi].Enqueue(fmt.Sprintf("c%d", i), waits, run)
-				}
+				q := qs[rng.Intn(len(qs))]
+				ev, err := q.Enqueue(fmt.Sprintf("c%d", i), waits, run)
 				if err != nil {
 					ok = false
 					return
 				}
-				recs = append(recs, &rec{ev: ev, waits: waits, queue: qi})
+				recs = append(recs, &rec{ev: ev, waits: waits, q: q})
 				if rng.Intn(3) == 0 {
 					p.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
 				}
 			}
 			// Drain everything.
-			for _, q := range inQs {
-				if err := q.Finish(p); err != nil {
-					ok = false
-				}
-			}
-			for _, q := range oooQs {
+			for _, q := range qs {
 				if err := q.Finish(p); err != nil {
 					ok = false
 				}
@@ -103,15 +90,15 @@ func TestPropRandomDAGRespectsDependencies(t *testing.T) {
 			}
 		}
 		// Invariant 2: per in-order queue, start times follow enqueue order.
-		last := map[int]sim.Time{}
+		last := map[*CommandQueue]sim.Time{}
 		for _, r := range recs {
-			if r.queue < 0 {
+			if r.q.outOfOrder {
 				continue
 			}
-			if r.ev.StartedAt < last[r.queue] {
+			if r.ev.StartedAt < last[r.q] {
 				return false
 			}
-			last[r.queue] = r.ev.StartedAt
+			last[r.q] = r.ev.StartedAt
 		}
 		return true
 	}

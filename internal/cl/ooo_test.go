@@ -1,7 +1,6 @@
 package cl
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -111,7 +110,7 @@ func TestOOOMarkerWaitsPrior(t *testing.T) {
 			wp.Sleep(7 * time.Millisecond)
 			return nil
 		})
-		mev, err := q.EnqueueMarker()
+		mev, err := q.EnqueueMarker(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,55 +119,6 @@ func TestOOOMarkerWaitsPrior(t *testing.T) {
 		}
 		if p.Now() != sim.Time(7*time.Millisecond) {
 			t.Errorf("marker completed at %v", p.Now())
-		}
-	})
-}
-
-func TestOOODependencyErrorPropagates(t *testing.T) {
-	e, ctx := testRig(t)
-	q := ctx.NewOutOfOrderQueue("ooo")
-	user := ctx.CreateUserEvent("bad")
-	bang := errors.New("bang")
-	run(t, e, func(p *sim.Proc) {
-		ev, _ := q.Enqueue("victim", []*Event{user}, func(*sim.Proc) error { return nil })
-		user.SetStatus(bang)
-		if err := ev.Wait(p); !errors.Is(err, ErrExecStatusError) {
-			t.Errorf("dependent error = %v", err)
-		}
-	})
-}
-
-func TestOOOShutdown(t *testing.T) {
-	e, ctx := testRig(t)
-	q := ctx.NewOutOfOrderQueue("ooo")
-	run(t, e, func(p *sim.Proc) {
-		q.Shutdown()
-		if _, err := q.Enqueue("x", nil, func(*sim.Proc) error { return nil }); !errors.Is(err, ErrQueueShutDown) {
-			t.Errorf("enqueue after shutdown: %v", err)
-		}
-	})
-}
-
-func TestOOOKernelValidation(t *testing.T) {
-	_, ctx := testRig(t)
-	q := ctx.NewOutOfOrderQueue("ooo")
-	if _, err := q.EnqueueNDRangeKernel(nil, nil, nil); !errors.Is(err, ErrInvalidKernel) {
-		t.Errorf("nil kernel: %v", err)
-	}
-}
-
-func TestOOOFinishIdempotentAndEmpty(t *testing.T) {
-	e, ctx := testRig(t)
-	q := ctx.NewOutOfOrderQueue("ooo")
-	run(t, e, func(p *sim.Proc) {
-		if err := q.Finish(p); err != nil {
-			t.Errorf("empty finish: %v", err)
-		}
-		q.Enqueue("x", nil, func(*sim.Proc) error { return nil })
-		for i := 0; i < 3; i++ {
-			if err := q.Finish(p); err != nil {
-				t.Errorf("finish %d: %v", i, err)
-			}
 		}
 	})
 }

@@ -54,33 +54,43 @@ func pattern(n int64, seed byte) []byte {
 	return b
 }
 
+// TestDeviceToDeviceRoundtrip sends a device buffer window between two
+// ranks with every one-shot and pipelined strategy, from in-order queues
+// and (the "ooo-" cases) from out-of-order ones.
 func TestDeviceToDeviceRoundtrip(t *testing.T) {
-	for _, st := range []Strategy{Pinned, Mapped, Pipelined} {
-		for _, size := range []int64{1, 4096, 1 << 20, 3<<20 + 12345} {
-			st, size := st, size
-			t.Run(fmt.Sprintf("%v/%d", st, size), func(t *testing.T) {
-				r := newRig(t, cluster.RICC(), 2, Options{Strategy: st, PipelineBlock: 1 << 20})
-				want := pattern(size, 5)
-				var got []byte
-				r.run(t, func(p *sim.Proc, rank int) {
-					q := r.ctxs[rank].NewQueue(fmt.Sprintf("q%d", rank))
-					buf := r.ctxs[rank].MustCreateBuffer("buf", size+64)
-					if rank == 0 {
-						copy(buf.Bytes()[32:], want)
-						if _, err := r.rts[0].EnqueueSendBuffer(p, q, buf, true, 32, size, 1, 0, r.w.Comm(), nil); err != nil {
-							t.Errorf("send: %v", err)
+	for _, mode := range []struct {
+		prefix string
+		mk     func(*cl.Context, string) *cl.CommandQueue
+	}{
+		{"", (*cl.Context).NewQueue},
+		{"ooo-", (*cl.Context).NewOutOfOrderQueue},
+	} {
+		for _, st := range []Strategy{Pinned, Mapped, Pipelined} {
+			for _, size := range []int64{1, 4096, 1 << 20, 3<<20 + 12345} {
+				t.Run(fmt.Sprintf("%s%v/%d", mode.prefix, st, size), func(t *testing.T) {
+					r := newRig(t, cluster.RICC(), 2, Options{Strategy: st, PipelineBlock: 1 << 20})
+					want := pattern(size, 5)
+					var got []byte
+					r.run(t, func(p *sim.Proc, rank int) {
+						q := mode.mk(r.ctxs[rank], fmt.Sprintf("q%d", rank))
+						buf := r.ctxs[rank].MustCreateBuffer("buf", size+64)
+						if rank == 0 {
+							copy(buf.Bytes()[32:], want)
+							if _, err := r.rts[0].EnqueueSendBuffer(p, q, buf, true, 32, size, 1, 0, r.w.Comm(), nil); err != nil {
+								t.Errorf("send: %v", err)
+							}
+						} else {
+							if _, err := r.rts[1].EnqueueRecvBuffer(p, q, buf, true, 16, size, 0, 0, r.w.Comm(), nil); err != nil {
+								t.Errorf("recv: %v", err)
+							}
+							got = append([]byte(nil), buf.Bytes()[16:16+size]...)
 						}
-					} else {
-						if _, err := r.rts[1].EnqueueRecvBuffer(p, q, buf, true, 16, size, 0, 0, r.w.Comm(), nil); err != nil {
-							t.Errorf("recv: %v", err)
-						}
-						got = append([]byte(nil), buf.Bytes()[16:16+size]...)
+					})
+					if !bytes.Equal(got, want) {
+						t.Fatal("payload corrupted in transit")
 					}
 				})
-				if !bytes.Equal(got, want) {
-					t.Fatal("payload corrupted in transit")
-				}
-			})
+			}
 		}
 	}
 }

@@ -96,9 +96,15 @@ func TestFileReadMissingFails(t *testing.T) {
 		if !errors.Is(err, storage.ErrNotFound) {
 			t.Errorf("missing file: %v", err)
 		}
-		// The queue must stay usable after a failed command.
-		if err := q.Finish(p); err != nil {
+		// Finish reports the failed command once; the queue stays usable.
+		if err := q.Finish(p); !errors.Is(err, storage.ErrNotFound) {
 			t.Errorf("finish after failure: %v", err)
+		}
+		if _, err := q.EnqueueMarker(nil); err != nil {
+			t.Errorf("enqueue after failure: %v", err)
+		}
+		if err := q.Finish(p); err != nil {
+			t.Errorf("finish after reported failure: %v", err)
 		}
 	})
 }

@@ -4,10 +4,20 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"sort"
+	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // gridDigest is the first 8 bytes of sha256 over each value's IEEE bits,
 // little-endian, in grid order.
@@ -40,4 +50,72 @@ func TestReferenceGolden(t *testing.T) {
 			t.Errorf("mode %d: gosa bits %s, want %s", tc.mode, got, tc.gosaBits)
 		}
 	}
+}
+
+// TestScheduleGolden pins the virtual time of every implementation on both
+// presets at 1, 2 and 4 nodes: the loop's Elapsed, the engine's end time,
+// the residual's bits, and a digest of the cluster links' occupancy log.
+// Command labels are deliberately left out, so renaming a command does not
+// move the gate; any change to when or how long a link is busy does.
+// Regenerate with `go test ./internal/himeno -run TestScheduleGolden -update`
+// and review the diff line by line.
+func TestScheduleGolden(t *testing.T) {
+	const path = "testdata/schedules.txt"
+	var b strings.Builder
+	for _, im := range []Impl{Serial, HandOpt, CLMPI, GPUAware, CLMPIOutOfOrder} {
+		for _, sys := range []cluster.System{cluster.Cichlid(), cluster.RICC()} {
+			for _, nodes := range []int{1, 2, 4} {
+				b.WriteString(scheduleLine(t, im, sys, nodes))
+			}
+		}
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("schedule golden mismatch (rerun with -update if intended)\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// scheduleLine runs one XS, two-iteration configuration and formats its
+// golden line.
+func scheduleLine(t *testing.T, im Impl, sys cluster.System, nodes int) string {
+	t.Helper()
+	eng := sim.NewEngine()
+	trc := trace.New()
+	res, err := run(eng, Config{System: sys, Nodes: nodes, Size: SizeXS, Iters: 2, Impl: im, Trace: trc})
+	if err != nil {
+		t.Fatalf("%v %s %d nodes: %v", im, sys.Name, nodes, err)
+	}
+	var occ []string
+	for _, ev := range trc.Bus().Events() {
+		if ev.Layer != trace.LayerCluster {
+			continue
+		}
+		bytes := "0"
+		for _, a := range ev.Args {
+			if a.Key == "bytes" {
+				bytes = a.Val
+			}
+		}
+		occ = append(occ, fmt.Sprintf("%s\t%s\t%d\t%d\t%s\n", ev.Lane, ev.Name, int64(ev.Start), int64(ev.End), bytes))
+	}
+	// Sorted, so the digest pins the set of occupancy intervals rather
+	// than the order in which simultaneous charges were recorded.
+	sort.Strings(occ)
+	h := sha256.New()
+	for _, l := range occ {
+		h.Write([]byte(l))
+	}
+	return fmt.Sprintf("%s %s %d elapsed=%d end=%d gosa=%016x links=%d %s\n",
+		im, sys.Name, nodes, res.Elapsed.Nanoseconds(), int64(eng.Now()),
+		math.Float64bits(res.Gosa), len(occ), hex.EncodeToString(h.Sum(nil)[:8]))
 }

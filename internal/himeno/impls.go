@@ -1,9 +1,7 @@
 package himeno
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/bytepool"
 	"repro/internal/cl"
@@ -28,111 +26,68 @@ func (rk *rank) exchangeSpec(dir direction) (peer, sendLi, ghostLi, sendTag, rec
 	return rk.downRank(), rk.own, rk.own + 1, tagDown, tagUp, rk.sendHi, rk.recvHi
 }
 
-// hostExchange performs one direction's halo exchange entirely from the host
-// thread, blocking at each step — the conventional joint-programming pattern
-// of Fig. 1: pack, blocking read (through freshly pinned staging), MPI,
-// blocking write, unpack. arr is the array whose halo is exchanged (p or
-// wrk, depending on the stage). A missing neighbour makes it a no-op.
-func (rk *rank) hostExchange(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm, arr []float32, dir direction) error {
-	peer, sendLi, ghostLi, sendTag, recvTag, sendBuf, recvBuf := rk.exchangeSpec(dir)
-	if peer < 0 {
-		return nil
-	}
-	s := rk.size
+// hostExchange performs the halo exchanges of arr for dirs entirely from
+// the host thread, blocking at each step — the conventional
+// joint-programming pattern of Fig. 1: pack, blocking read (through freshly
+// pinned staging), MPI, blocking write, unpack. arr is the array whose halo
+// is exchanged (p or wrk, depending on the stage). Every direction's MPI
+// operations are posted before any is waited for, which avoids the O(ranks)
+// wave a direction-at-a-time schedule would create — this is how the
+// original Himeno MPI code is written. A direction without a neighbour is
+// skipped, and with none left the call is a no-op.
+func (rk *rank) hostExchange(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm, arr []float32, dirs ...direction) error {
 	g := rk.ep.Node().Sys.GPU
-	pb := s.planeBytes()
-	// Staging planes are transient: recycled across timesteps (and across
-	// sweep points) through the shared byte pool. Both are fully overwritten
-	// (read-back / message delivery) before they are read.
-	hostSend := bytepool.Get(int(pb))
-	hostRecv := bytepool.Get(int(pb))
-
-	if _, err := rk.enqueuePack(q, arr, sendLi, sendBuf, nil); err != nil {
-		return err
-	}
-	// Footnote 1 of the paper: pinned host buffers come from map-based
-	// allocation, so a fresh staging buffer costs a registration.
-	p.Sleep(g.PinSetup)
-	if _, err := q.EnqueueReadBuffer(p, sendBuf, true, 0, pb, hostSend, cluster.Pinned, nil); err != nil {
-		return err
-	}
-	sreq, err := rk.ep.Isend(p, hostSend, peer, sendTag, mpi.Bytes, comm)
-	if err != nil {
-		return err
-	}
-	rreq, err := rk.ep.Irecv(p, hostRecv, peer, recvTag, mpi.Bytes, comm)
-	if err != nil {
-		return err
-	}
-	if err := mpi.Waitall(p, sreq, rreq); err != nil {
-		return err
-	}
-	p.Sleep(g.PinSetup)
-	if _, err := q.EnqueueWriteBuffer(p, recvBuf, true, 0, pb, hostRecv, cluster.Pinned, nil); err != nil {
-		return err
-	}
-	if _, err := rk.enqueueUnpack(q, arr, ghostLi, recvBuf, nil); err != nil {
-		return err
-	}
-	if err := q.Finish(p); err != nil {
-		return err
-	}
-	// Every consumer is done: the send is complete (Waitall) and the write
-	// command has copied hostRecv into the device buffer (blocking enqueue).
-	bytepool.Put(hostSend)
-	bytepool.Put(hostRecv)
-	return nil
-}
-
-// hostExchangeBoth exchanges both halos of arr at once: pack and read both
-// outgoing planes, post all four MPI operations, wait, write and unpack both
-// ghosts. Posting every request before waiting avoids the O(ranks) wave a
-// direction-at-a-time schedule would create — this is how the original
-// Himeno MPI code is written.
-func (rk *rank) hostExchangeBoth(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm, arr []float32) error {
-	s := rk.size
-	g := rk.ep.Node().Sys.GPU
-	pb := s.planeBytes()
-	var reqs []*mpi.Request
+	pb := rk.size.planeBytes()
+	// incoming is one live direction's ghost plane and its pooled staging
+	// planes. Staging is transient: recycled across timesteps (and across
+	// sweep points) through the shared byte pool; both planes are fully
+	// overwritten (read-back / message delivery) before they are read.
 	type incoming struct {
-		ghostLi int
-		buf     *cl.Buffer
-		host    []byte
+		ghostLi    int
+		buf        *cl.Buffer
+		send, recv []byte
 	}
-	var ins []incoming
-	var staged [][]byte // pooled staging planes, recycled on success
-	for _, dir := range []direction{dirUp, dirDown} {
+	var (
+		ins  [2]incoming
+		reqs [4]*mpi.Request
+		n    int
+	)
+	for _, dir := range dirs {
 		peer, sendLi, ghostLi, sendTag, recvTag, sendBuf, recvBuf := rk.exchangeSpec(dir)
 		if peer < 0 {
 			continue
 		}
-		hostSend := bytepool.Get(int(pb))
-		hostRecv := bytepool.Get(int(pb))
-		staged = append(staged, hostSend, hostRecv)
+		in := incoming{ghostLi, recvBuf, bytepool.Get(int(pb)), bytepool.Get(int(pb))}
 		if _, err := rk.enqueuePack(q, arr, sendLi, sendBuf, nil); err != nil {
 			return err
 		}
+		// Footnote 1 of the paper: pinned host buffers come from map-based
+		// allocation, so a fresh staging buffer costs a registration.
 		p.Sleep(g.PinSetup)
-		if _, err := q.EnqueueReadBuffer(p, sendBuf, true, 0, pb, hostSend, cluster.Pinned, nil); err != nil {
+		if _, err := q.EnqueueReadBuffer(p, sendBuf, true, 0, pb, in.send, cluster.Pinned, nil); err != nil {
 			return err
 		}
-		sreq, err := rk.ep.Isend(p, hostSend, peer, sendTag, mpi.Bytes, comm)
+		sreq, err := rk.ep.Isend(p, in.send, peer, sendTag, mpi.Bytes, comm)
 		if err != nil {
 			return err
 		}
-		rreq, err := rk.ep.Irecv(p, hostRecv, peer, recvTag, mpi.Bytes, comm)
+		rreq, err := rk.ep.Irecv(p, in.recv, peer, recvTag, mpi.Bytes, comm)
 		if err != nil {
 			return err
 		}
-		reqs = append(reqs, sreq, rreq)
-		ins = append(ins, incoming{ghostLi, recvBuf, hostRecv})
+		reqs[2*n], reqs[2*n+1] = sreq, rreq
+		ins[n] = in
+		n++
 	}
-	if err := mpi.Waitall(p, reqs...); err != nil {
+	if n == 0 {
+		return nil
+	}
+	if err := mpi.Waitall(p, reqs[:2*n]...); err != nil {
 		return err
 	}
-	for _, in := range ins {
+	for _, in := range ins[:n] {
 		p.Sleep(g.PinSetup)
-		if _, err := q.EnqueueWriteBuffer(p, in.buf, true, 0, pb, in.host, cluster.Pinned, nil); err != nil {
+		if _, err := q.EnqueueWriteBuffer(p, in.buf, true, 0, pb, in.recv, cluster.Pinned, nil); err != nil {
 			return err
 		}
 		if _, err := rk.enqueueUnpack(q, arr, in.ghostLi, in.buf, nil); err != nil {
@@ -142,8 +97,12 @@ func (rk *rank) hostExchangeBoth(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm
 	if err := q.Finish(p); err != nil {
 		return err
 	}
-	for _, b := range staged {
-		bytepool.Put(b)
+	// Every consumer is done: the sends are complete (Waitall) and the
+	// write commands have copied the received planes into the device
+	// buffers (blocking enqueue).
+	for _, in := range ins[:n] {
+		bytepool.Put(in.send)
+		bytepool.Put(in.recv)
 	}
 	return nil
 }
@@ -169,7 +128,7 @@ func (rk *rank) runSerial(p *sim.Proc, comm *mpi.Comm, iters int) error {
 		rk.p, rk.wrk = rk.wrk, rk.p
 
 		t1 := p.Now()
-		if err := rk.hostExchangeBoth(p, q, comm, rk.p); err != nil {
+		if err := rk.hostExchange(p, q, comm, rk.p, dirUp, dirDown); err != nil {
 			return err
 		}
 		rk.commTime += p.Now().Sub(t1)
@@ -196,13 +155,21 @@ func (rk *rank) kernelRange(partA bool) (from, to int) {
 	return 1 + rk.half, rk.own + 1
 }
 
-// runHandOpt is the hand-optimized two-queue implementation of Fig. 2: each
+// runTwoStage is the hand-optimized two-queue schedule of Fig. 2: each
 // stage overlaps one half-domain's kernel with the other half's halo
 // exchange, but the host thread itself performs the exchange and therefore
-// blocks — the limitation Fig. 4(b) illustrates.
-func (rk *rank) runHandOpt(p *sim.Proc, comm *mpi.Comm, iters int) error {
-	qc := rk.ctx.NewQueue(fmt.Sprintf("handopt.qc%d", rk.ep.Rank()))
-	qx := rk.ctx.NewQueue(fmt.Sprintf("handopt.qx%d", rk.ep.Rank()))
+// blocks — the limitation Fig. 4(b) illustrates. exchange performs one
+// direction's exchange on the exchange queue, and prefix names the queues.
+// HandOpt exchanges through host staging (hostExchange); GPUAware through
+// GPU-aware MPI (gpuAwareExchange), which removes the staging inefficiency
+// (the library picks the same optimized implementation the clMPI runtime
+// would) but still serializes the two communication stages against the
+// device — isolating the scheduling half of the paper's contribution from
+// the transfer-selection half.
+func (rk *rank) runTwoStage(p *sim.Proc, comm *mpi.Comm, iters int, prefix string,
+	exchange func(p *sim.Proc, qx *cl.CommandQueue, comm *mpi.Comm, arr []float32, dir direction) error) error {
+	qc := rk.ctx.NewQueue(fmt.Sprintf("%s.qc%d", prefix, rk.ep.Rank()))
+	qx := rk.ctx.NewQueue(fmt.Sprintf("%s.qx%d", prefix, rk.ep.Rank()))
 	firstDir, secondDir, firstA := rk.stageOrder()
 	for it := 0; it < iters; it++ {
 		rk.markIter(p, it)
@@ -213,7 +180,7 @@ func (rk *rank) runHandOpt(p *sim.Proc, comm *mpi.Comm, iters int) error {
 		if _, err := qc.EnqueueNDRangeKernel(rk.jacobiKernel("jacobi1", rk.p, rk.wrk, f1, t1), nil, nil); err != nil {
 			return err
 		}
-		if err := rk.hostExchange(p, qx, comm, rk.p, firstDir); err != nil {
+		if err := exchange(p, qx, comm, rk.p, firstDir); err != nil {
 			return err
 		}
 		if err := qc.Finish(p); err != nil {
@@ -225,7 +192,7 @@ func (rk *rank) runHandOpt(p *sim.Proc, comm *mpi.Comm, iters int) error {
 		if _, err := qc.EnqueueNDRangeKernel(rk.jacobiKernel("jacobi2", rk.p, rk.wrk, f2, t2), nil, nil); err != nil {
 			return err
 		}
-		if err := rk.hostExchange(p, qx, comm, rk.wrk, secondDir); err != nil {
+		if err := exchange(p, qx, comm, rk.wrk, secondDir); err != nil {
 			return err
 		}
 		if err := qc.Finish(p); err != nil {
@@ -237,7 +204,7 @@ func (rk *rank) runHandOpt(p *sim.Proc, comm *mpi.Comm, iters int) error {
 }
 
 // runCLMPI is the extension-based implementation of Fig. 6: the same
-// dataflow as runHandOpt, but every operation — kernels, packs, sends,
+// dataflow as runTwoStage, but every operation — kernels, packs, sends,
 // receives, unpacks — is an enqueued command whose ordering is enforced by
 // events. The host thread enqueues the whole iteration and calls clFinish
 // once (§IV-B).
@@ -368,44 +335,6 @@ func (rk *rank) gpuAwareExchange(p *sim.Proc, qx *cl.CommandQueue, comm *mpi.Com
 	return qx.Finish(p)
 }
 
-// runGPUAware is the hand-optimized schedule with GPU-aware MPI transfers:
-// the staging inefficiency of runHandOpt disappears (the library picks the
-// same optimized implementation the clMPI runtime would), but the host
-// thread still serializes the two communication stages against the device —
-// isolating the scheduling half of the paper's contribution from the
-// transfer-selection half.
-func (rk *rank) runGPUAware(p *sim.Proc, comm *mpi.Comm, iters int) error {
-	qc := rk.ctx.NewQueue(fmt.Sprintf("gpuaware.qc%d", rk.ep.Rank()))
-	qx := rk.ctx.NewQueue(fmt.Sprintf("gpuaware.qx%d", rk.ep.Rank()))
-	firstDir, secondDir, firstA := rk.stageOrder()
-	for it := 0; it < iters; it++ {
-		rk.markIter(p, it)
-		rk.gosa = 0
-		f1, t1 := rk.kernelRange(firstA)
-		if _, err := qc.EnqueueNDRangeKernel(rk.jacobiKernel("jacobi1", rk.p, rk.wrk, f1, t1), nil, nil); err != nil {
-			return err
-		}
-		if err := rk.gpuAwareExchange(p, qx, comm, rk.p, firstDir); err != nil {
-			return err
-		}
-		if err := qc.Finish(p); err != nil {
-			return err
-		}
-		f2, t2 := rk.kernelRange(!firstA)
-		if _, err := qc.EnqueueNDRangeKernel(rk.jacobiKernel("jacobi2", rk.p, rk.wrk, f2, t2), nil, nil); err != nil {
-			return err
-		}
-		if err := rk.gpuAwareExchange(p, qx, comm, rk.wrk, secondDir); err != nil {
-			return err
-		}
-		if err := qc.Finish(p); err != nil {
-			return err
-		}
-		rk.p, rk.wrk = rk.wrk, rk.p
-	}
-	return nil
-}
-
 // runCLMPIOutOfOrder expresses the Fig. 6 dataflow on a single out-of-order
 // command queue per rank instead of three in-order queues: every kernel,
 // pack, unpack, and communication command carries its dependencies as
@@ -418,47 +347,9 @@ func (rk *rank) runCLMPIOutOfOrder(p *sim.Proc, comm *mpi.Comm, iters int) error
 	firstDir, secondDir, firstA := rk.stageOrder()
 	pb := rk.size.planeBytes()
 
-	// Out-of-order pack/unpack and comm command helpers on q.
-	pack := func(src []float32, li int, buf *cl.Buffer, waits []*cl.Event) (*cl.Event, error) {
-		s := rk.size
-		cost := rk.planeKernelCost()
-		return q.Enqueue(fmt.Sprintf("pack(li=%d)", li), waits, func(wp *sim.Proc) error {
-			wp.Sleep(cost)
-			out := buf.Bytes()
-			base := li * s.J * s.K
-			for x := 0; x < s.J*s.K; x++ {
-				binary.LittleEndian.PutUint32(out[x*4:], math.Float32bits(src[base+x]))
-			}
-			return nil
-		})
-	}
-	unpack := func(dst []float32, li int, buf *cl.Buffer, waits []*cl.Event) (*cl.Event, error) {
-		s := rk.size
-		cost := rk.planeKernelCost()
-		return q.Enqueue(fmt.Sprintf("unpack(li=%d)", li), waits, func(wp *sim.Proc) error {
-			wp.Sleep(cost)
-			in := buf.Bytes()
-			base := li * s.J * s.K
-			for x := 0; x < s.J*s.K; x++ {
-				dst[base+x] = math.Float32frombits(binary.LittleEndian.Uint32(in[x*4:]))
-			}
-			return nil
-		})
-	}
-	send := func(buf *cl.Buffer, peer, tag int, waits []*cl.Event) (*cl.Event, error) {
-		return q.Enqueue(fmt.Sprintf("clmpi.send ooo->%d", peer), waits, func(wp *sim.Proc) error {
-			return rk.rt.SendDeviceBuffer(wp, buf, 0, pb, peer, tag, comm)
-		})
-	}
-	recv := func(buf *cl.Buffer, peer, tag int, waits []*cl.Event) (*cl.Event, error) {
-		return q.Enqueue(fmt.Sprintf("clmpi.recv ooo<-%d", peer), waits, func(wp *sim.Proc) error {
-			return rk.rt.RecvDeviceBuffer(wp, buf, 0, pb, peer, tag, comm)
-		})
-	}
-
-	// prevK2: the previous iteration's second kernel; both kernels of an
-	// iteration read the arrays the previous iteration finalized, so they
-	// wait for it explicitly (the in-order variants get this for free).
+	// prevIter: the previous iteration's completion marker; both kernels
+	// of an iteration read the arrays the previous iteration finalized, so
+	// they wait for it explicitly (the in-order variants get this for free).
 	var prevIter *cl.Event
 	for it := 0; it < iters; it++ {
 		rk.markIter(p, it)
@@ -475,19 +366,19 @@ func (rk *rank) runCLMPIOutOfOrder(p *sim.Proc, comm *mpi.Comm, iters int) error
 		// First-stage exchange on p.
 		var evUnpack1 *cl.Event
 		if peer, sendLi, ghostLi, sendTag, recvTag, sendBuf, recvBuf := rk.exchangeSpec(firstDir); peer >= 0 {
-			evPack, err := pack(rk.p, sendLi, sendBuf, dep())
+			evPack, err := rk.enqueuePack(q, rk.p, sendLi, sendBuf, dep())
 			if err != nil {
 				return err
 			}
-			evSend, err := send(sendBuf, peer, sendTag, []*cl.Event{evPack})
+			evSend, err := rk.rt.EnqueueSendBuffer(p, q, sendBuf, false, 0, pb, peer, sendTag, comm, []*cl.Event{evPack})
 			if err != nil {
 				return err
 			}
-			evRecv, err := recv(recvBuf, peer, recvTag, dep())
+			evRecv, err := rk.rt.EnqueueRecvBuffer(p, q, recvBuf, false, 0, pb, peer, recvTag, comm, dep())
 			if err != nil {
 				return err
 			}
-			if evUnpack1, err = unpack(rk.p, ghostLi, recvBuf, []*cl.Event{evRecv}); err != nil {
+			if evUnpack1, err = rk.enqueueUnpack(q, rk.p, ghostLi, recvBuf, []*cl.Event{evRecv}); err != nil {
 				return err
 			}
 			iterEvents = append(iterEvents, evSend, evUnpack1)
@@ -511,19 +402,19 @@ func (rk *rank) runCLMPIOutOfOrder(p *sim.Proc, comm *mpi.Comm, iters int) error
 
 		// Second-stage exchange on wrk.
 		if peer, sendLi, ghostLi, sendTag, recvTag, sendBuf, recvBuf := rk.exchangeSpec(secondDir); peer >= 0 {
-			evPack, err := pack(rk.wrk, sendLi, sendBuf, []*cl.Event{evK1})
+			evPack, err := rk.enqueuePack(q, rk.wrk, sendLi, sendBuf, []*cl.Event{evK1})
 			if err != nil {
 				return err
 			}
-			evSend, err := send(sendBuf, peer, sendTag, []*cl.Event{evPack})
+			evSend, err := rk.rt.EnqueueSendBuffer(p, q, sendBuf, false, 0, pb, peer, sendTag, comm, []*cl.Event{evPack})
 			if err != nil {
 				return err
 			}
-			evRecv, err := recv(recvBuf, peer, recvTag, dep())
+			evRecv, err := rk.rt.EnqueueRecvBuffer(p, q, recvBuf, false, 0, pb, peer, recvTag, comm, dep())
 			if err != nil {
 				return err
 			}
-			evUnpack2, err := unpack(rk.wrk, ghostLi, recvBuf, []*cl.Event{evRecv})
+			evUnpack2, err := rk.enqueueUnpack(q, rk.wrk, ghostLi, recvBuf, []*cl.Event{evRecv})
 			if err != nil {
 				return err
 			}

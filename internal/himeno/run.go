@@ -58,14 +58,16 @@ type Result struct {
 
 // Run executes one configuration on a fresh simulated cluster and returns
 // the measured result.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(sim.NewEngine(), cfg) }
+
+// run executes cfg on eng, which must be fresh.
+func run(eng *sim.Engine, cfg Config) (*Result, error) {
 	if cfg.Iters <= 0 {
 		return nil, fmt.Errorf("himeno: iterations must be positive, got %d", cfg.Iters)
 	}
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("himeno: need at least one node")
 	}
-	eng := sim.NewEngine()
 	clus := cluster.New(eng, cfg.System, cfg.Nodes)
 	world := mpi.NewWorld(clus)
 	fab := clmpi.New(world, cfg.Options)
@@ -123,11 +125,14 @@ func Run(cfg Config) (*Result, error) {
 		case Serial:
 			err = rk.runSerial(p, world.Comm(), cfg.Iters)
 		case HandOpt:
-			err = rk.runHandOpt(p, world.Comm(), cfg.Iters)
+			err = rk.runTwoStage(p, world.Comm(), cfg.Iters, "handopt",
+				func(p *sim.Proc, qx *cl.CommandQueue, comm *mpi.Comm, arr []float32, dir direction) error {
+					return rk.hostExchange(p, qx, comm, arr, dir)
+				})
 		case CLMPI:
 			err = rk.runCLMPI(p, world.Comm(), cfg.Iters)
 		case GPUAware:
-			err = rk.runGPUAware(p, world.Comm(), cfg.Iters)
+			err = rk.runTwoStage(p, world.Comm(), cfg.Iters, "gpuaware", rk.gpuAwareExchange)
 		case CLMPIOutOfOrder:
 			err = rk.runCLMPIOutOfOrder(p, world.Comm(), cfg.Iters)
 		default:
