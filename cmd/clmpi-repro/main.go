@@ -91,12 +91,7 @@ func main() {
 	for _, sys := range sweepSystems {
 		section(fmt.Sprintf("Figure 9(%s) — Himeno %s sustained performance, %s (%d iterations)",
 			panelLabel(sys.Name), himenoSize.Name, sys.Name, himenoIters))
-		nodes := bench.Fig9Nodes(sys)
-		if *quick && sys.MaxNodes > 32 {
-			nodes = []int{1, 2, 4, 8, 16, 32} // the S grid cannot feed 64 ranks
-		}
-		impls := []himeno.Impl{himeno.Serial, himeno.HandOpt, himeno.CLMPI}
-		points, err := bench.Fig9Sweep(sys, himenoSize, himenoIters, impls, nodes)
+		points, err := bench.Fig9(sys, himenoSize, himenoIters)
 		check(err)
 		headers, rows := bench.Fig9Table(points)
 		fmt.Print(bench.FormatTable(headers, rows))

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,16 +100,35 @@ func TestFig8Structure(t *testing.T) {
 	}
 }
 
+// TestFig9NodesFitSize: the node sweep keeps only the counts the size can
+// split into two interior planes per rank.
+func TestFig9NodesFitSize(t *testing.T) {
+	for _, tc := range []struct {
+		sys  cluster.System
+		size himeno.Size
+		want []int
+	}{
+		{cluster.Cichlid(), himeno.SizeXS, []int{1, 2, 4}},
+		{cluster.RICC(), himeno.SizeXS, []int{1, 2, 4, 8, 16}},
+		{cluster.RICC(), himeno.SizeS, []int{1, 2, 4, 8, 16, 32}},
+		{cluster.RICC(), himeno.SizeM, []int{1, 2, 4, 8, 16, 32, 64}},
+	} {
+		if got := Fig9Nodes(tc.sys, tc.size); !slices.Equal(got, tc.want) {
+			t.Errorf("Fig9Nodes(%s, %s) = %v, want %v", tc.sys.Name, tc.size.Name, got, tc.want)
+		}
+	}
+}
+
 func TestFig9SmallRun(t *testing.T) {
 	pts, err := Fig9(cluster.Cichlid(), himeno.SizeXS, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3*len(Fig9Nodes(cluster.Cichlid())) {
+	if len(pts) != 3*len(Fig9Nodes(cluster.Cichlid(), himeno.SizeXS)) {
 		t.Fatalf("points = %d", len(pts))
 	}
 	headers, rows := Fig9Table(pts)
-	if len(rows) != len(Fig9Nodes(cluster.Cichlid())) || len(headers) != 6 {
+	if len(rows) != len(Fig9Nodes(cluster.Cichlid(), himeno.SizeXS)) || len(headers) != 6 {
 		t.Fatalf("table %dx%d", len(rows), len(headers))
 	}
 	// Serial rows carry a ratio, single-node reports ∞.

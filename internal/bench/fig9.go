@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/himeno"
@@ -21,13 +22,15 @@ type Fig9Point struct {
 	Ratio float64
 }
 
-// Fig9Nodes returns the node-count sweep for a system: 1–4 on Cichlid,
-// powers of two to 64 on RICC.
-func Fig9Nodes(sys cluster.System) []int {
+// Fig9Nodes returns the node-count sweep for a system and problem size:
+// 1–4 on Cichlid, powers of two to 64 on RICC, without the counts the size
+// cannot split (above size.MaxNodes()).
+func Fig9Nodes(sys cluster.System, size himeno.Size) []int {
+	all := []int{1, 2, 4, 8, 16, 32, 64}
 	if sys.MaxNodes <= 4 {
-		return []int{1, 2, 4}
+		all = all[:3]
 	}
-	return []int{1, 2, 4, 8, 16, 32, 64}
+	return slices.DeleteFunc(all, func(n int) bool { return n > size.MaxNodes() })
 }
 
 // Fig9 measures the Himeno sustained performance of the paper's three
@@ -39,7 +42,7 @@ func Fig9(sys cluster.System, size himeno.Size, iters int) ([]Fig9Point, error) 
 // Fig9With is Fig9 over an arbitrary implementation set (e.g. including the
 // §II GPU-aware comparison and the out-of-order variant).
 func Fig9With(sys cluster.System, size himeno.Size, iters int, impls []himeno.Impl) ([]Fig9Point, error) {
-	return Fig9Sweep(sys, size, iters, impls, Fig9Nodes(sys))
+	return Fig9Sweep(sys, size, iters, impls, Fig9Nodes(sys, size))
 }
 
 // Fig9Sweep is the fully parameterized form: arbitrary implementations and

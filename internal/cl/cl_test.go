@@ -466,6 +466,37 @@ func TestShutdownRejectsEnqueues(t *testing.T) {
 	}
 }
 
+// TestFinishAfterShutdownDrains: Finish on a shut-down queue waits for the
+// commands enqueued before the shutdown and reports their error, in either
+// mode.
+func TestFinishAfterShutdownDrains(t *testing.T) {
+	boom := errors.New("boom")
+	for _, m := range queueModes {
+		for _, want := range []error{nil, boom} {
+			t.Run(fmt.Sprintf("%s/err=%v", m.name, want), func(t *testing.T) {
+				e, ctx := testRig(t)
+				q := m.mk(ctx, "q0")
+				run(t, e, func(p *sim.Proc) {
+					ev, err := q.Enqueue("slow", nil, func(wp *sim.Proc) error {
+						wp.Sleep(time.Millisecond)
+						return want
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					q.Shutdown()
+					if err := q.Finish(p); err != want {
+						t.Errorf("finish = %v, want %v", err, want)
+					}
+					if ev.Status() != Complete || p.Now() != sim.Time(time.Millisecond) {
+						t.Errorf("finish returned at %v with the command %v, want drained at 1ms", p.Now(), ev.Status())
+					}
+				})
+			})
+		}
+	}
+}
+
 func TestFinishIdempotentAndEmpty(t *testing.T) {
 	for _, m := range queueModes {
 		t.Run(m.name, func(t *testing.T) {

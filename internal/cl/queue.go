@@ -41,8 +41,10 @@ type CommandQueue struct {
 	// err is the first error of a command completed since the last Finish.
 	err error
 
-	// cmds feeds the in-order worker.
+	// cmds feeds the in-order worker; last is the event of the command
+	// most recently put to it.
 	cmds *sim.Queue[*command]
+	last *Event
 
 	// Out-of-order bookkeeping. seq numbers the worker processes;
 	// barrier, when non-nil, is implicitly appended to the wait list of
@@ -133,6 +135,7 @@ func (q *CommandQueue) Enqueue(label string, waits []*Event, run func(p *sim.Pro
 	cmd := &command{ev: ev, waits: append([]*Event(nil), waits...), run: run}
 	if !q.outOfOrder {
 		q.cmds.Put(cmd)
+		q.last = ev
 		return ev, nil
 	}
 	if q.barrier != nil {
@@ -186,13 +189,20 @@ func (q *CommandQueue) EnqueueBarrier() (*Event, error) {
 // Finish blocks the calling process until every command enqueued so far has
 // completed, like clFinish. It returns the first error of any command that
 // completed on the queue since the previous Finish; each command's error is
-// also reported on its own event.
+// also reported on its own event. A queue that was shut down still drains.
 func (q *CommandQueue) Finish(p *sim.Proc) error {
 	// The waits' own errors are dropped: execute has recorded every
 	// command error in q.err.
-	if q.outOfOrder {
+	switch {
+	case q.outOfOrder:
 		_ = WaitForEvents(p, q.pending()...)
-	} else {
+	case q.released:
+		// A shut-down queue takes no marker, but its commands run one at
+		// a time: the last one completing drains it.
+		if q.last != nil {
+			_ = q.last.Wait(p)
+		}
+	default:
 		ev, err := q.EnqueueMarker(nil)
 		if err != nil {
 			return err

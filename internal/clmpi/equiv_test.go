@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bytepool"
 	"repro/internal/cl"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -446,7 +447,7 @@ func clmemScenario(t *testing.T, sys cluster.System, opts Options, size int64, u
 			if useLegacy {
 				sreq, err = legacyIsendCLMem(fab, p, ep, out, 1, 3, world.Comm())
 			} else {
-				sreq, err = fab.IsendCLMem(p, ep, out, 1, 3, world.Comm())
+				sreq, err = fab.IsendCLMem(p, ep, bytepool.Host(out), 1, 3, world.Comm())
 			}
 			if err != nil {
 				t.Errorf("isend: %v", err)
@@ -458,7 +459,7 @@ func clmemScenario(t *testing.T, sys cluster.System, opts Options, size int64, u
 			if useLegacy {
 				rreq, err = legacyIrecvCLMem(fab, p, ep, back, mpi.AnySource, 4, world.Comm())
 			} else {
-				rreq, err = fab.IrecvCLMem(p, ep, back, mpi.AnySource, 4, world.Comm())
+				rreq, err = fab.IrecvCLMem(p, ep, bytepool.Host(back), mpi.AnySource, 4, world.Comm())
 			}
 			if err != nil {
 				t.Errorf("irecv: %v", err)

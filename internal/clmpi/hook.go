@@ -3,6 +3,7 @@ package clmpi
 import (
 	"fmt"
 
+	"repro/internal/bytepool"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/xfer"
@@ -27,8 +28,8 @@ func (f *Fabric) hookLane(kind string, rank int) string {
 // IsendCLMem sends a host buffer to a remote communicator device. The
 // returned request completes when the transport has accepted all chunks
 // (the host buffer is then reusable).
-func (f *Fabric) IsendCLMem(p *sim.Proc, ep *mpi.Endpoint, buf []byte, dest, tag int, comm *mpi.Comm) (*mpi.Request, error) {
-	pl := f.plan(int64(len(buf)), ep.Node().Sys)
+func (f *Fabric) IsendCLMem(p *sim.Proc, ep *mpi.Endpoint, buf bytepool.Seg, dest, tag int, comm *mpi.Comm) (*mpi.Request, error) {
+	pl := f.plan(int64(buf.Len()), ep.Node().Sys)
 	req, complete := mpi.NewUserRequest(ep.World(), fmt.Sprintf("isend(CL_MEM) %d->%d tag %d", ep.Rank(), dest, tag))
 	lane := f.hookLane("clmem.send", ep.Rank())
 	p.Spawn(fmt.Sprintf("clmem.send.rank%d", ep.Rank()), func(sp *sim.Proc) {
@@ -36,7 +37,12 @@ func (f *Fabric) IsendCLMem(p *sim.Proc, ep *mpi.Endpoint, buf []byte, dest, tag
 			Label: lane,
 			Wins:  xfer.Windows(pl.chunks, 0),
 			Stages: []xfer.Stage{{Name: "wire.send", Run: func(q *sim.Proc, w xfer.Window) error {
-				return ep.Send(q, buf[w.Off:w.Off+w.N], dest, tag, wireDatatype, comm)
+				req, err := ep.IsendSeg(q, buf.Slice(int(w.Off), int(w.N)), dest, tag, wireDatatype, comm)
+				if err != nil {
+					return err
+				}
+				_, err = req.Wait(q)
+				return err
 			}}},
 			Observer: f.stageObs,
 		}
@@ -47,8 +53,8 @@ func (f *Fabric) IsendCLMem(p *sim.Proc, ep *mpi.Endpoint, buf []byte, dest, tag
 
 // IrecvCLMem receives into a host buffer from a remote communicator device.
 // The returned request completes when all chunks have been reassembled.
-func (f *Fabric) IrecvCLMem(p *sim.Proc, ep *mpi.Endpoint, buf []byte, src, tag int, comm *mpi.Comm) (*mpi.Request, error) {
-	pl := f.plan(int64(len(buf)), ep.Node().Sys)
+func (f *Fabric) IrecvCLMem(p *sim.Proc, ep *mpi.Endpoint, buf bytepool.Seg, src, tag int, comm *mpi.Comm) (*mpi.Request, error) {
+	pl := f.plan(int64(buf.Len()), ep.Node().Sys)
 	req, complete := mpi.NewUserRequest(ep.World(), fmt.Sprintf("irecv(CL_MEM) %d<-%d tag %d", ep.Rank(), src, tag))
 	lane := f.hookLane("clmem.recv", ep.Rank())
 	p.Spawn(fmt.Sprintf("clmem.recv.rank%d", ep.Rank()), func(rp *sim.Proc) {
@@ -58,7 +64,11 @@ func (f *Fabric) IrecvCLMem(p *sim.Proc, ep *mpi.Endpoint, buf []byte, src, tag 
 			Label: lane,
 			Wins:  xfer.Windows(pl.chunks, 0),
 			Stages: []xfer.Stage{{Name: "wire.recv", Run: func(q *sim.Proc, w xfer.Window) error {
-				st, err := ep.Recv(q, buf[w.Off:w.Off+w.N], actualSrc, tag, wireDatatype, comm)
+				req, err := ep.IrecvSeg(q, buf.Slice(int(w.Off), int(w.N)), actualSrc, tag, wireDatatype, comm)
+				if err != nil {
+					return err
+				}
+				st, err := req.Wait(q)
 				if err != nil {
 					return err
 				}

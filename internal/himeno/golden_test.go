@@ -85,18 +85,31 @@ func TestScheduleGolden(t *testing.T) {
 	}
 }
 
-// scheduleLine runs one XS, two-iteration configuration and formats its
-// golden line.
+// scheduleLine runs one XS, two-iteration configuration with data and
+// formats its golden line.
 func scheduleLine(t *testing.T, im Impl, sys cluster.System, nodes int) string {
 	t.Helper()
+	res, timing := scheduleRun(t, Config{System: sys, Nodes: nodes, Size: SizeXS, Iters: 2, Impl: im, Verify: true})
+	return fmt.Sprintf("%s %s %d %s gosa=%016x %s\n", im, sys.Name, nodes,
+		timing.clock, math.Float64bits(res.Gosa), timing.links)
+}
+
+// schedule is the virtual time of one run: its loop Elapsed and the
+// engine's end time, then the count and a digest of the cluster links'
+// sorted occupancy log.
+type schedule struct{ clock, links string }
+
+// scheduleRun runs cfg with tracing and reports its schedule.
+func scheduleRun(t *testing.T, cfg Config) (*Result, schedule) {
+	t.Helper()
 	eng := sim.NewEngine()
-	trc := trace.New()
-	res, err := run(eng, Config{System: sys, Nodes: nodes, Size: SizeXS, Iters: 2, Impl: im, Trace: trc})
+	cfg.Trace = trace.New()
+	res, err := run(eng, cfg)
 	if err != nil {
-		t.Fatalf("%v %s %d nodes: %v", im, sys.Name, nodes, err)
+		t.Fatalf("%v %s %d nodes: %v", cfg.Impl, cfg.System.Name, cfg.Nodes, err)
 	}
 	var occ []string
-	for _, ev := range trc.Bus().Events() {
+	for _, ev := range cfg.Trace.Bus().Events() {
 		if ev.Layer != trace.LayerCluster {
 			continue
 		}
@@ -115,7 +128,32 @@ func scheduleLine(t *testing.T, im Impl, sys cluster.System, nodes int) string {
 	for _, l := range occ {
 		h.Write([]byte(l))
 	}
-	return fmt.Sprintf("%s %s %d elapsed=%d end=%d gosa=%016x links=%d %s\n",
-		im, sys.Name, nodes, res.Elapsed.Nanoseconds(), int64(eng.Now()),
-		math.Float64bits(res.Gosa), len(occ), hex.EncodeToString(h.Sum(nil)[:8]))
+	return res, schedule{
+		clock: fmt.Sprintf("elapsed=%d end=%d", res.Elapsed.Nanoseconds(), int64(eng.Now())),
+		links: fmt.Sprintf("links=%d %s", len(occ), hex.EncodeToString(h.Sum(nil)[:8])),
+	}
+}
+
+// TestPureCostMatchesData is the gate that data cannot influence time: a
+// pure-cost run (no Verify) has the same schedule as runs that compute the
+// stencil, from either initial field, for every implementation, preset and
+// node count of TestScheduleGolden.
+func TestPureCostMatchesData(t *testing.T) {
+	for _, im := range []Impl{Serial, HandOpt, CLMPI, GPUAware, CLMPIOutOfOrder} {
+		for _, sys := range []cluster.System{cluster.Cichlid(), cluster.RICC()} {
+			for _, nodes := range []int{1, 2, 4} {
+				cfg := Config{System: sys, Nodes: nodes, Size: SizeXS, Iters: 2, Impl: im}
+				pure, want := scheduleRun(t, cfg)
+				if pure.Grid != nil || pure.Gosa != 0 {
+					t.Errorf("%v %s %d: pure-cost run reported data", im, sys.Name, nodes)
+				}
+				for _, mode := range []InitMode{OfficialInit, ScrambledInit} {
+					cfg.Verify, cfg.Mode = true, mode
+					if _, got := scheduleRun(t, cfg); got != want {
+						t.Errorf("%v %s %d nodes, init %d: data run %+v, pure-cost run %+v", im, sys.Name, nodes, mode, got, want)
+					}
+				}
+			}
+		}
+	}
 }

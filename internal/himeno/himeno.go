@@ -12,9 +12,10 @@
 //     purely by events, and the host thread only calls clFinish once per
 //     iteration.
 //
-// The solver is numerically real: all three implementations produce final
-// pressure grids bit-identical to a host-only reference solver, which the
-// test suite verifies. The domain is decomposed along i; each rank's domain
+// The solver is numerically real when a caller verifies (Config.Verify): all
+// implementations then produce final pressure grids bit-identical to a
+// host-only reference solver, which the test suite checks. Other runs are
+// pure cost, with the same virtual time. The domain is decomposed along i; each rank's domain
 // is halved into an upper part A and lower part B following Fig. 3, so each
 // half's halo exchange can hide behind the other half's kernel.
 package himeno
@@ -59,6 +60,10 @@ func SizeByName(name string) (Size, error) {
 
 // InteriorCells reports the number of updated cells per iteration.
 func (s Size) InteriorCells() int { return (s.I - 2) * (s.J - 2) * (s.K - 2) }
+
+// MaxNodes reports the most ranks the decomposition can split this size
+// over: each rank needs two interior planes for its A/B halves.
+func (s Size) MaxNodes() int { return (s.I - 2) / 2 }
 
 // FLOPsPerIter reports the nominal floating-point work of one iteration.
 func (s Size) FLOPsPerIter() float64 { return FLOPsPerCell * float64(s.InteriorCells()) }

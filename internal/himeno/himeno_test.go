@@ -2,6 +2,7 @@ package himeno
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -186,7 +187,7 @@ func TestGosaIndependentOfDecomposition(t *testing.T) {
 	for i, nodes := range []int{1, 2, 4} {
 		res, err := Run(Config{
 			System: cluster.RICC(), Nodes: nodes, Size: SizeXS, Iters: 3,
-			Impl: CLMPI, Mode: OfficialInit,
+			Impl: CLMPI, Mode: OfficialInit, Verify: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -351,5 +352,30 @@ func TestCheckpointOverheadBounded(t *testing.T) {
 		time.Duration(iters/every)*4*sys.Disk.Seek
 	if ck.Elapsed > serialized {
 		t.Fatalf("checkpointing slower than fully serialized bound: %v > %v", ck.Elapsed, serialized)
+	}
+}
+
+// TestPureCostCellAllocatesNoGrid: a figure cell that does not verify is
+// pure cost, so it allocates far less than one rank's share of the grid
+// (its two float32 copies of 66 planes here).
+func TestPureCostCellAllocatesNoGrid(t *testing.T) {
+	const nodes = 4
+	lo, hi := decompose(SizeM, nodes, 0)
+	rankGrid := uint64(hi-lo+2) * uint64(SizeM.J) * uint64(SizeM.K) * 4
+	// Two collections empty the pools, so a recycled block cannot hide an
+	// allocation.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(Config{System: cluster.Cichlid(), Nodes: nodes, Size: SizeM, Iters: 2, Impl: CLMPI})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= rankGrid/8 {
+		t.Errorf("cell allocated %d bytes, want < %d (1/8 of one rank's grid)", got, rankGrid/8)
+	} else {
+		t.Logf("cell allocated %d bytes; one rank's grid is %d", got, rankGrid)
 	}
 }

@@ -98,6 +98,11 @@ type rank struct {
 	own    int // hi - lo
 	half   int // planes in part A (the upper half)
 
+	// data reports whether the run computes data (see Config.Verify).
+	// Without it p and wrk are nil and every kernel, pack and unpack is
+	// pure cost: the same commands and virtual time, no bytes touched.
+	data bool
+
 	p, wrk []float32 // local grid incl. ghost planes 0 and own+1
 
 	// Plane staging buffers in device memory (J*K float32 each).
@@ -128,9 +133,10 @@ func decompose(s Size, n, r int) (lo, hi int) {
 	return lo, hi
 }
 
-// gridPools recycles local grids across runs, one sync.Pool per exact
-// length. A sweep re-runs the same decompositions, and each run's grids are
-// megabytes of garbage that would otherwise set the collector's pace.
+// gridPools recycles local grids across runs that compute data, one
+// sync.Pool per exact length. A verification suite re-runs the same
+// decompositions, and each run's grids are megabytes of garbage that would
+// otherwise set the collector's pace.
 var gridPools sync.Map // int -> *sync.Pool of *[]float32
 
 // getGrid returns a grid of n cells with arbitrary contents.
@@ -143,8 +149,12 @@ func getGrid(n int) []float32 {
 	return make([]float32, n)
 }
 
-// putGrid recycles a grid; the caller must hold no alias to it.
+// putGrid recycles a grid; the caller must hold no alias to it. A nil grid
+// (a pure-cost rank) is ignored.
 func putGrid(g []float32) {
+	if g == nil {
+		return
+	}
 	v, ok := gridPools.Load(len(g))
 	if !ok {
 		v, _ = gridPools.LoadOrStore(len(g), new(sync.Pool))
@@ -152,8 +162,9 @@ func putGrid(g []float32) {
 	v.(*sync.Pool).Put(&g)
 }
 
-// newRank builds the local state for rank r of n.
-func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt *clmpi.Runtime) (*rank, error) {
+// newRank builds the local state for rank r of n. With data false it
+// allocates no grid.
+func newRank(s Size, mode InitMode, n int, data bool, ep *mpi.Endpoint, ctx *cl.Context, rt *clmpi.Runtime) (*rank, error) {
 	lo, hi := decompose(s, n, ep.Rank())
 	own := hi - lo
 	if own < 2 {
@@ -161,25 +172,26 @@ func newRank(s Size, mode InitMode, n int, ep *mpi.Endpoint, ctx *cl.Context, rt
 			ep.Rank(), own, s.Name, n)
 	}
 	rk := &rank{
-		size: s, mode: mode, ep: ep, ctx: ctx, rt: rt,
+		size: s, mode: mode, ep: ep, ctx: ctx, rt: rt, data: data,
 		lo: lo, hi: hi, own: own, half: own / 2,
 	}
-	local := (own + 2) * s.J * s.K
-	rk.p = getGrid(local)
-	for li := 0; li < own+2; li++ {
-		gi := lo - 1 + li
-		if gi < 0 || gi >= s.I {
-			// Beyond the global domain (edge ranks): zero, as the grid may
-			// be recycled.
-			clear(rk.p[idx(s.J, s.K, li, 0, 0):][:s.J*s.K])
-			continue
+	if data {
+		rk.p = getGrid((own + 2) * s.J * s.K)
+		for li := 0; li < own+2; li++ {
+			gi := lo - 1 + li
+			if gi < 0 || gi >= s.I {
+				// Beyond the global domain (edge ranks): zero, as the grid
+				// may be recycled.
+				clear(rk.p[idx(s.J, s.K, li, 0, 0):][:s.J*s.K])
+				continue
+			}
+			for j := 0; j < s.J; j++ {
+				initRow(mode, s, gi, j, rk.p[idx(s.J, s.K, li, j, 0):][:s.K])
+			}
 		}
-		for j := 0; j < s.J; j++ {
-			initRow(mode, s, gi, j, rk.p[idx(s.J, s.K, li, j, 0):][:s.K])
-		}
+		rk.wrk = getGrid(len(rk.p))
+		copy(rk.wrk, rk.p)
 	}
-	rk.wrk = getGrid(local)
-	copy(rk.wrk, rk.p)
 	pb := s.planeBytes()
 	var err error
 	if rk.sendLo, err = ctx.CreateBuffer("sendLo", pb); err != nil {
@@ -213,15 +225,18 @@ func (rk *rank) downRank() int {
 }
 
 // jacobiKernel builds the stencil kernel over local planes [liFrom, liTo) of
-// src, writing dst and accumulating the squared residual into rk.gosa.
+// src, writing dst and accumulating the squared residual into rk.gosa. A
+// run without data gets the pure-cost kernel: same FLOPs, nil Work.
 func (rk *rank) jacobiKernel(name string, src, dst []float32, liFrom, liTo int) *cl.Kernel {
 	s := rk.size
-	return &cl.Kernel{
+	k := &cl.Kernel{
 		Name: name,
 		FLOPs: func([]any) float64 {
 			return FLOPsPerCell * float64(liTo-liFrom) * float64(s.J-2) * float64(s.K-2)
 		},
-		Work: func([]any) error {
+	}
+	if rk.data {
+		k.Work = func([]any) error {
 			var gosa float64
 			for li := liFrom; li < liTo; li++ {
 				for j := 1; j < s.J-1; j++ {
@@ -230,8 +245,9 @@ func (rk *rank) jacobiKernel(name string, src, dst []float32, liFrom, liTo int) 
 			}
 			rk.gosa += gosa
 			return nil
-		},
+		}
 	}
+	return k
 }
 
 // planeKernelCost models pack/unpack as GDDR-bandwidth-bound copies.
@@ -249,6 +265,9 @@ func (rk *rank) enqueuePack(q *cl.CommandQueue, src []float32, li int, buf *cl.B
 	cost := rk.planeKernelCost()
 	return q.Enqueue(fmt.Sprintf("pack(li=%d)", li), waits, func(wp *sim.Proc) error {
 		wp.Sleep(cost)
+		if !rk.data {
+			return nil
+		}
 		out := buf.Bytes()
 		base := li * s.J * s.K
 		for x := 0; x < s.J*s.K; x++ {
@@ -264,6 +283,9 @@ func (rk *rank) enqueueUnpack(q *cl.CommandQueue, dst []float32, li int, buf *cl
 	cost := rk.planeKernelCost()
 	return q.Enqueue(fmt.Sprintf("unpack(li=%d)", li), waits, func(wp *sim.Proc) error {
 		wp.Sleep(cost)
+		if !rk.data {
+			return nil
+		}
 		in := buf.Bytes()
 		base := li * s.J * s.K
 		for x := 0; x < s.J*s.K; x++ {

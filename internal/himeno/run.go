@@ -21,8 +21,14 @@ type Config struct {
 	Impl    Impl
 	Mode    InitMode
 	Options clmpi.Options // extension options (zero value = Auto strategy)
-	// Verify additionally assembles the final global pressure grid into
-	// Result.Grid (outside the timed region, via simulator shortcuts).
+	// Verify makes the run compute data: the real float32 stencil, halo
+	// packing and the residual, with the final global pressure grid
+	// assembled into Result.Grid (outside the timed region, via simulator
+	// shortcuts). Checkpointing (CheckpointEvery > 0) computes data too.
+	// Any other run is pure cost: the same commands, transfers and virtual
+	// time, but kernels have no Work, packs touch no bytes and no rank
+	// allocates a grid. Virtual time never depends on data, so Elapsed,
+	// GFLOPS and the trace are the same either way.
 	Verify bool
 	// Trace, when non-nil, records every queue's command timeline — the
 	// raw material of the Fig. 4 reproduction.
@@ -40,7 +46,8 @@ type Config struct {
 type Result struct {
 	// Elapsed is the virtual time of the iteration loop, max across ranks.
 	Elapsed time.Duration
-	// Gosa is the global residual of the last iteration.
+	// Gosa is the global residual of the last iteration; filled only when
+	// the run computes data (Config.Verify or checkpointing), else 0.
 	Gosa float64
 	// GFLOPS is the sustained rate by the benchmark's nominal count.
 	GFLOPS float64
@@ -48,7 +55,8 @@ type Result struct {
 	// kernel time and exposed communication time (max-communication rank);
 	// zero for the overlapped implementations.
 	CompTime, CommTime time.Duration
-	// Grid is the final global pressure field when Config.Verify is set.
+	// Grid is the final global pressure field; filled only under
+	// Config.Verify.
 	Grid []float32
 	// CheckpointVerified reports (when Verify is set, checkpointing is on,
 	// and the final iteration was checkpointed) whether every rank's file
@@ -94,7 +102,7 @@ func run(eng *sim.Engine, cfg Config) (*Result, error) {
 			cfg.Trace.InstrumentContext(ctx)
 		}
 		rt := fab.Attach(ctx, ep)
-		rk, err := newRank(cfg.Size, cfg.Mode, cfg.Nodes, ep, ctx, rt)
+		rk, err := newRank(cfg.Size, cfg.Mode, cfg.Nodes, cfg.Verify || cfg.CheckpointEvery > 0, ep, ctx, rt)
 		if err != nil {
 			fail(err)
 			return

@@ -88,7 +88,7 @@ func (ep *Endpoint) Isend(p *sim.Proc, buf []byte, dest, tag int, dtype Datatype
 
 // IsendSeg is Isend from a data-plane segment, such as a window of device
 // memory: a window that was never written travels as zeros without being
-// materialized. The CLMem hook receives the segment's bytes.
+// materialized, also through the CLMem hook.
 func (ep *Endpoint) IsendSeg(p *sim.Proc, buf bytepool.Seg, dest, tag int, dtype Datatype, comm *Comm) (*Request, error) {
 	if err := ep.checkArgs(dest, tag); err != nil {
 		return nil, err
@@ -97,7 +97,7 @@ func (ep *Endpoint) IsendSeg(p *sim.Proc, buf bytepool.Seg, dest, tag int, dtype
 		if ep.world.hook == nil {
 			return nil, ErrNoCLMemHook
 		}
-		return ep.world.hook.IsendCLMem(p, ep, buf.Bytes(), dest, tag, comm)
+		return ep.world.hook.IsendCLMem(p, ep, buf, dest, tag, comm)
 	}
 	return ep.postSend(buf, dest, tag, comm), nil
 }
@@ -160,7 +160,7 @@ func (ep *Endpoint) Irecv(p *sim.Proc, buf []byte, src, tag int, dtype Datatype,
 
 // IrecvSeg is Irecv into a data-plane segment, such as a window of device
 // memory: zeros arriving into a window that was never written leave it
-// unmaterialized. The CLMem hook receives the segment's bytes.
+// unmaterialized, also through the CLMem hook.
 func (ep *Endpoint) IrecvSeg(p *sim.Proc, buf bytepool.Seg, src, tag int, dtype Datatype, comm *Comm) (*Request, error) {
 	if src != AnySource {
 		if src < 0 || src >= ep.world.size {
@@ -174,7 +174,7 @@ func (ep *Endpoint) IrecvSeg(p *sim.Proc, buf bytepool.Seg, src, tag int, dtype 
 		if ep.world.hook == nil {
 			return nil, ErrNoCLMemHook
 		}
-		return ep.world.hook.IrecvCLMem(p, ep, buf.Bytes(), src, tag, comm)
+		return ep.world.hook.IrecvCLMem(p, ep, buf, src, tag, comm)
 	}
 	return ep.postRecv(buf, src, tag, comm), nil
 }

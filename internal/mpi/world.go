@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"repro/internal/bytepool"
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
@@ -102,10 +103,12 @@ func (w *World) Node(rank int) *cluster.Node { return w.clus.Nodes[rank] }
 // CLMemHook lets an accelerator runtime take over transfers whose datatype
 // is CLMem, the paper's MPI_CL_MEM (§IV-C): the hook sees standard MPI
 // arguments and implements the host↔device collaboration behind them. The
-// clMPI runtime (internal/clmpi) registers itself here.
+// clMPI runtime (internal/clmpi) registers itself here. The host buffer is
+// a data-plane segment, so a window that was never written crosses as zeros
+// without being materialized.
 type CLMemHook interface {
-	IsendCLMem(p *sim.Proc, ep *Endpoint, buf []byte, dest, tag int, comm *Comm) (*Request, error)
-	IrecvCLMem(p *sim.Proc, ep *Endpoint, buf []byte, src, tag int, comm *Comm) (*Request, error)
+	IsendCLMem(p *sim.Proc, ep *Endpoint, buf bytepool.Seg, dest, tag int, comm *Comm) (*Request, error)
+	IrecvCLMem(p *sim.Proc, ep *Endpoint, buf bytepool.Seg, src, tag int, comm *Comm) (*Request, error)
 }
 
 // RegisterCLMemHook installs the CL_MEM handler for this world.

@@ -18,8 +18,9 @@
 // The physics is real: a discrete Smoluchowski coagulation system over
 // size bins with a Brownian free-molecular collision kernel, nucleation
 // source, and exact mass bookkeeping (overflow mass folds into the top bin).
-// Both implementations produce bit-identical states, verified against a
-// host-only reference.
+// When a caller verifies (Config.Verify), both implementations produce
+// bit-identical states, checked against a host-only reference; other runs
+// are pure cost, with the same virtual time.
 package nanopowder
 
 import (
@@ -76,23 +77,17 @@ func (p Params) serialFLOPs() float64 {
 // positive for the initial conditions used here.
 const dt = 1e-3
 
-// cellState is one cell's particle population.
-type cellState struct {
-	n []float64 // number density per size bin
-}
-
-// model is the full physical state, held by the master (scalar fields) and
-// distributed (per-cell populations).
+// model holds the scalar fields the master evolves serially and from which
+// it builds every cell's coefficients. Cell populations live with the rank
+// that owns the cell (initialPopulation).
 type model struct {
-	p     Params
-	temp  []float64 // cell temperature, evolved serially by the master
-	state []cellState
-	cbrt  []float64 // cbrt[i] = ∛(i+1), the radius scale of size bin i
+	p    Params
+	temp []float64 // cell temperature, evolved serially by the master
+	cbrt []float64 // cbrt[i] = ∛(i+1), the radius scale of size bin i
 }
 
 func newModel(p Params) *model {
-	m := &model{p: p, temp: make([]float64, p.Cells), state: make([]cellState, p.Cells),
-		cbrt: make([]float64, p.Bins)}
+	m := &model{p: p, temp: make([]float64, p.Cells), cbrt: make([]float64, p.Bins)}
 	for i := range m.cbrt {
 		m.cbrt[i] = math.Cbrt(float64(i + 1))
 	}
@@ -100,14 +95,18 @@ func newModel(p Params) *model {
 		// Hot core, cooler edges.
 		x := float64(c)/float64(p.Cells-1) - 0.5
 		m.temp[c] = 3000 - float64(1500*x*x)
-		n := make([]float64, p.Bins)
-		// Initial monomer-rich population with a tail.
-		for k := 0; k < p.Bins; k++ {
-			n[k] = math.Exp(-float64(k) / 8)
-		}
-		m.state[c] = cellState{n: n}
 	}
 	return m
+}
+
+// initialPopulation returns one cell's initial number densities: a
+// monomer-rich population with a tail, the same in every cell.
+func initialPopulation(p Params) []float64 {
+	n := make([]float64, p.Bins)
+	for k := range n {
+		n[k] = math.Exp(-float64(k) / 8)
+	}
+	return n
 }
 
 // advanceScalars is the serial phase: cool the plasma and report the
@@ -211,19 +210,19 @@ func mass(n []float64) float64 {
 // implementations.
 func Reference(p Params) [][]float64 {
 	m := newModel(p)
+	cells := make([][]float64, p.Cells)
+	for c := range cells {
+		cells[c] = initialPopulation(p)
+	}
 	coeffs := make([]byte, p.cellCoeffBytes())
 	for step := 0; step < p.Steps; step++ {
 		src := m.advanceScalars(step)
-		for c := 0; c < p.Cells; c++ {
+		for c, n := range cells {
 			m.buildCoeffs(c, coeffs)
-			coagulateCell(p, m.state[c].n, coeffs, src[c])
+			coagulateCell(p, n, coeffs, src[c])
 		}
 	}
-	out := make([][]float64, p.Cells)
-	for c := range out {
-		out[c] = append([]float64(nil), m.state[c].n...)
-	}
-	return out
+	return cells
 }
 
 // validate checks a configuration against the paper's decomposition rule.

@@ -27,19 +27,21 @@ func TestCoeffVolumeMatchesPaper(t *testing.T) {
 func TestReferenceMassAccounting(t *testing.T) {
 	p := testParams()
 	m := newModel(p)
+	cells := make([][]float64, p.Cells)
 	coeffs := make([]byte, p.cellCoeffBytes())
 	var before, after, injected float64
-	for c := 0; c < p.Cells; c++ {
-		before += mass(m.state[c].n)
+	for c := range cells {
+		cells[c] = initialPopulation(p)
+		before += mass(cells[c])
 	}
 	src := m.advanceScalars(0)
-	for c := 0; c < p.Cells; c++ {
+	for c, n := range cells {
 		m.buildCoeffs(c, coeffs)
-		coagulateCell(p, m.state[c].n, coeffs, src[c])
+		coagulateCell(p, n, coeffs, src[c])
 		injected += dt * src[c] // nucleation enters bin 0 (size 1)
 	}
-	for c := 0; c < p.Cells; c++ {
-		after += mass(m.state[c].n)
+	for _, n := range cells {
+		after += mass(n)
 	}
 	if d := math.Abs(after - before - injected); d > 1e-9*before {
 		t.Fatalf("mass not conserved: before %.9f + injected %.9f != after %.9f (err %g)",
@@ -52,7 +54,7 @@ func TestCoagulationShiftsMassUpward(t *testing.T) {
 	m := newModel(p)
 	coeffs := make([]byte, p.cellCoeffBytes())
 	m.buildCoeffs(0, coeffs)
-	n := m.state[0].n
+	n := initialPopulation(p)
 	smallBefore := n[0]
 	var largeBefore float64
 	for k := p.Bins / 2; k < p.Bins; k++ {
@@ -101,9 +103,12 @@ func TestBothImplsMatchReference(t *testing.T) {
 
 func TestMassSeriesMonotoneGrowth(t *testing.T) {
 	// Nucleation injects mass every step, so the global mass series grows.
-	res, err := Run(Config{System: cluster.RICC(), Nodes: 4, Impl: CLMPI, Params: testParams()})
+	res, err := Run(Config{System: cluster.RICC(), Nodes: 4, Impl: CLMPI, Params: testParams(), Verify: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.MassPerStep) != testParams().Steps {
+		t.Fatalf("mass series has %d steps, want %d", len(res.MassPerStep), testParams().Steps)
 	}
 	for i := 1; i < len(res.MassPerStep); i++ {
 		if res.MassPerStep[i] <= res.MassPerStep[i-1] {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Impl selects the coefficient-distribution implementation of §V-D.
@@ -45,7 +46,14 @@ type Config struct {
 	Nodes  int
 	Impl   Impl
 	Params Params
-	// Verify additionally returns the final populations of every cell.
+	// Verify makes the run compute data: the master builds every cell's
+	// coefficients, each rank integrates its cells' populations, and the
+	// result carries MassPerStep and Final. Any other run is pure cost:
+	// the same commands, transfers and virtual time, but no rank builds a
+	// model, the coagulation kernel has no Work, and the coefficient slices
+	// travel as never-written device-memory windows that move no bytes.
+	// Virtual time never depends on data, so Elapsed and StepTime are the
+	// same either way.
 	Verify bool
 }
 
@@ -57,27 +65,36 @@ type Result struct {
 	// DistCompute is the remainder (distribution + coagulation + gather).
 	SerialTime  time.Duration
 	DistCompute time.Duration
-	// MassPerStep is the global particle mass after each step.
+	// MassPerStep is the global particle mass after each step; filled
+	// only under Config.Verify.
 	MassPerStep []float64
-	// Final holds every cell's population when Config.Verify is set.
+	// Final holds every cell's population; filled only under
+	// Config.Verify.
 	Final [][]float64
 }
 
 // Run executes one configuration on a fresh simulated cluster.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(sim.NewEngine(), cfg, nil) }
+
+// run executes cfg on eng, which must be fresh, recording the cluster, MPI
+// and fabric layers onto trc when it is non-nil.
+func run(eng *sim.Engine, cfg Config, trc *trace.Tracer) (*Result, error) {
 	p := cfg.Params
 	if err := p.validate(cfg.Nodes); err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
 	clus := cluster.New(eng, cfg.System, cfg.Nodes)
 	world := mpi.NewWorld(clus)
 	fab := clmpi.New(world, clmpi.Options{})
+	if trc != nil {
+		trc.Instrument(clus, world, fab)
+	}
 	cpn := p.Cells / cfg.Nodes // cells per node
 	cellB := p.cellCoeffBytes()
 
-	res := &Result{MassPerStep: make([]float64, p.Steps)}
+	res := &Result{}
 	if cfg.Verify {
+		res.MassPerStep = make([]float64, p.Steps)
 		res.Final = make([][]float64, p.Cells)
 	}
 	var firstErr error
@@ -93,13 +110,6 @@ func Run(cfg Config) (*Result, error) {
 		rt := fab.Attach(ctx, ep)
 		q := ctx.NewQueue(fmt.Sprintf("nano.q%d", me))
 
-		// Every rank owns cells [me*cpn, (me+1)*cpn). The master keeps
-		// the scalar fields and all coefficient construction.
-		m := newModel(p)
-		myCells := make([][]float64, cpn)
-		for i := range myCells {
-			myCells[i] = m.state[me*cpn+i].n
-		}
 		coefBuf, err := ctx.CreateBuffer("coeffs", int64(cpn)*cellB)
 		if err != nil {
 			fail(err)
@@ -109,16 +119,26 @@ func Run(cfg Config) (*Result, error) {
 		kernel := &cl.Kernel{
 			Name:  "coagulation",
 			FLOPs: func([]any) float64 { return p.coagFLOPsPerCell() * float64(cpn) },
-			Work: func([]any) error {
+		}
+		// Every rank owns cells [me*cpn, (me+1)*cpn) and, when the run
+		// computes data, builds only their populations. myCells stays nil
+		// in a pure-cost run.
+		var myCells [][]float64
+		if cfg.Verify {
+			myCells = make([][]float64, cpn)
+			for i := range myCells {
+				myCells[i] = initialPopulation(p)
+			}
+			kernel.Work = func([]any) error {
 				for i := 0; i < cpn; i++ {
 					coagulateCell(p, myCells[i], coefBuf.Bytes()[int64(i)*cellB:], mySrc[i])
 				}
 				return nil
-			},
+			}
 		}
 
 		if me == 0 {
-			err = runMaster(hp, ep, world.Comm(), rt, q, m, cfg, cpn, coefBuf, mySrc, kernel, res)
+			err = runMaster(hp, ep, world.Comm(), q, cfg, cpn, coefBuf, mySrc, kernel, myCells, res)
 		} else {
 			err = runWorker(hp, ep, world.Comm(), rt, q, p, cfg.Impl, cpn, coefBuf, mySrc, kernel, myCells)
 		}
@@ -128,10 +148,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// Every command on q has finished.
 		coefBuf.Release()
-		if cfg.Verify {
-			for i := 0; i < cpn; i++ {
-				res.Final[me*cpn+i] = append([]float64(nil), myCells[i]...)
-			}
+		for i, n := range myCells {
+			res.Final[me*cpn+i] = n
 		}
 	})
 	simErr := eng.Run()
@@ -147,24 +165,29 @@ func Run(cfg Config) (*Result, error) {
 
 // runMaster is rank 0: serial phenomena, coefficient construction and
 // distribution, its own share of the coagulation, and the summary gather.
-func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime, q *cl.CommandQueue,
-	m *model, cfg Config, cpn int, coefBuf *cl.Buffer, mySrc []float64, kernel *cl.Kernel, res *Result) error {
+// myCells is nil in a pure-cost run, which builds no model.
+func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, q *cl.CommandQueue,
+	cfg Config, cpn int, coefBuf *cl.Buffer, mySrc []float64, kernel *cl.Kernel, myCells [][]float64, res *Result) error {
 
 	p := cfg.Params
 	cellB := p.cellCoeffBytes()
 	nodes := cfg.Nodes
 	cpu := ep.Node().Sys.CPU
-	// Wire buffers for each worker's slice, reused across steps. The
-	// coefficient slices are fully rewritten every step, so they come from
-	// the pool.
-	coeffWire := make([][]byte, nodes)
-	srcWire := make([][]byte, nodes)
-	for r := 1; r < nodes; r++ {
-		coeffWire[r] = bytepool.Get(int(int64(cpn) * cellB))
-		srcWire[r] = make([]byte, cpn*8)
+	var m *model
+	if myCells != nil {
+		m = newModel(p)
 	}
+	// Wire buffers for each worker's slice, reused across steps. The
+	// coefficient slices are stores: rewritten every step when the run
+	// computes data, and never written (so never materialized, and sent as
+	// zero extents) when it does not.
+	wireB := cpn * int(cellB)
+	coeffWire := make([]*bytepool.Store, nodes)
+	srcWire := make([][]byte, nodes)
 	summaries := make([][]byte, nodes)
 	for r := 1; r < nodes; r++ {
+		coeffWire[r] = bytepool.NewStore(wireB)
+		srcWire[r] = make([]byte, cpn*8)
 		summaries[r] = make([]byte, cpn*8)
 	}
 
@@ -174,12 +197,20 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 		// thread (§V-D); the cost model charges the modelled work, the
 		// real computation constructs this step's sources/coefficients.
 		t0 := hp.Now()
-		src := m.advanceScalars(step)
-		for r := 1; r < nodes; r++ {
+		if m != nil {
+			src := m.advanceScalars(step)
+			for r := 1; r < nodes; r++ {
+				wire := coeffWire[r].Bytes()
+				for i := 0; i < cpn; i++ {
+					c := r*cpn + i
+					m.buildCoeffs(c, wire[int64(i)*cellB:])
+					binary.LittleEndian.PutUint64(srcWire[r][i*8:], math.Float64bits(src[c]))
+				}
+			}
+			// The master's own cells: the local coefficient upload below.
 			for i := 0; i < cpn; i++ {
-				c := r*cpn + i
-				m.buildCoeffs(c, coeffWire[r][int64(i)*cellB:])
-				binary.LittleEndian.PutUint64(srcWire[r][i*8:], math.Float64bits(src[c]))
+				m.buildCoeffs(i, coefBuf.Bytes()[int64(i)*cellB:])
+				mySrc[i] = src[i]
 			}
 		}
 		// seconds = FLOPs / (GFLOPS·1e9)  →  nanoseconds = FLOPs / GFLOPS.
@@ -194,7 +225,7 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 			dtype = mpi.CLMem
 		}
 		for r := 1; r < nodes; r++ {
-			sreq, err := ep.Isend(hp, coeffWire[r], r, tagCoeff, dtype, comm)
+			sreq, err := ep.IsendSeg(hp, coeffWire[r].Seg(0, wireB), r, tagCoeff, dtype, comm)
 			if err != nil {
 				return err
 			}
@@ -203,11 +234,6 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 				return err
 			}
 			reqs = append(reqs, sreq, s2)
-		}
-		// The master's own cells: local coefficient upload plus kernel.
-		for i := 0; i < cpn; i++ {
-			m.buildCoeffs(i, coefBuf.Bytes()[int64(i)*cellB:])
-			mySrc[i] = src[i]
 		}
 		// Charge the local H2D for the master's slice.
 		if _, err := q.Enqueue("h2d-own", nil, func(wp *sim.Proc) error {
@@ -227,8 +253,8 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 		}
 		// Gather the per-cell mass summaries.
 		total := 0.0
-		for i := 0; i < cpn; i++ {
-			total += mass(m.state[i].n)
+		for _, n := range myCells {
+			total += mass(n)
 		}
 		for r := 1; r < nodes; r++ {
 			if _, err := ep.Recv(hp, summaries[r], r, tagSummary, mpi.Bytes, comm); err != nil {
@@ -238,18 +264,21 @@ func runMaster(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 				total += math.Float64frombits(binary.LittleEndian.Uint64(summaries[r][i*8:]))
 			}
 		}
-		res.MassPerStep[step] = total
+		if res.MassPerStep != nil {
+			res.MassPerStep[step] = total
+		}
 		res.DistCompute += hp.Now().Sub(t1)
 	}
 	res.Elapsed = hp.Now().Sub(start)
 	// Every send has completed: nothing reads the wire buffers any more.
-	for _, b := range coeffWire {
-		bytepool.Put(b)
+	for _, st := range coeffWire[1:] {
+		st.Release()
 	}
 	return nil
 }
 
 // runWorker is any rank > 0: receive coefficients, integrate, report.
+// myCells is nil in a pure-cost run.
 func runWorker(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime, q *cl.CommandQueue,
 	p Params, impl Impl, cpn int, coefBuf *cl.Buffer, mySrc []float64, kernel *cl.Kernel, myCells [][]float64) error {
 
@@ -266,7 +295,7 @@ func runWorker(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 		if _, err := ep.Recv(hp, srcWire, 0, tagSource, mpi.Bytes, comm); err != nil {
 			return err
 		}
-		for i := 0; i < cpn; i++ {
+		for i := range mySrc {
 			mySrc[i] = math.Float64frombits(binary.LittleEndian.Uint64(srcWire[i*8:]))
 		}
 		switch impl {
@@ -298,8 +327,8 @@ func runWorker(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 			return err
 		}
 		// Report per-cell masses for the global bookkeeping.
-		for i := 0; i < cpn; i++ {
-			binary.LittleEndian.PutUint64(summary[i*8:], math.Float64bits(mass(myCells[i])))
+		for i, n := range myCells {
+			binary.LittleEndian.PutUint64(summary[i*8:], math.Float64bits(mass(n)))
 		}
 		if err := ep.Send(hp, summary, 0, tagSummary, mpi.Bytes, comm); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -113,6 +114,7 @@ func TestNormalizeValidation(t *testing.T) {
 		{"mixed himeno", JobSpec{System: "cichlid", Workload: "himeno", Sizes: []int64{1}}, "p2p fields"},
 		{"bad impl", JobSpec{System: "cichlid", Workload: "himeno", Impls: []string{"fortran"}}, "unknown implementation"},
 		{"bad nodes", JobSpec{System: "cichlid", Workload: "himeno", Nodes: []int{0}}, "out of range"},
+		{"nodes above size", JobSpec{System: "ricc", Workload: "himeno", Nodes: []int{16, 32}}, "out of range [1, 31] for size XS"},
 		{"bad himeno size", JobSpec{System: "cichlid", Workload: "himeno", Size: "XXL"}, "unknown size"},
 		{"bad iters", JobSpec{System: "cichlid", Workload: "himeno", Iters: 65}, "out of range"},
 		{"parallel_world above ranks", JobSpec{System: "cichlid", Workload: "matchscale", Ranks: []int{8, 2}, ParallelWorld: 3}, "exceeds the smallest rank count 2"},
@@ -138,6 +140,18 @@ func TestNormalizeHimenoDefaults(t *testing.T) {
 	}
 	if norm.NumPoints() != 2*len(norm.Nodes) {
 		t.Errorf("NumPoints = %d", norm.NumPoints())
+	}
+}
+
+// TestDefaultRICCHimenoJobRuns: the default node grid holds only counts
+// the default size can split, so a job that normalizes also runs.
+func TestDefaultRICCHimenoJobRuns(t *testing.T) {
+	norm, _, _, err := RunJob(JobSpec{System: "ricc", Workload: "himeno", Impls: []string{"clmpi"}, Iters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(norm.Nodes), "[1 2 4 8 16]"; got != want {
+		t.Errorf("default XS nodes on RICC = %s, want %s", got, want)
 	}
 }
 

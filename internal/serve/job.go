@@ -66,8 +66,9 @@ type JobSpec struct {
 	// Impls is the himeno implementation grid (himeno.ParseImpl names).
 	// Default: serial, hand-optimized, clMPI.
 	Impls []string `json:"impls,omitempty"`
-	// Nodes is the himeno node-count grid. Default: bench.Fig9Nodes for
-	// the system.
+	// Nodes is the himeno node-count grid, each at most the size's
+	// himeno.Size.MaxNodes. Default: bench.Fig9Nodes for the system and
+	// size.
 	Nodes []int `json:"nodes,omitempty"`
 	// Size is the himeno problem size name (XS, S, M, L). Default XS —
 	// the service favors snappy answers; submit M for paper-scale runs.
@@ -218,19 +219,20 @@ func Normalize(spec JobSpec) (JobSpec, error) {
 			canon[i] = im.String()
 		}
 		n.Impls = canon
-		if len(n.Nodes) == 0 {
-			n.Nodes = bench.Fig9Nodes(sys)
-		}
-		for _, nodes := range n.Nodes {
-			if nodes <= 0 || nodes > 1024 {
-				return JobSpec{}, fmt.Errorf("serve: node count %d out of range [1, 1024]", nodes)
-			}
-		}
 		if n.Size == "" {
 			n.Size = "XS"
 		}
-		if _, err := himeno.SizeByName(n.Size); err != nil {
+		size, err := himeno.SizeByName(n.Size)
+		if err != nil {
 			return JobSpec{}, fmt.Errorf("serve: %w", err)
+		}
+		if len(n.Nodes) == 0 {
+			n.Nodes = bench.Fig9Nodes(sys, size)
+		}
+		for _, nodes := range n.Nodes {
+			if nodes <= 0 || nodes > size.MaxNodes() {
+				return JobSpec{}, fmt.Errorf("serve: node count %d out of range [1, %d] for size %s", nodes, size.MaxNodes(), size.Name)
+			}
 		}
 		if n.Iters == 0 {
 			n.Iters = 2
