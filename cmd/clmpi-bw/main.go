@@ -49,6 +49,23 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
+	// Every flag is checked before any work starts: a bad value exits 2.
+	badFlag := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	sys, err := cluster.Resolve(*system)
+	badFlag(err)
+	st, block, err := clmpi.ParseStrategy(*strategyName)
+	badFlag(err)
+	badFlag(checkFlags(*outstanding, *wild, *parallelWorld, *msg))
+	var counts []int
+	if *ranks != "" {
+		counts, err = parseRanks(*ranks, *parallelWorld)
+		badFlag(err)
+	}
 	sweep.SetWorkers(*parallel)
 	stopProfiling, perr := profiling.Start(*cpuprofile, *memprofile)
 	if perr != nil {
@@ -56,11 +73,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProfiling()
-	sys, err := cluster.Resolve(*system)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
-		os.Exit(2)
-	}
 	fmt.Printf("Figure 8(%s): point-to-point sustained bandwidth on %s\n\n",
 		panelLabel(sys.Name), sys.Name)
 	headers, rows, err := bench.Fig8(sys)
@@ -70,12 +82,7 @@ func main() {
 	}
 	fmt.Print(bench.FormatTable(headers, rows))
 
-	if *ranks != "" {
-		counts, err := parseRanks(*ranks)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
-			os.Exit(2)
-		}
+	if counts != nil {
 		fmt.Printf("\nLarge-world matching scaling on %s (%d outstanding ops/rank, %d%% wildcards)\n\n",
 			sys.Name, *outstanding, *wild)
 		var sm *obs.Sim
@@ -83,7 +90,7 @@ func main() {
 			sm = obs.NewSim(obs.NewRegistry(), obs.NewRecorder(*parallelWorld, 0))
 			sm.DeadlockDump = os.Stderr
 		}
-		points, err := bench.MatchScalePartitionedObs(sys, counts, *outstanding, *wild, 2, *parallelWorld, *parallelWorld, sm)
+		points, err := bench.MatchScalePartitionedObs(sys, counts, *outstanding, *wild, 2, *parallelWorld, sm)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
 			os.Exit(1)
@@ -98,11 +105,6 @@ func main() {
 
 	if *traceOut == "" && !*metrics && !*critReport && *flame == "" {
 		return
-	}
-	st, block, err := clmpi.ParseStrategy(*strategyName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
-		os.Exit(2)
 	}
 	trc := trace.New()
 	bw, err := bench.MeasureP2PTraced(sys, st, block, *msg, trc)
@@ -158,13 +160,32 @@ func panelLabel(name string) string {
 	return strings.ToLower(name)
 }
 
-// parseRanks parses a comma-separated list of world sizes.
-func parseRanks(s string) ([]int, error) {
+// checkFlags rejects the numeric flag values no run can use.
+func checkFlags(outstanding, wild, parallelWorld int, msg int64) error {
+	switch {
+	case outstanding < 1:
+		return fmt.Errorf("bad -outstanding %d (want >= 1)", outstanding)
+	case wild < 0 || wild > 100:
+		return fmt.Errorf("bad -wild %d (want a percentage in [0, 100])", wild)
+	case parallelWorld < 0:
+		return fmt.Errorf("bad -parallel-world %d (want >= 0)", parallelWorld)
+	case msg < 1:
+		return fmt.Errorf("bad -msg %d (want >= 1 byte)", msg)
+	}
+	return nil
+}
+
+// parseRanks parses a comma-separated list of world sizes, each of which
+// must hold at least one rank per -parallel-world partition.
+func parseRanks(s string, parallelWorld int) ([]int, error) {
 	var counts []int
 	for _, f := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n < 2 {
 			return nil, fmt.Errorf("bad -ranks entry %q (want integers >= 2)", f)
+		}
+		if n < parallelWorld {
+			return nil, fmt.Errorf("-ranks entry %d cannot span -parallel-world %d partitions", n, parallelWorld)
 		}
 		counts = append(counts, n)
 	}

@@ -121,7 +121,7 @@ func main() {
 		sm = obs.NewSim(obs.NewRegistry(), obs.NewRecorder(*parallelWorld, 0))
 		sm.DeadlockDump = os.Stderr
 	}
-	scale, err := bench.MatchScalePartitionedObs(cluster.RICC(), counts, 32, 25, 2, *parallelWorld, *parallelWorld, sm)
+	scale, err := bench.MatchScalePartitionedObs(cluster.RICC(), counts, 32, 25, 2, *parallelWorld, sm)
 	check(err)
 	headers, rows = bench.MatchScaleTable(scale)
 	fmt.Print(bench.FormatTable(headers, rows))

@@ -15,14 +15,9 @@
 //	clmpi-sysinfo -system cichlid,hopper
 //	clmpi-sysinfo -system mycluster.json
 //	clmpi-sysinfo -o examples/systems             # export all presets
-//	clmpi-sysinfo -system ricc -lookahead 4       # PDES lookahead matrix
 //
-// With -lookahead K it prints, instead of Table I, the conservative-PDES
-// lookahead matrix the partitioned engine derives for a K-way split of each
-// system — the minimum virtual-time distance each shard pair's messages must
-// respect, which bounds how far shards may drift apart when a job runs
-// parallel-in-run. -nodes overrides the world size (default: the system's
-// node count).
+// The partitioned engine's lookahead is each system's nic.wire_latency, as
+// printed in every exported spec.
 package main
 
 import (
@@ -39,8 +34,6 @@ import (
 func main() {
 	systemsFlag := flag.String("system", "cichlid,ricc", "comma-separated systems to describe: preset names or spec file paths")
 	outDir := flag.String("o", "", "export every built-in preset as a canonical spec file into this directory instead of printing Table I")
-	lookahead := flag.Int("lookahead", 0, "print the PDES lookahead matrix for this many partitions instead of Table I (0 disables)")
-	nodes := flag.Int("nodes", 0, "with -lookahead, the world size to derive the matrix for (default: the system's node count)")
 	flag.Parse()
 
 	if *outDir != "" {
@@ -59,23 +52,6 @@ func main() {
 			os.Exit(2)
 		}
 		systems = append(systems, sys)
-	}
-	if *lookahead > 0 {
-		for i, sys := range systems {
-			if i > 0 {
-				fmt.Println()
-			}
-			n := *nodes
-			if n <= 0 {
-				n = sys.MaxNodes
-			}
-			if n < *lookahead {
-				fmt.Fprintf(os.Stderr, "clmpi-sysinfo: %s: %d nodes cannot span %d partitions\n", sys.Name, n, *lookahead)
-				os.Exit(2)
-			}
-			fmt.Print(cluster.FormatLookaheadMatrix(sys, n, cluster.LookaheadMatrix(sys, n, *lookahead)))
-		}
-		return
 	}
 	fmt.Println("Table I: system specifications (simulated)")
 	fmt.Println()

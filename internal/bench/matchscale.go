@@ -47,51 +47,84 @@ type MatchPoint struct {
 	Adverts uint64 `json:"Adverts,omitempty"`
 }
 
-// matchWorkload runs the dense exchange on a freshly built world and
-// returns the filled point. Message k of rank r goes to rank (r+1+k)%n with
-// tag k, so for outstanding <= n-1 every (source, destination) pair carries
-// exactly one message per round — which keeps every wildcard receive
-// unambiguous (it can only ever pair with the one message its concrete
-// coordinate pins down) and the exchange deadlock-free in any interleaving.
-func matchWorkload(sys cluster.System, ranks, outstanding, wildPct, rounds int) (MatchPoint, error) {
-	if outstanding > ranks-1 {
-		outstanding = ranks - 1
-	}
-	if outstanding < 1 || rounds < 1 {
+// matchWorkload runs the dense exchange once and returns the filled point:
+// on the serial engine when parts <= 1, else on a parts-way partitioned
+// engine driven by `workers` host cores. Message k of rank r goes to rank
+// (r+1+k)%n with tag k, so for outstanding <= n-1 every (source,
+// destination) pair carries exactly one message per round — which keeps
+// every wildcard receive unambiguous (it can only ever pair with the one
+// message its concrete coordinate pins down) and the exchange deadlock-free
+// in any interleaving. A partitioned point's event streams — and therefore
+// SimMS and the high-water marks — are a deterministic function of (sys,
+// ranks, outstanding, wildPct, rounds, parts) alone; workers only changes
+// HostMS and the scheduling counters (Windows/Stalls/Adverts). attach, when
+// non-nil, instruments the partitioned world before its ranks launch.
+func matchWorkload(sys cluster.System, ranks, outstanding, wildPct, rounds, parts, workers int, attach func(*mpi.PartWorld)) (MatchPoint, error) {
+	switch {
+	case outstanding < 1:
+		return MatchPoint{}, fmt.Errorf("matchscale: need >=1 outstanding op per rank (got %d)", outstanding)
+	case ranks < 2 || rounds < 1:
 		return MatchPoint{}, fmt.Errorf("matchscale: need >=2 ranks, >=1 round (got ranks=%d rounds=%d)", ranks, rounds)
+	case parts > ranks:
+		return MatchPoint{}, fmt.Errorf("matchscale: %d ranks cannot span %d partitions", ranks, parts)
 	}
+	outstanding = min(outstanding, ranks-1)
 	if sys.MaxNodes < ranks {
 		// The guard models the physical testbed; the scaling sweep is
 		// explicitly about worlds beyond it.
 		sys.MaxNodes = ranks
 	}
-	start := time.Now()
-	eng := sim.NewEngine()
-	w := mpi.NewWorld(cluster.New(eng, sys, ranks))
-	w.LaunchRanks("matchscale", matchRankBody(outstanding, wildPct, rounds))
-	if err := eng.Run(); err != nil {
-		return MatchPoint{}, fmt.Errorf("matchscale ranks=%d: %w", ranks, err)
-	}
 	pt := MatchPoint{
 		Ranks: ranks, Outstanding: outstanding, WildPct: wildPct, Rounds: rounds,
 		Messages: ranks * outstanding * rounds,
-		SimMS:    eng.Now().Seconds() * 1e3,
-		HostMS:   float64(time.Since(start)) / 1e6,
 	}
+	start := time.Now()
+	body := matchRankBody(outstanding, wildPct, rounds)
+	var end sim.Time
+	var highWater func(rank int) (posted, unexpected int)
+	if parts <= 1 {
+		eng := sim.NewEngine()
+		w := mpi.NewWorld(cluster.New(eng, sys, ranks))
+		w.LaunchRanks("matchscale", body)
+		if err := eng.Run(); err != nil {
+			return MatchPoint{}, fmt.Errorf("matchscale ranks=%d: %w", ranks, err)
+		}
+		end, highWater = eng.Now(), w.Comm().MatchQueueHighWater
+	} else {
+		pe := sim.NewPartitionedEngineMatrix(cluster.LookaheadMatrix(sys, ranks, parts))
+		pw := mpi.NewPartWorld(pe, sys, ranks)
+		if attach != nil {
+			attach(pw)
+		}
+		pw.LaunchRanks("matchscale", body)
+		if err := pw.Run(workers); err != nil {
+			return MatchPoint{}, fmt.Errorf("matchscale ranks=%d parts=%d: %w", ranks, parts, err)
+		}
+		end, highWater = pe.Now(), pw.MatchQueueHighWater
+		pt.Parts, pt.Workers = parts, workers
+		pt.Windows, pt.Stalls, pt.Adverts = pe.Windows(), pe.Stalls(), pe.Adverts()
+	}
+	pt.SimMS = end.Seconds() * 1e3
+	pt.HostMS = float64(time.Since(start)) / 1e6
 	for r := 0; r < ranks; r++ {
-		p, u := w.Comm().MatchQueueHighWater(r)
-		if p > pt.MaxPostedHW {
-			pt.MaxPostedHW = p
-		}
-		if u > pt.MaxUnexpectedHW {
-			pt.MaxUnexpectedHW = u
-		}
+		p, u := highWater(r)
+		pt.MaxPostedHW = max(pt.MaxPostedHW, p)
+		pt.MaxUnexpectedHW = max(pt.MaxUnexpectedHW, u)
 	}
 	return pt, nil
 }
 
+// attachObs returns the hook that attaches a fresh obs.PDES for sm to a
+// partitioned world (nil = no observability).
+func attachObs(sm *obs.Sim) func(*mpi.PartWorld) {
+	if sm == nil {
+		return nil
+	}
+	return func(pw *mpi.PartWorld) { pw.AttachObs(obs.NewPDES(sm, pw.Parts())) }
+}
+
 // matchRankBody is the dense-exchange per-rank program, shared by the serial
-// and partitioned drivers (it only touches the endpoint's own world).
+// and partitioned engines (it only touches the endpoint's own world).
 func matchRankBody(outstanding, wildPct, rounds int) func(p *sim.Proc, ep *mpi.Endpoint) {
 	const msgBytes = 256 // eager: keeps the workload matching-bound
 	return func(p *sim.Proc, ep *mpi.Endpoint) {
@@ -136,98 +169,23 @@ func matchRankBody(outstanding, wildPct, rounds int) func(p *sim.Proc, ep *mpi.E
 	}
 }
 
-// matchWorkloadPart runs the dense exchange on a world partitioned into
-// `parts` shards driven by `workers` host cores, and returns the filled
-// point. The event streams — and therefore SimMS and the high-water marks —
-// are a deterministic function of (sys, ranks, outstanding, wildPct, rounds,
-// parts) alone; workers only changes HostMS and the scheduling counters
-// (Windows/Stalls/Adverts).
-func matchWorkloadPart(sys cluster.System, ranks, outstanding, wildPct, rounds, parts, workers int, sm *obs.Sim) (MatchPoint, error) {
-	if outstanding > ranks-1 {
-		outstanding = ranks - 1
-	}
-	if outstanding < 1 || rounds < 1 {
-		return MatchPoint{}, fmt.Errorf("matchscale: need >=2 ranks, >=1 round (got ranks=%d rounds=%d)", ranks, rounds)
-	}
-	if parts > ranks {
-		return MatchPoint{}, fmt.Errorf("matchscale: %d ranks cannot span %d partitions", ranks, parts)
-	}
-	if sys.MaxNodes < ranks {
-		sys.MaxNodes = ranks
-	}
-	start := time.Now()
-	pe := sim.NewPartitionedEngineMatrix(cluster.LookaheadMatrix(sys, ranks, parts))
-	pw := mpi.NewPartWorld(pe, sys, ranks)
-	if sm != nil {
-		pw.AttachObs(obs.NewPDES(sm, pe.Parts()))
-	}
-	pw.LaunchRanks("matchscale", matchRankBody(outstanding, wildPct, rounds))
-	if err := pw.Run(workers); err != nil {
-		return MatchPoint{}, fmt.Errorf("matchscale ranks=%d parts=%d: %w", ranks, parts, err)
-	}
-	pt := MatchPoint{
-		Ranks: ranks, Outstanding: outstanding, WildPct: wildPct, Rounds: rounds,
-		Messages: ranks * outstanding * rounds,
-		SimMS:    pe.Now().Seconds() * 1e3,
-		HostMS:   float64(time.Since(start)) / 1e6,
-		Parts:    parts, Workers: workers,
-		Windows: pe.Windows(), Stalls: pe.Stalls(), Adverts: pe.Adverts(),
-	}
-	for r := 0; r < ranks; r++ {
-		p, u := pw.MatchQueueHighWater(r)
-		if p > pt.MaxPostedHW {
-			pt.MaxPostedHW = p
-		}
-		if u > pt.MaxUnexpectedHW {
-			pt.MaxUnexpectedHW = u
-		}
-	}
-	return pt, nil
-}
-
 // MatchScalePointObs runs a single cell of the matching-scaling sweep: the
 // dense wildcard exchange at one rank count, on the serial engine or — for
-// parts > 1 — on a parts-way partitioned engine driven by `workers` host
-// workers. This is the unit the serve daemon shards; callers running a
-// whole rank grid want MatchScale or MatchScalePartitioned. A partitioned
-// point attaches a fresh obs.PDES aggregator to its engine, so stall
-// attribution and flight-recorder events land in sm's registry and
-// recorder; sm may be nil.
-func MatchScalePointObs(sys cluster.System, ranks, outstanding, wildPct, rounds, parts, workers int, sm *obs.Sim) (MatchPoint, error) {
-	if parts > 1 {
-		return matchWorkloadPart(sys, ranks, outstanding, wildPct, rounds, parts, workers, sm)
-	}
-	return matchWorkload(sys, ranks, outstanding, wildPct, rounds)
+// parts > 1 — on a parts-way partitioned engine with one host worker per
+// partition. This is the unit the serve daemon shards. A partitioned point
+// attaches a fresh obs.PDES aggregator to its engine, so stall attribution
+// and flight-recorder events land in sm's registry and recorder; sm may be
+// nil.
+func MatchScalePointObs(sys cluster.System, ranks, outstanding, wildPct, rounds, parts int, sm *obs.Sim) (MatchPoint, error) {
+	return matchWorkload(sys, ranks, outstanding, wildPct, rounds, parts, parts, attachObs(sm))
 }
 
-// MatchScale runs the dense wildcard exchange at each rank count.
-func MatchScale(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds int) ([]MatchPoint, error) {
-	return sweep.Map(len(rankCounts), func(i int) (MatchPoint, error) {
-		return matchWorkload(sys, rankCounts[i], outstanding, wildPct, rounds)
-	})
-}
-
-// MatchScalePartitioned runs the dense wildcard exchange at each rank count
-// on a `parts`-way partitioned engine driven by `workers` host cores per
-// point. Every point claims `workers` sweep slots, so a host-parallel sweep
-// of host-parallel runs still respects the configured pool width. parts <= 1
-// is MatchScale — the serial engine, one slot per point.
-func MatchScalePartitioned(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds, parts, workers int) ([]MatchPoint, error) {
-	return MatchScalePartitionedObs(sys, rankCounts, outstanding, wildPct, rounds, parts, workers, nil)
-}
-
-// MatchScalePartitionedObs is MatchScalePartitioned with a host-time
-// observability aggregator threaded into every partitioned point (nil = no
-// observability; serial points never attach one).
-func MatchScalePartitionedObs(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds, parts, workers int, sm *obs.Sim) ([]MatchPoint, error) {
-	if parts <= 1 {
-		return MatchScale(sys, rankCounts, outstanding, wildPct, rounds)
-	}
-	if workers <= 0 {
-		workers = parts
-	}
-	return sweep.MapWeighted(workers, len(rankCounts), func(i int) (MatchPoint, error) {
-		return matchWorkloadPart(sys, rankCounts[i], outstanding, wildPct, rounds, parts, workers, sm)
+// MatchScalePartitionedObs runs MatchScalePointObs at each rank count. A
+// partitioned point claims one sweep slot per partition, so a host-parallel
+// sweep of host-parallel runs still respects the configured pool width.
+func MatchScalePartitionedObs(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds, parts int, sm *obs.Sim) ([]MatchPoint, error) {
+	return sweep.MapWeighted(parts, len(rankCounts), func(i int) (MatchPoint, error) {
+		return MatchScalePointObs(sys, rankCounts[i], outstanding, wildPct, rounds, parts, sm)
 	})
 }
 

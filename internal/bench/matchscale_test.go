@@ -8,6 +8,18 @@ import (
 	"repro/internal/sweep"
 )
 
+// MatchScale runs the dense wildcard exchange at each rank count on the
+// serial engine.
+func MatchScale(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds int) ([]MatchPoint, error) {
+	return MatchScalePartitioned(sys, rankCounts, outstanding, wildPct, rounds, 1)
+}
+
+// MatchScalePartitioned runs the dense wildcard exchange at each rank count
+// on a parts-way partitioned engine with no observability attached.
+func MatchScalePartitioned(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds, parts int) ([]MatchPoint, error) {
+	return MatchScalePartitionedObs(sys, rankCounts, outstanding, wildPct, rounds, parts, nil)
+}
+
 func TestMatchScaleDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []MatchPoint {
 		old := sweep.Workers()
@@ -66,7 +78,7 @@ func TestMatchScaleClampsOutstanding(t *testing.T) {
 // count is a caller error (clmpi-bw -parallel-world above -ranks), reported
 // as an error rather than a panic on a sweep goroutine.
 func TestMatchScalePartsAboveRanks(t *testing.T) {
-	_, err := MatchScalePartitioned(cluster.RICC(), []int{8, 2}, 4, 25, 1, 3, 1)
+	_, err := MatchScalePartitioned(cluster.RICC(), []int{8, 2}, 4, 25, 1, 3)
 	if err == nil || !strings.Contains(err.Error(), "2 ranks cannot span 3 partitions") {
 		t.Fatalf("err = %v, want a ranks-cannot-span error", err)
 	}

@@ -39,7 +39,7 @@ func TestMetricsGolden(t *testing.T) {
 			return trc.Bus(), nil
 		}},
 		{"partitioned_cichlid_8_2", func() (*trace.Bus, error) {
-			return TracePartitioned("cichlid", 8, 2, 2)
+			return TracePartitioned("cichlid", 8, 2)
 		}},
 		{"p2p_ricc_pipelined_32m", func() (*trace.Bus, error) {
 			trc := trace.New()

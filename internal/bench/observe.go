@@ -58,30 +58,24 @@ func TracePreset(name string) (*trace.Tracer, error) {
 }
 
 // TracePartitioned runs the dense wildcard exchange (the matching-scaling
-// workload) on a parts-way partitioned world with one tracer per shard and
-// returns the merged, partition-tagged bus. Like TracePreset the output is
-// byte-deterministic — the partitioned engine's event streams do not depend
-// on the worker count — so the critical-path engine can be golden-tested on
-// a genuinely parallel run.
-func TracePartitioned(name string, ranks, parts, workers int) (*trace.Bus, error) {
-	var sys cluster.System
-	switch name {
-	case "cichlid":
-		sys = cluster.Cichlid()
-	case "ricc":
-		sys = cluster.RICC()
-	default:
-		return nil, fmt.Errorf("unknown preset %q (have: cichlid, ricc)", name)
+// workload) on a parts-way partitioned world of the named system (a preset
+// name or spec file path) with one tracer per shard, and returns the merged,
+// partition-tagged bus. Like TracePreset the output is byte-deterministic —
+// the partitioned engine's event streams do not depend on the worker count
+// — so the critical-path engine can be golden-tested on a genuinely
+// parallel run.
+func TracePartitioned(name string, ranks, parts int) (*trace.Bus, error) {
+	sys, err := cluster.Resolve(name)
+	if err != nil {
+		return nil, err
 	}
-	if sys.MaxNodes < ranks {
-		sys.MaxNodes = ranks
+	if parts < 2 {
+		return nil, fmt.Errorf("tracepart: need >=2 partitions (got %d)", parts)
 	}
-	pe := sim.NewPartitionedEngineMatrix(cluster.LookaheadMatrix(sys, ranks, parts))
-	pw := mpi.NewPartWorld(pe, sys, ranks)
-	tracers := trace.InstrumentPart(pw)
-	pw.LaunchRanks("tracepart", matchRankBody(3, 25, 2))
-	if err := pw.Run(workers); err != nil {
-		return nil, fmt.Errorf("tracepart ranks=%d parts=%d: %w", ranks, parts, err)
+	var tracers []*trace.Tracer
+	instrument := func(pw *mpi.PartWorld) { tracers = trace.InstrumentPart(pw) }
+	if _, err := matchWorkload(sys, ranks, 3, 25, 2, parts, parts, instrument); err != nil {
+		return nil, err
 	}
 	buses := make([]*trace.Bus, len(tracers))
 	for i, t := range tracers {

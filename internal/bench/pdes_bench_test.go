@@ -35,7 +35,7 @@ func BenchmarkPDES(b *testing.B) {
 			b.Run(fmt.Sprintf("%sengine=serial/ranks=%d", tc.prefix, ranks), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := matchWorkload(sys, ranks, 8, 25, 1); err != nil {
+					if _, err := matchWorkload(sys, ranks, 8, 25, 1, 1, 1, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -44,7 +44,7 @@ func BenchmarkPDES(b *testing.B) {
 				b.Run(fmt.Sprintf("%sengine=part/parts=4/workers=%d/ranks=%d", tc.prefix, workers, ranks), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := matchWorkloadPart(sys, ranks, 8, 25, 1, 4, workers, nil); err != nil {
+						if _, err := matchWorkload(sys, ranks, 8, 25, 1, 4, workers, nil); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -61,7 +61,7 @@ func BenchmarkPDES(b *testing.B) {
 		b.Run(fmt.Sprintf("engine=part/parts=8/workers=%d/ranks=10000", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := matchWorkloadPart(ricc, 10000, 8, 25, 1, 8, workers, nil); err != nil {
+				if _, err := matchWorkload(ricc, 10000, 8, 25, 1, 8, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,7 +70,7 @@ func BenchmarkPDES(b *testing.B) {
 	b.Run("engine=part/parts=8/workers=4/ranks=100000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := matchWorkloadPart(ricc, 100000, 8, 25, 1, 8, 4, nil); err != nil {
+			if _, err := matchWorkload(ricc, 100000, 8, 25, 1, 8, 4, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -87,7 +87,7 @@ func BenchmarkPDES(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := matchWorkloadPart(ricc, 10000, 8, 25, 1, 8, workers, sm); err != nil {
+				if _, err := matchWorkload(ricc, 10000, 8, 25, 1, 8, workers, attachObs(sm)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,64 +1,40 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
-// TestLookaheadMatrixGolden pins the derived matrix — and its rendering —
-// for every built-in preset at a 4-way split of the full system. The
-// balanced split puts each shard on disjoint nodes, so every finite entry
-// must be exactly the preset's wire latency; a change here means either a
-// preset's NIC model moved or the derivation regressed.
+// TestLookaheadMatrixGolden pins the derived matrix for every built-in
+// preset at a 4-way split of the full system: every entry must be exactly
+// the preset's wire latency. A change here means either a preset's NIC
+// model moved or the derivation regressed.
 func TestLookaheadMatrixGolden(t *testing.T) {
-	goldens := map[string]string{
-		"cichlid": `Lookahead matrix L[from][to] (Cichlid, 4 nodes, 4 partitions)
-L bounds how far shard ` + "`to`" + ` may run ahead of shard ` + "`from`" + ` barrier-free.
-              to 0      to 1      to 2      to 3
-  from 0         -      30µs      30µs      30µs
-  from 1      30µs         -      30µs      30µs
-  from 2      30µs      30µs         -      30µs
-  from 3      30µs      30µs      30µs         -
-tightest channel: 30µs (the shortest stall any pair can impose)
-`,
-		"ricc": `Lookahead matrix L[from][to] (RICC, 100 nodes, 4 partitions)
-L bounds how far shard ` + "`to`" + ` may run ahead of shard ` + "`from`" + ` barrier-free.
-              to 0      to 1      to 2      to 3
-  from 0         -      18µs      18µs      18µs
-  from 1      18µs         -      18µs      18µs
-  from 2      18µs      18µs         -      18µs
-  from 3      18µs      18µs      18µs         -
-tightest channel: 18µs (the shortest stall any pair can impose)
-`,
-		"ricc-verbs": `Lookahead matrix L[from][to] (RICC-verbs, 100 nodes, 4 partitions)
-L bounds how far shard ` + "`to`" + ` may run ahead of shard ` + "`from`" + ` barrier-free.
-              to 0      to 1      to 2      to 3
-  from 0         -       5µs       5µs       5µs
-  from 1       5µs         -       5µs       5µs
-  from 2       5µs       5µs         -       5µs
-  from 3       5µs       5µs       5µs         -
-tightest channel: 5µs (the shortest stall any pair can impose)
-`,
-		"hopper": `Lookahead matrix L[from][to] (Hopper, 128 nodes, 4 partitions)
-L bounds how far shard ` + "`to`" + ` may run ahead of shard ` + "`from`" + ` barrier-free.
-              to 0      to 1      to 2      to 3
-  from 0         -       2µs       2µs       2µs
-  from 1       2µs         -       2µs       2µs
-  from 2       2µs       2µs         -       2µs
-  from 3       2µs       2µs       2µs         -
-tightest channel: 2µs (the shortest stall any pair can impose)
-`,
-	}
-	for name, want := range goldens {
+	for name, want := range map[string]time.Duration{
+		"cichlid":    30 * time.Microsecond,
+		"ricc":       18 * time.Microsecond,
+		"ricc-verbs": 5 * time.Microsecond,
+		"hopper":     2 * time.Microsecond,
+	} {
 		t.Run(name, func(t *testing.T) {
 			sys, err := Resolve(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := sys.MaxNodes
-			got := FormatLookaheadMatrix(sys, n, LookaheadMatrix(sys, n, 4))
-			if got != want {
-				t.Errorf("matrix rendering changed:\n--- got ---\n%s--- want ---\n%s", got, want)
+			la := LookaheadMatrix(sys, sys.MaxNodes, 4)
+			if len(la) != 4 {
+				t.Fatalf("%d rows, want 4", len(la))
+			}
+			for from, row := range la {
+				if len(row) != 4 {
+					t.Fatalf("row %d has %d entries, want 4", from, len(row))
+				}
+				for to, d := range row {
+					if d != want {
+						t.Errorf("L[%d][%d] = %v, want %v", from, to, d, want)
+					}
+				}
 			}
 		})
 	}
@@ -69,7 +45,7 @@ tightest channel: 2µs (the shortest stall any pair can impose)
 // `from` and a node of shard `to` can cover — DMA descriptor latency when
 // the two ranks share a node, wire latency otherwise.
 func minCrossDelay(sys System, from, to [2]int) time.Duration {
-	best := InfLookahead
+	best := time.Duration(math.MaxInt64)
 	for a := from[0]; a < from[1]; a++ {
 		for b := to[0]; b < to[1]; b++ {
 			d := sys.NIC.WireLatency
@@ -85,10 +61,10 @@ func minCrossDelay(sys System, from, to [2]int) time.Duration {
 }
 
 // TestLookaheadConservatism is the safety property behind the whole
-// asynchronous protocol: every finite matrix entry must be at most the true
-// minimum cross-shard propagation delay over the balanced split's node
-// ranges. An entry above the true minimum would let a shard run past an
-// event that can still reach it.
+// asynchronous protocol: every off-diagonal matrix entry must be positive
+// and at most the true minimum cross-shard propagation delay over the
+// balanced split's node ranges. An entry above the true minimum would let a
+// shard run past an event that can still reach it.
 func TestLookaheadConservatism(t *testing.T) {
 	for name, mk := range map[string]func() System{
 		"cichlid": Cichlid, "ricc": RICC,
@@ -111,25 +87,10 @@ func checkConservative(t *testing.T, label string, sys System, ranges [][2]int, 
 	t.Helper()
 	for from := range ranges {
 		for to := range ranges {
-			got := la[from][to]
 			if from == to {
-				if got != InfLookahead {
-					t.Fatalf("%s: diagonal L[%d][%d] = %v, want inf", label, from, to, got)
-				}
 				continue
 			}
-			truth := minCrossDelay(sys, ranges[from], ranges[to])
-			if truth == InfLookahead {
-				if got != InfLookahead {
-					t.Fatalf("%s: L[%d][%d] = %v for a non-communicating pair %v/%v",
-						label, from, to, got, ranges[from], ranges[to])
-				}
-				continue
-			}
-			if got == InfLookahead {
-				t.Fatalf("%s: L[%d][%d] is inf but the pair %v/%v communicates (min delay %v)",
-					label, from, to, ranges[from], ranges[to], truth)
-			}
+			got, truth := la[from][to], minCrossDelay(sys, ranges[from], ranges[to])
 			if got > truth {
 				t.Fatalf("%s: L[%d][%d] = %v exceeds the true minimum delay %v for %v/%v — not conservative",
 					label, from, to, got, truth, ranges[from], ranges[to])

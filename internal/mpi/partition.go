@@ -37,11 +37,10 @@ import (
 // the serial engine. Each leg is a step process that ends with its
 // occupancy, so the transport keeps no process per node.
 //
-// Both directions honour the conservative channel protocol: every cross
-// event lands at least one wire latency after the instant it was produced,
-// which is at least the lookahead-matrix entry for its shard pair
-// (cluster.LookaheadMatrix never exceeds the wire latency), so each shard's
-// per-channel horizon admits every event before it can matter. The same
+// Both directions honour the conservative protocol: every cross event lands
+// at least one wire latency after the instant it was produced, and the wire
+// latency is the engine's one lookahead (cluster.LookaheadMatrix), so each
+// shard's horizon admits every event before it can matter. The same
 // ordering hands an xsend from one leg to the next: a shard runs the cross
 // event that starts a leg only after the previous leg's shard has
 // advertised a clock beyond that leg's end.

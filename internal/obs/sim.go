@@ -147,7 +147,6 @@ type PDES struct {
 	DeadlockDump io.Writer
 
 	shards []pdesShard
-	k      int
 }
 
 // pdesShard is per-shard stall bookkeeping plus the resolved handles.
@@ -163,26 +162,12 @@ type pdesShard struct {
 // NewPDES attaches a K-shard engine to the aggregator. Handles resolve here,
 // once, so the step loop performs only atomic adds and ring writes.
 func NewPDES(sm *Sim, k int) *PDES {
-	p := &PDES{sm: sm, k: k, epoch: time.Now(), shards: make([]pdesShard, k)}
-	if sm != nil {
-		p.rec = sm.rec
-		p.DeadlockDump = sm.DeadlockDump
-		if p.rec != nil {
-			p.epoch = p.rec.Start()
-		}
-		for i := range p.shards {
-			p.shards[i].h = sm.handles(i, k)
-		}
+	p := &PDES{sm: sm, rec: sm.rec, DeadlockDump: sm.DeadlockDump, epoch: time.Now(), shards: make([]pdesShard, k)}
+	if p.rec != nil {
+		p.epoch = p.rec.Start()
 	}
-	return p
-}
-
-// NewRecorderPDES attaches an engine to a bare recorder with no metrics
-// registry — the always-on production shape.
-func NewRecorderPDES(rec *Recorder, k int) *PDES {
-	p := &PDES{rec: rec, k: k, epoch: time.Now(), shards: make([]pdesShard, k)}
-	if rec != nil {
-		p.epoch = rec.Start()
+	for i := range p.shards {
+		p.shards[i].h = sm.handles(i, k)
 	}
 	return p
 }
@@ -195,13 +180,7 @@ func (p *PDES) Recorder() *Recorder { return p.rec }
 
 // SetShardLabel names shard i for reports and dumps (cold path, at world
 // construction).
-func (p *PDES) SetShardLabel(i int, label string) {
-	if p.sm != nil {
-		p.sm.setLabel(i, label)
-	} else {
-		p.rec.Note("shard%d = %s", i, label)
-	}
-}
+func (p *PDES) SetShardLabel(i int, label string) { p.sm.setLabel(i, label) }
 
 // StepStart closes any stall left open on shard i: the shard is being
 // stepped again, so the blocked interval ends now.
@@ -214,36 +193,28 @@ func (p *PDES) StepStart(i int, now int64) {
 	sh.stallStart.Store(0)
 	up := sh.stallUp.Load()
 	dt := now - start
-	if sh.h != nil && int(up) < len(sh.h.stallBy) {
-		sh.h.stallBy[up].Add(dt)
-	}
+	sh.h.stallBy[up].Add(dt)
 	p.rec.RecordAt(i, now, KindStallEnd, int16(i), int16(up), dt, 0)
 }
 
 // MergeDone charges dt nanoseconds of cross-channel draining to shard i.
-func (p *PDES) MergeDone(i int, dt int64) {
-	if h := p.shards[i].h; h != nil {
-		h.merge.Add(dt)
-	}
-}
+func (p *PDES) MergeDone(i int, dt int64) { p.shards[i].h.merge.Add(dt) }
 
 // AdvertDone charges one floor publication (dt nanoseconds, new floor) to
 // shard i, stamped at t.
 func (p *PDES) AdvertDone(i int, floor, dt, t int64) {
-	if h := p.shards[i].h; h != nil {
-		h.advert.Add(dt)
-		h.adverts.Add(1)
-	}
+	h := p.shards[i].h
+	h.advert.Add(dt)
+	h.adverts.Add(1)
 	p.rec.RecordAt(i, t, KindAdvert, int16(i), -1, floor, 0)
 }
 
 // WindowDone charges one executed horizon window (virtual start vt, dt host
 // nanoseconds) to shard i, stamped at t.
 func (p *PDES) WindowDone(i int, vt, dt, t int64) {
-	if h := p.shards[i].h; h != nil {
-		h.sim.Add(dt)
-		h.windows.Add(1)
-	}
+	h := p.shards[i].h
+	h.sim.Add(dt)
+	h.windows.Add(1)
 	p.rec.RecordAt(i, t, KindWindow, int16(i), -1, vt, dt)
 }
 
@@ -253,9 +224,7 @@ func (p *PDES) StallBegin(i, up int, floor, horizon, t int64) {
 	sh := &p.shards[i]
 	sh.stallUp.Store(int64(up))
 	sh.stallStart.Store(t)
-	if sh.h != nil {
-		sh.h.stalls.Add(1)
-	}
+	sh.h.stalls.Add(1)
 	p.rec.RecordAt(i, t, KindStallBegin, int16(i), int16(up), floor, horizon)
 }
 
@@ -272,9 +241,7 @@ func (p *PDES) CloseStalls() {
 // FixpointRound notes one quiescence fixpoint pass that freed `freed`
 // shards (0 means the pass ended the run instead).
 func (p *PDES) FixpointRound(freed int) {
-	if p.sm != nil {
-		p.sm.fixpoints.Add(1)
-	}
+	p.sm.fixpoints.Add(1)
 	p.rec.Record(0, KindFixpoint, -1, -1, int64(freed), 0)
 }
 
@@ -282,9 +249,7 @@ func (p *PDES) FixpointRound(freed int) {
 // engine's description of the blocked processes, and — if DeadlockDump is
 // set — writes the full flight-recorder dump there immediately.
 func (p *PDES) Deadlock(vt int64, blocked string) {
-	if p.sm != nil {
-		p.sm.deadlocks.Add(1)
-	}
+	p.sm.deadlocks.Add(1)
 	p.rec.Record(0, KindDeadlock, -1, -1, vt, 0)
 	p.rec.Note("deadlock at vt=%dns: %s", vt, blocked)
 	if p.DeadlockDump != nil {
@@ -297,9 +262,7 @@ func (p *PDES) Deadlock(vt int64, blocked string) {
 // workers feed the occupancy denominator, and any still-open stalls close.
 func (p *PDES) EngineDone(wallNs int64, workers int) {
 	p.CloseStalls()
-	if p.sm != nil {
-		p.sm.workerSec.Add(wallNs * int64(workers))
-	}
+	p.sm.workerSec.Add(wallNs * int64(workers))
 }
 
 // Report renders the per-shard host-time attribution table: where each
@@ -369,24 +332,6 @@ func (s *Sim) Report(w io.Writer) error {
 		windows, stalls, adverts, s.fixpoints.Value(), s.deadlocks.Value(),
 		100*s.reg.GaugeValue("clmpi_pdes_worker_occupancy"))
 	return err
-}
-
-// TopStall returns the (shard, upstream, seconds) of the largest single
-// stall-attribution cell — the first place to look when a run does not
-// scale.
-func (s *Sim) TopStall() (shard, upstream int, seconds float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	shard, upstream = -1, -1
-	var best int64
-	for i, h := range s.perShard {
-		for up, c := range h.stallBy {
-			if v := c.Value(); v > best {
-				best, shard, upstream = v, i, up
-			}
-		}
-	}
-	return shard, upstream, float64(best) / 1e9
 }
 
 // secs renders nanoseconds as a compact seconds string for the table.

@@ -328,8 +328,7 @@ func RunPointObs(spec JobSpec, i int, sm *obs.Sim) (PointResult, error) {
 	}
 	if spec.Workload == "matchscale" {
 		ranks := spec.Ranks[i]
-		pw := spec.ParallelWorld
-		pt, err := bench.MatchScalePointObs(sys, ranks, 8, 25, 1, pw, pw, sm)
+		pt, err := bench.MatchScalePointObs(sys, ranks, 8, 25, 1, spec.ParallelWorld, sm)
 		if err != nil {
 			return PointResult{}, fmt.Errorf("serve: matchscale ranks=%d: %w", ranks, err)
 		}

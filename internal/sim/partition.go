@@ -16,33 +16,32 @@ import (
 // windowed Engine running its own event loop, synchronized by an
 // asynchronous conservative protocol (null-message style).
 //
-// The lookahead comes from the modelled hardware, per ordered shard pair: a
-// cross-shard interaction cannot take effect earlier than L[from][to] after
-// it is initiated — the fabric's wire latency between shards, +inf for pairs
-// with no channel at all. Every finite entry must be positive (the
-// constructor panics otherwise). Each shard therefore advances
-// independently to its channel horizon
+// The lookahead L comes from the modelled hardware: a cross-shard
+// interaction cannot take effect earlier than L after it is initiated. L is
+// the fabric's wire latency, the only cross-node delay the model has, so it
+// is one positive value for every shard pair (the constructor panics
+// otherwise). Each shard therefore advances independently to its horizon
 //
-//	horizon(i) = min over finite incoming channels j of (floor(j) + L[j][i])
+//	horizon(i) = min over shards j != i of floor(j) + L
 //
 // where floor(j) is shard j's published clock advertisement: a lower bound
 // on every instant j will ever execute again, and hence (plus L) on every
 // cross event j will ever emit. Shards run continuously on a pool of worker
 // goroutines — there is no global barrier and no global window — and only
-// stall on the channels that actually constrain them. A stalled shard whose
+// stall on the shard whose floor pins their horizon. A stalled shard whose
 // events all sit at or beyond its horizon publishes its horizon as its own
 // floor (the null message), which unblocks its dependents in turn; when
 // every shard is simultaneously stalled the driver runs a global
 // advertisement fixpoint that either frees the shard holding the earliest
 // event or proves the simulation finished (or deadlocked).
 //
-// Deadlock freedom: with every finite L > 0, consider any reachable state
-// where events remain. The shard m holding the globally minimal floor
-// anchor has floor(m) = its next event time (a relaxation through another
-// shard would add L > 0 and exceed the minimum), and its horizon —
-// min over j of floor(j) + L[j][m] with floor(j) >= floor(m) — is then
-// strictly greater than floor(m). So m can always execute, and the
-// fixpoint always makes progress.
+// Deadlock freedom: with L > 0, consider any reachable state where events
+// remain. The shard m holding the globally minimal floor anchor has
+// floor(m) = its next event time (a relaxation through another shard would
+// add L > 0 and exceed the minimum), and its horizon — min over j of
+// floor(j) + L with floor(j) >= floor(m) — is then strictly greater than
+// floor(m). So m can always execute, and the fixpoint always makes
+// progress.
 //
 // Determinism: a shard executes instant t only when t < horizon, and every
 // event another shard could still emit toward it lands at or beyond
@@ -52,8 +51,8 @@ import (
 // pure function of the event set; the worker count changes wall-clock time
 // only.
 
-// timeInf is the saturation point of virtual time: a lookahead matrix entry
-// equal to it (cluster.InfLookahead) marks a non-communicating shard pair.
+// timeInf is the saturation point of virtual time: the floor of a shard
+// that will never execute again.
 const timeInf = Time(math.MaxInt64)
 
 // crossTimer is one cross-shard event resident in a target shard's heap.
@@ -165,8 +164,7 @@ const (
 type PartitionedEngine struct {
 	shards []*Engine
 	k      int
-	la     []Time  // lookahead matrix, row-major [from*k+to]; timeInf = no channel
-	minLA  Time    // smallest finite off-diagonal entry (timeInf if none)
+	la     Time    // the lookahead of every shard pair (timeInf when k == 1)
 	chans  []xchan // per ordered pair, row-major [from*k+to]
 
 	// floors[i] is shard i's published clock advertisement. Monotone
@@ -204,11 +202,11 @@ type PartitionedEngine struct {
 
 // NewPartitionedEngineMatrix creates one windowed shard engine per row of
 // the lookahead matrix la, where la[from][to] bounds how much later than
-// shard from's clock a cross event on that channel can land
-// (cluster.LookaheadMatrix derives it from a system topology). Entries of
-// math.MaxInt64 (cluster.InfLookahead) mark non-communicating pairs; the
-// diagonal is ignored. Every other entry must be positive: a zero lookahead
-// voids the conservative independence argument, so it panics.
+// shard from's clock a cross event toward shard to can land
+// (cluster.LookaheadMatrix derives it from a system). The diagonal is
+// ignored. Every other entry must be the same positive, finite value: a
+// zero lookahead voids the conservative independence argument, and the
+// engine keeps one lookahead for every shard pair, so anything else panics.
 func NewPartitionedEngineMatrix(la [][]time.Duration) *PartitionedEngine {
 	k := len(la)
 	if k < 1 {
@@ -217,32 +215,29 @@ func NewPartitionedEngineMatrix(la [][]time.Duration) *PartitionedEngine {
 	pe := &PartitionedEngine{
 		k:      k,
 		shards: make([]*Engine, k),
-		la:     make([]Time, k*k),
-		minLA:  timeInf,
+		la:     timeInf,
 		chans:  make([]xchan, k*k),
 		floors: make([]atomic.Int64, k),
 		state:  make([]shardState, k),
 		dirty:  make([]bool, k),
 	}
 	pe.cond = sync.NewCond(&pe.mu)
-	for from := 0; from < k; from++ {
+	for from := range la {
 		if len(la[from]) != k {
 			panic("sim: lookahead matrix is not square")
 		}
-		for to := 0; to < k; to++ {
-			d := Time(la[from][to])
-			if from == to {
-				d = timeInf
-			}
-			pe.la[from*k+to] = d
-			if from == to || d == timeInf {
-				continue
-			}
-			if d <= 0 {
-				panic(fmt.Sprintf("sim: lookahead L[%d][%d] = %v is not positive", from, to, time.Duration(d)))
-			}
-			if d < pe.minLA {
-				pe.minLA = d
+		for to, d := range la[from] {
+			switch {
+			case from == to:
+			case d <= 0:
+				panic(fmt.Sprintf("sim: lookahead L[%d][%d] = %v is not positive", from, to, d))
+			case Time(d) == timeInf:
+				panic(fmt.Sprintf("sim: lookahead L[%d][%d] is infinite, but every shard pair communicates", from, to))
+			case pe.la == timeInf:
+				pe.la = Time(d)
+			case Time(d) != pe.la:
+				panic(fmt.Sprintf("sim: lookahead L[%d][%d] = %v differs from L[0][1] = %v, but every shard pair shares one lookahead",
+					from, to, d, time.Duration(pe.la)))
 			}
 		}
 	}
@@ -271,16 +266,6 @@ func (pe *PartitionedEngine) Parts() int { return pe.k }
 // Shard returns partition i's engine; simulation layers spawn processes and
 // build modelled hardware on it exactly as on a serial engine.
 func (pe *PartitionedEngine) Shard(i int) *Engine { return pe.shards[i] }
-
-// Lookahead reports the tightest finite channel lookahead — the shortest
-// stall any shard pair can impose on another (zero when no pair
-// communicates).
-func (pe *PartitionedEngine) Lookahead() time.Duration {
-	if pe.minLA == timeInf {
-		return 0
-	}
-	return time.Duration(pe.minLA)
-}
 
 // Windows reports how many shard horizon windows have been executed, as a
 // per-shard total. Its value depends on host scheduling — report it, but
@@ -326,23 +311,18 @@ func satAdd(a, b Time) Time {
 // runs in shard `to`'s scheduler context at instant at, in the (at, src,
 // seq) order, before any process it wakes: like an After function, it must
 // not block, and it reads the instant from the target shard
-// (Shard(to).Now()). During Run, at must lie at or beyond
-// floor(from)+L[from][to] — the conservative protocol's correctness
-// condition — and the driver panics otherwise.
+// (Shard(to).Now()). During Run, at must lie at or beyond floor(from)+L —
+// the conservative protocol's correctness condition — and the driver
+// panics otherwise.
 func (pe *PartitionedEngine) Cross(from, to int, at Time, fn func()) {
 	if from == to {
 		panic(fmt.Sprintf("sim: cross-partition event from shard %d to itself", from))
 	}
-	k := pe.k
-	ch := &pe.chans[from*k+to]
+	ch := &pe.chans[from*pe.k+to]
 	if pe.started {
-		la := pe.la[from*k+to]
-		if la == timeInf {
-			panic(fmt.Sprintf("sim: cross-partition event %d->%d on a channel the lookahead matrix declares non-communicating", from, to))
-		}
-		if floor := Time(pe.floors[from].Load()); at < satAdd(floor, la) {
+		if floor := Time(pe.floors[from].Load()); at < satAdd(floor, pe.la) {
 			panic(fmt.Sprintf("sim: cross-partition event at %v violates window horizon %v (channel %d->%d lookahead %v)",
-				at, satAdd(floor, la), from, to, time.Duration(la)))
+				at, satAdd(floor, pe.la), from, to, time.Duration(pe.la)))
 		}
 	}
 	ch.mu.Lock()
@@ -379,7 +359,7 @@ func (pe *PartitionedEngine) drainChannel(from, to int) {
 }
 
 // publishFloor raises shard i's clock advertisement to v and wakes every
-// stalled shard with a channel from i. Floors are monotone; a no-op when v
+// other stalled shard. Floors are monotone; a no-op when v
 // does not exceed the current advertisement. Reports whether an
 // advertisement was actually published.
 func (pe *PartitionedEngine) publishFloor(i int, v Time) bool {
@@ -391,7 +371,7 @@ func (pe *PartitionedEngine) publishFloor(i int, v Time) bool {
 	woke := false
 	pe.mu.Lock()
 	for to := 0; to < pe.k; to++ {
-		if to == i || pe.la[i*pe.k+to] == timeInf {
+		if to == i {
 			continue
 		}
 		switch pe.state[to] {
@@ -432,18 +412,16 @@ func (pe *PartitionedEngine) step(i int) bool {
 		t0 = o.Now()
 		o.StepStart(i, t0)
 	}
-	horizon := timeInf
 	limiting, limFloor := -1, timeInf
 	for from := 0; from < k; from++ {
-		if from == i || pe.la[from*k+i] == timeInf {
+		if from == i {
 			continue
 		}
-		f := Time(pe.floors[from].Load())
-		if h := satAdd(f, pe.la[from*k+i]); h < horizon {
-			horizon = h
+		if f := Time(pe.floors[from].Load()); f < limFloor {
 			limiting, limFloor = from, f
 		}
 	}
+	horizon := satAdd(limFloor, pe.la)
 	for from := 0; from < k; from++ {
 		if from != i {
 			pe.drainChannel(from, i)
@@ -604,50 +582,14 @@ func (pe *PartitionedEngine) quiesceLocked() {
 			next[i] = timeInf
 		}
 	}
-	// Floor fixpoint, relaxed downward from the event anchors
-	// (Bellman-style): floor(i) = min(next(i), min over finite channels
-	// j->i of floor(j)+L[j][i]). Relaxations only shorten toward sums over
-	// simple paths (every L > 0), so the loop terminates; with no events
-	// anywhere every floor saturates at timeInf immediately — the
-	// incremental climb two idle shards could otherwise feed each other is
-	// structurally impossible here.
-	fl := make([]Time, k)
-	copy(fl, next)
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				if j == i || pe.la[j*k+i] == timeInf {
-					continue
-				}
-				if v := satAdd(fl[j], pe.la[j*k+i]); v < fl[i] {
-					fl[i] = v
-					changed = true
-				}
-			}
-		}
-	}
-	for i := 0; i < k; i++ {
-		if fl[i] > Time(pe.floors[i].Load()) {
-			pe.floors[i].Store(int64(fl[i]))
+	bound := fixpointBound(next, pe.la)
+	freed := 0
+	for i, n := range next {
+		if fl := min(n, bound); fl > Time(pe.floors[i].Load()) {
+			pe.floors[i].Store(int64(fl))
 			pe.adverts.Add(1)
 		}
-	}
-	freed := 0
-	for i := 0; i < k; i++ {
-		if next[i] == timeInf {
-			continue
-		}
-		horizon := timeInf
-		for j := 0; j < k; j++ {
-			if j == i || pe.la[j*k+i] == timeInf {
-				continue
-			}
-			if h := satAdd(fl[j], pe.la[j*k+i]); h < horizon {
-				horizon = h
-			}
-		}
-		if next[i] < horizon {
+		if n < bound {
 			pe.state[i] = shardRunnable
 			pe.blockedN--
 			pe.pushRunqLocked(i)
@@ -690,6 +632,26 @@ func (pe *PartitionedEngine) quiesceLocked() {
 		pe.obs.Deadlock(int64(err.Time), strings.Join(blocked, "; "))
 	}
 	pe.finishLocked(err)
+}
+
+// fixpointBound solves the quiescence advertisement fixpoint
+//
+//	floor(i) = min(next(i), min over j != i of floor(j) + la)
+//
+// for the event anchors next, in closed form: with one lookahead a
+// relaxation through more shards only adds more la, and the j == i term
+// never beats next(i), so floor(i) = min(next(i), bound) with
+// bound = min over all j of next(j) + la. The bound also decides who runs:
+// shard i's resulting horizon, min over j != i of floor(j) + la, exceeds
+// next(i) exactly when next(i) < bound. With no events anywhere every
+// floor saturates at timeInf at once — the incremental climb two idle
+// shards could otherwise feed each other is structurally impossible.
+func fixpointBound(next []Time, la Time) Time {
+	first := timeInf
+	for _, n := range next {
+		first = min(first, n)
+	}
+	return satAdd(first, la)
 }
 
 // finishLocked records the outcome and releases every worker.

@@ -2,38 +2,29 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
-// infLA mirrors cluster.InfLookahead without importing the cluster package
-// into sim's tests.
-const infLA = time.Duration(math.MaxInt64)
+// Asynchronous-protocol specifics: worker-count independence of the event
+// streams, the closed-form quiescence fixpoint, the guards against a
+// non-uniform, infinite or non-positive lookahead, a self-addressed cross
+// event and one in the past, and the scheduling counters.
 
-// Asynchronous-protocol specifics: heterogeneous per-channel lookahead,
-// worker-count independence of the event streams, the guards against a
-// non-communicating channel, a non-positive lookahead, a self-addressed
-// cross event and one in the past, and the scheduling counters.
+// chainLA is the lookahead of the 3-shard relay below: its first hop lands
+// exactly one lookahead after the tick, its second hop two.
+const chainLA = 10 * time.Microsecond
 
-// chainMatrix is a 3-shard pipeline topology: 0 feeds 1 (tight channel),
-// 1 feeds 2 (loose channel), every other pair never communicates.
-func chainMatrix() [][]time.Duration {
-	return [][]time.Duration{
-		{infLA, 10 * time.Microsecond, infLA},
-		{infLA, infLA, 20 * time.Microsecond},
-		{infLA, infLA, infLA},
-	}
-}
-
-// runChain drives a 3-stage relay over the chain topology: shard 0 ticks and
-// forwards to shard 1, which relays to shard 2. Each shard records into its
-// own recorder, so the run is race-free at any worker count; the comparison
-// payload is the per-shard streams plus the end time.
+// runChain drives a 3-stage relay: shard 0 ticks and forwards to shard 1,
+// which relays to shard 2. Each shard records into its own recorder, so the
+// run is race-free at any worker count; the comparison payload is the
+// per-shard streams plus the end time.
 func runChain(t *testing.T, workers int) ([][]string, Time) {
 	t.Helper()
-	pe := NewPartitionedEngineMatrix(chainMatrix())
+	pe := NewPartitionedEngineMatrix(uniformLA(3, chainLA))
 	recs := [3]*recorder{{}, {}, {}}
 	pe.Shard(0).Spawn("src", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -59,8 +50,7 @@ func runChain(t *testing.T, workers int) ([][]string, Time) {
 	return streams, pe.Now()
 }
 
-// TestAsyncChainDeterministic: the relay pipeline over a heterogeneous
-// matrix must produce identical per-shard streams and end time at every
+// TestAsyncChainDeterministic: the relay pipeline must produce identical per-shard streams and end time at every
 // worker count, and the final sink event pins the expected virtual schedule.
 func TestAsyncChainDeterministic(t *testing.T) {
 	base, baseEnd := runChain(t, 1)
@@ -89,7 +79,7 @@ func TestAsyncChainDeterministic(t *testing.T) {
 // floor advertisements; the counters are host-scheduling dependent, so only
 // their positivity is asserted.
 func TestAsyncCounters(t *testing.T) {
-	pe := NewPartitionedEngineMatrix(chainMatrix())
+	pe := NewPartitionedEngineMatrix(uniformLA(3, chainLA))
 	pe.Shard(0).Spawn("src", func(p *Proc) {
 		p.Sleep(time.Microsecond)
 		pe.Cross(0, 1, p.Now()+Time(10*time.Microsecond), func() {})
@@ -103,37 +93,97 @@ func TestAsyncCounters(t *testing.T) {
 	if pe.Adverts() == 0 {
 		t.Error("no floor advertisements counted")
 	}
-	if pe.Lookahead() != 10*time.Microsecond {
-		t.Errorf("Lookahead() = %v, want the tightest finite channel 10µs", pe.Lookahead())
+}
+
+// bellmanFloors is the general quiescence fixpoint, kept as the oracle for
+// fixpointBound: relax floor(i) = min(next(i), min over j != i of
+// floor(j)+la) downward from the event anchors until nothing changes, then
+// derive each shard's horizon, min over j != i of floor(j)+la.
+func bellmanFloors(next []Time, la Time) (floors, horizons []Time) {
+	k := len(next)
+	floors = append([]Time(nil), next...)
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				if j == i {
+					continue
+				}
+				if v := satAdd(floors[j], la); v < floors[i] {
+					floors[i] = v
+					changed = true
+				}
+			}
+		}
+	}
+	horizons = make([]Time, k)
+	for i := range horizons {
+		horizons[i] = timeInf
+		for j := 0; j < k; j++ {
+			if j != i {
+				horizons[i] = min(horizons[i], satAdd(floors[j], la))
+			}
+		}
+	}
+	return floors, horizons
+}
+
+// TestFixpointClosedFormMatchesBellman: on random event anchors (idle shards
+// at timeInf, ties, events within one lookahead of each other) and K in
+// [1, 16], the closed form gives every shard the Bellman floor and frees
+// exactly the shards whose next event clears their Bellman horizon.
+func TestFixpointClosedFormMatchesBellman(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		k := 1 + rng.Intn(16)
+		la := Time(1 + rng.Intn(50))
+		next := make([]Time, k)
+		for i := range next {
+			if rng.Intn(3) == 0 {
+				next[i] = timeInf
+			} else {
+				next[i] = Time(rng.Intn(200))
+			}
+		}
+		floors, horizons := bellmanFloors(next, la)
+		bound := fixpointBound(next, la)
+		for i, n := range next {
+			if got := min(n, bound); got != floors[i] {
+				t.Fatalf("next=%v la=%v: floor(%d) = %v, Bellman %v", next, la, i, got, floors[i])
+			}
+			if n != timeInf && (n < bound) != (n < horizons[i]) {
+				t.Fatalf("next=%v la=%v: shard %d freed=%v, Bellman horizon %v says %v",
+					next, la, i, n < bound, horizons[i], n < horizons[i])
+			}
+		}
 	}
 }
 
-// TestCrossNonCommunicatingPanics: emitting over a channel the matrix
-// declares infinite is a topology bug and must fail loudly, not silently
-// break conservatism.
-func TestCrossNonCommunicatingPanics(t *testing.T) {
-	pe := NewPartitionedEngineMatrix(chainMatrix())
-	var recovered any
-	pe.Shard(2).Spawn("violator", func(p *Proc) {
-		defer func() { recovered = recover() }()
-		p.Sleep(time.Microsecond)
-		// The chain topology has no 2->0 channel.
-		pe.Cross(2, 0, p.Now()+Time(time.Second), func() {})
-	})
-	if err := pe.Run(3); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	msg, ok := recovered.(string)
-	if !ok || !strings.Contains(msg, "non-communicating") {
-		t.Fatalf("recovered %v, want a non-communicating channel panic", recovered)
+// TestNonUniformLookaheadPanics: the engine keeps one lookahead for every
+// shard pair, so a matrix with a second value, or an infinite entry (a pair
+// that would never communicate), is refused at construction.
+func TestNonUniformLookaheadPanics(t *testing.T) {
+	for name, tc := range map[string]struct {
+		d    time.Duration
+		want string
+	}{
+		"differs":  {20 * time.Microsecond, "differs from L[0][1] = 10µs"},
+		"infinite": {time.Duration(math.MaxInt64), "is infinite"},
+	} {
+		la := uniformLA(3, chainLA)
+		la[1][2] = tc.d
+		msg, _ := recovered(func() { NewPartitionedEngineMatrix(la) }).(string)
+		if !strings.Contains(msg, "L[1][2]") || !strings.Contains(msg, tc.want) {
+			t.Fatalf("%s: recovered %q, want a panic naming L[1][2] that %s", name, msg, tc.want)
+		}
 	}
 }
 
-// TestNonPositiveLookaheadPanics: a zero or negative finite entry voids the
+// TestNonPositiveLookaheadPanics: a zero or negative entry voids the
 // conservative independence argument, so the constructor refuses it.
 func TestNonPositiveLookaheadPanics(t *testing.T) {
 	for _, d := range []time.Duration{0, -time.Microsecond} {
-		la := chainMatrix()
+		la := uniformLA(3, chainLA)
 		la[1][2] = d
 		msg, _ := recovered(func() { NewPartitionedEngineMatrix(la) }).(string)
 		if !strings.Contains(msg, "L[1][2]") || !strings.Contains(msg, "not positive") {
@@ -145,7 +195,7 @@ func TestNonPositiveLookaheadPanics(t *testing.T) {
 // TestCrossToSelfPanics: cross events travel between distinct shards; one
 // addressed to its own shard is a caller bug.
 func TestCrossToSelfPanics(t *testing.T) {
-	pe := NewPartitionedEngineMatrix(chainMatrix())
+	pe := NewPartitionedEngineMatrix(uniformLA(3, chainLA))
 	msg, _ := recovered(func() { pe.Cross(1, 1, Time(time.Second), func() {}) }).(string)
 	if !strings.Contains(msg, "to itself") {
 		t.Fatalf("recovered %q, want a same-shard cross panic", msg)

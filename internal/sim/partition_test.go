@@ -24,15 +24,17 @@ func (r *recorder) rec(at Time, label string) {
 	r.entries = append(r.entries, time.Duration(at).String()+" "+label)
 }
 
-// uniformLA is a k-shard lookahead matrix with d between every pair.
+// uniformLA is a k-shard lookahead matrix with d between every pair (the
+// diagonal is zero: the engine ignores it).
 func uniformLA(k int, d time.Duration) [][]time.Duration {
 	la := make([][]time.Duration, k)
 	for i := range la {
 		la[i] = make([]time.Duration, k)
 		for j := range la[i] {
-			la[i][j] = d
+			if j != i {
+				la[i][j] = d
+			}
 		}
-		la[i][i] = infLA
 	}
 	return la
 }

@@ -16,7 +16,7 @@ import (
 // trace must survive a native-format round trip unchanged — the same path
 // `clmpi-critpath -in` takes — so the offline tool accepts parallel traces.
 func TestPartitionedIdentityAndGolden(t *testing.T) {
-	b, err := bench.TracePartitioned("cichlid", 8, 2, 2)
+	b, err := bench.TracePartitioned("cichlid", 8, 2)
 	if err != nil {
 		t.Fatalf("TracePartitioned: %v", err)
 	}
