@@ -40,6 +40,21 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
+	// Every flag is checked before any work starts: a bad value exits 2.
+	var sweepSystems []cluster.System
+	for _, arg := range strings.Split(*systemsFlag, ",") {
+		sys, err := cluster.Resolve(strings.TrimSpace(arg))
+		badFlag(err)
+		sweepSystems = append(sweepSystems, sys)
+	}
+	counts := []int{64, 128, 256, 512}
+	if *quick {
+		counts = []int{64, 128}
+	}
+	if *ranks != 0 {
+		counts = append(counts, *ranks)
+	}
+	badFlag(checkScaling(*ranks, *parallelWorld, counts))
 	sweep.SetWorkers(*parallel)
 	stop, err := profiling.Start(*cpuprofile, *memprofile)
 	check(err)
@@ -73,13 +88,6 @@ func main() {
 		fmt.Printf("%s\n\n%s\n", panel.name, rendered[i])
 	}
 
-	var sweepSystems []cluster.System
-	for _, arg := range strings.Split(*systemsFlag, ",") {
-		sys, err := cluster.Resolve(strings.TrimSpace(arg))
-		check(err)
-		sweepSystems = append(sweepSystems, sys)
-	}
-
 	for _, sys := range sweepSystems {
 		section(fmt.Sprintf("Figure 8(%s) — p2p sustained bandwidth, %s",
 			panelLabel(sys.Name), sys.Name))
@@ -104,13 +112,6 @@ func main() {
 	headers, rows := bench.Fig10Table(points)
 	fmt.Print(bench.FormatTable(headers, rows))
 
-	counts := []int{64, 128, 256, 512}
-	if *quick {
-		counts = []int{64, 128}
-	}
-	if *ranks > 0 {
-		counts = append(counts, *ranks)
-	}
 	if *parallelWorld > 1 {
 		section(fmt.Sprintf("Large-world matching scaling — dense wildcard exchange, RICC fabric, %v ranks, %d-way partitioned engine", counts, *parallelWorld))
 	} else {
@@ -166,6 +167,31 @@ func panelLabel(name string) string {
 
 func section(title string) {
 	fmt.Printf("\n================================================================\n%s\n================================================================\n\n", title)
+}
+
+// badFlag exits 2 with a one-line message if err is a rejected flag value.
+func badFlag(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "clmpi-repro: %v\n", err)
+		os.Exit(2)
+	}
+}
+
+// checkScaling rejects the matching-scaling flag values no run can use:
+// every world size in counts must hold at least one rank per partition.
+func checkScaling(ranks, parallelWorld int, counts []int) error {
+	switch {
+	case ranks < 0 || ranks == 1:
+		return fmt.Errorf("bad -ranks %d (want 0 or >= 2)", ranks)
+	case parallelWorld < 0:
+		return fmt.Errorf("bad -parallel-world %d (want >= 0)", parallelWorld)
+	}
+	for _, n := range counts {
+		if n < parallelWorld {
+			return fmt.Errorf("a %d-rank world cannot span -parallel-world %d partitions", n, parallelWorld)
+		}
+	}
+	return nil
 }
 
 // stopProfiling flushes any active profiles; check calls it before a fatal

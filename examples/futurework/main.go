@@ -18,6 +18,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cl"
 	"repro/internal/clmpi"
 	"repro/internal/cluster"
@@ -55,7 +56,7 @@ func main() {
 		}
 		// ...and a device upload gated on BOTH, with no host blocking.
 		buf := ctx.MustCreateBuffer("state", size)
-		wev, err := qc.EnqueueWriteBuffer(p, buf, false, 0, size, host, cluster.Pinned, []*cl.Event{bev, kev})
+		wev, err := qc.EnqueueWriteBuffer(p, buf, false, 0, size, bytepool.Host(host), cluster.Pinned, []*cl.Event{bev, kev})
 		if err != nil {
 			log.Fatal(err)
 		}

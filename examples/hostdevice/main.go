@@ -12,6 +12,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cl"
 	"repro/internal/clmpi"
 	"repro/internal/cluster"
@@ -49,7 +50,7 @@ func main() {
 				log.Fatal(err)
 			}
 			// Executing this only after both complete — no host blocking.
-			wev, err := q.EnqueueWriteBuffer(p, devbuf, false, 0, size, recvbuf, cluster.Pinned,
+			wev, err := q.EnqueueWriteBuffer(p, devbuf, false, 0, size, bytepool.Host(recvbuf), cluster.Pinned,
 				[]*cl.Event{evt0, evt1})
 			if err != nil {
 				log.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cl"
 	"repro/internal/clmpi"
 	"repro/internal/cluster"
@@ -60,7 +61,7 @@ func naive(eng *sim.Engine, world *mpi.World) time.Duration {
 				log.Fatal(err)
 			}
 			// Blocking read: the host thread stalls (third arg CL_TRUE).
-			if _, err := q.EnqueueReadBuffer(p, buf, true, 0, bufSize, host, cluster.Pinned, nil); err != nil {
+			if _, err := q.EnqueueReadBuffer(p, buf, true, 0, bufSize, bytepool.Host(host), cluster.Pinned, nil); err != nil {
 				log.Fatal(err)
 			}
 			// MPI_Sendrecv with the neighbour.
@@ -68,7 +69,7 @@ func naive(eng *sim.Engine, world *mpi.World) time.Duration {
 				log.Fatal(err)
 			}
 			// Blocking write of the received halo.
-			if _, err := q.EnqueueWriteBuffer(p, buf, true, 0, bufSize, hostIn, cluster.Pinned, nil); err != nil {
+			if _, err := q.EnqueueWriteBuffer(p, buf, true, 0, bufSize, bytepool.Host(hostIn), cluster.Pinned, nil); err != nil {
 				log.Fatal(err)
 			}
 		}

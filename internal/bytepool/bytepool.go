@@ -16,18 +16,17 @@ package bytepool
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // maxClass bounds pooled slices at 1<<maxClass bytes (64 MiB, the largest
 // message of the paper's sweeps). Larger requests are plainly allocated.
 const maxClass = 26
 
+// classes holds each size class's free blocks as the unsafe.Pointer of
+// their first byte: a pointer fits in an interface without allocating, and
+// the class gives the capacity back.
 var classes [maxClass + 1]sync.Pool
-
-// boxes recycles the *[]byte headers the size-class pools store, so Put does
-// not heap-allocate a fresh box per call (sync.Pool values must be pointers
-// to avoid boxing the interface, and &b escapes).
-var boxes = sync.Pool{New: func() any { return new([]byte) }}
 
 // class returns the size-class index for n, or -1 if n is unpooled.
 func class(n int) int {
@@ -37,14 +36,12 @@ func class(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// unbox extracts the slice from a pooled box and returns the empty box to
-// the header pool.
-func unbox(v any) []byte {
-	box := v.(*[]byte)
-	b := *box
-	*box = nil
-	boxes.Put(box)
-	return b
+// take returns a pooled block of size class c at full capacity, or nil.
+func take(c int) []byte {
+	if v := classes[c].Get(); v != nil {
+		return unsafe.Slice((*byte)(v.(unsafe.Pointer)), 1<<c)
+	}
+	return nil
 }
 
 // Get returns a slice of length n. The contents are arbitrary bytes from a
@@ -54,8 +51,8 @@ func Get(n int) []byte {
 	if c < 0 {
 		return make([]byte, n)
 	}
-	if v := classes[c].Get(); v != nil {
-		return unbox(v)[:n]
+	if b := take(c); b != nil {
+		return b[:n]
 	}
 	return make([]byte, n, 1<<c)
 }
@@ -68,7 +65,5 @@ func Put(b []byte) {
 	if c == 0 || c&(c-1) != 0 || c > 1<<maxClass {
 		return
 	}
-	box := boxes.Get().(*[]byte)
-	*box = b[:c]
-	classes[bits.Len(uint(c-1))].Put(box)
+	classes[bits.Len(uint(c-1))].Put(unsafe.Pointer(unsafe.SliceData(b)))
 }

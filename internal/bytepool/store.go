@@ -36,8 +36,8 @@ func (s *Store) materialize() {
 		s.data = make([]byte, s.n)
 		return
 	}
-	if v := classes[c].Get(); v != nil {
-		s.data = unbox(v)[:s.n]
+	if b := take(c); b != nil {
+		s.data = b[:s.n]
 		clear(s.data)
 		return
 	}
@@ -61,13 +61,14 @@ func (s *Store) Seg(off, n int) Seg {
 	return Seg{p: unsafe.Pointer(s), off: ^off, n: n}
 }
 
-// Seg is a window the transport reads from or writes into: either host
-// bytes or a window of a Store. It is the size of a slice header, so the
-// transport records that carry one cost no more than with a []byte. The
-// zero Seg is an empty host window.
+// Seg is a window the transport reads from or writes into: host bytes, a
+// window of a Store, or zeros that no memory backs (a Capture of zeros). It
+// is the size of a slice header, so the transport records that carry one
+// cost no more than with a []byte. The zero Seg is an empty host window.
 type Seg struct {
-	// p is the first host byte, or the *Store of a window. off tells them
-	// apart: a window stores ^offset, which is negative; host bytes store 0.
+	// p is the first host byte, the *Store of a window, or nil for zeros.
+	// off tells them apart: a window or zeros store ^offset, which is
+	// negative; host bytes store 0.
 	p   unsafe.Pointer
 	off int
 	n   int
@@ -76,7 +77,7 @@ type Seg struct {
 // Host returns a segment over host bytes.
 func Host(b []byte) Seg { return Seg{p: unsafe.Pointer(unsafe.SliceData(b)), n: len(b)} }
 
-// store returns the store of a window, or nil for host bytes.
+// store returns the store of a window, or nil for host bytes and zeros.
 func (g Seg) store() *Store {
 	if g.off < 0 {
 		return (*Store)(g.p)
@@ -102,18 +103,21 @@ func (g Seg) Slice(off, n int) Seg {
 }
 
 // zero reports whether the segment reads as zeros without being looked at:
-// it is a window of an unwritten store.
+// it is zeros or a window of an unwritten store.
 func (g Seg) zero() bool {
-	st := g.store()
-	return st != nil && st.data == nil
+	return g.off < 0 && (g.p == nil || g.store().data == nil)
 }
 
 // Bytes returns the segment's bytes, materializing a store window. It
-// returns nil for a window of a released store.
+// returns nil for a window of a released store, and a fresh zeroed slice,
+// which nothing else aliases, for zeros.
 func (g Seg) Bytes() []byte {
+	if g.off >= 0 {
+		return g.host()
+	}
 	st := g.store()
 	if st == nil {
-		return g.host()
+		return make([]byte, g.n)
 	}
 	b := st.Bytes()
 	if b == nil {
@@ -127,10 +131,14 @@ func (g Seg) Bytes() []byte {
 // the count. Zeros into an unwritten store are a no-op; zeros into written
 // memory clear the window; anything else materializes dst and moves the
 // bytes. Overlapping windows of one store behave like the built-in copy.
+// Captured zeros have no memory to write: copying anything but zeros into
+// them panics.
 func Copy(dst, src Seg) int {
 	n := min(dst.n, src.n)
 	switch {
 	case n == 0 || src.zero() && dst.zero():
+	case dst.off < 0 && dst.p == nil:
+		panic("bytepool: copy into captured zeros")
 	case src.zero():
 		clear(dst.Bytes()[:n])
 	default:
@@ -140,11 +148,11 @@ func Copy(dst, src Seg) int {
 }
 
 // Capture returns an eager copy of src that stays valid however src is
-// reused: a pooled host block, or, when src reads as zeros, a window of a
-// fresh unwritten store, which holds no block. Free recycles it.
+// reused: a pooled host block, or, when src reads as zeros, zeros that
+// neither allocate nor hold a block. Free recycles it.
 func Capture(src Seg) Seg {
 	if src.zero() {
-		return NewStore(src.n).Seg(0, src.n)
+		return Seg{off: -1, n: src.n}
 	}
 	b := Get(src.n)
 	copy(b, src.Bytes())
@@ -156,7 +164,7 @@ func Capture(src Seg) Seg {
 func Free(g Seg) {
 	// A captured host block came from Get(g.n), so it spans its whole size
 	// class; Put needs that capacity back.
-	if c := class(g.n); g.store() == nil && c >= 0 {
+	if c := class(g.n); g.off >= 0 && c >= 0 {
 		Put(unsafe.Slice((*byte)(g.p), 1<<c))
 	}
 }

@@ -127,6 +127,38 @@ func TestCaptureZeroTakesNoBlock(t *testing.T) {
 	Free(Seg{})
 }
 
+// TestCaptureZeroAllocatesNothing: capturing and freeing zeros — every
+// eager message of never-written memory — allocates nothing, and the
+// capture keeps the segment rules: a sub-window still reads as zeros, moving
+// it into an unwritten store leaves the store unwritten, Bytes is a fresh
+// zeroed slice that aliases nothing, and writing into it panics.
+func TestCaptureZeroAllocatesNothing(t *testing.T) {
+	src := NewStore(4096).Seg(0, 4096)
+	if a := testing.AllocsPerRun(100, func() { Free(Capture(src)) }); a != 0 {
+		t.Fatalf("Capture+Free of zeros allocates %v times per run, want 0", a)
+	}
+	c := Capture(src)
+	if sub := c.Slice(100, 50); sub.Len() != 50 || !sub.zero() {
+		t.Fatalf("sub-window of captured zeros: len %d, zero %v", sub.Len(), sub.zero())
+	}
+	dst := NewStore(4096)
+	Copy(dst.Seg(0, 4096), c)
+	if written(dst) {
+		t.Fatal("captured zeros materialized an unwritten destination")
+	}
+	b := c.Bytes()
+	b[0] = 1
+	if len(b) != 4096 || c.Bytes()[0] != 0 {
+		t.Fatalf("Bytes of captured zeros: len %d, aliased write %v", len(b), c.Bytes()[0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("copying bytes into captured zeros did not panic")
+		}
+	}()
+	Copy(c, Host([]byte{1}))
+}
+
 // TestFreeRecyclesCapture: Free returns a captured block to its size class
 // even when the payload length is not a power of two.
 func TestFreeRecyclesCapture(t *testing.T) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
@@ -76,15 +78,94 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	}
 	dst := make([]byte, 512)
 	run(t, e, func(p *sim.Proc) {
-		if _, err := q.EnqueueWriteBuffer(p, buf, true, 100, 512, src, cluster.Pinned, nil); err != nil {
+		if _, err := q.EnqueueWriteBuffer(p, buf, true, 100, 512, bytepool.Host(src), cluster.Pinned, nil); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		if _, err := q.EnqueueReadBuffer(p, buf, true, 100, 512, dst, cluster.Pinned, nil); err != nil {
+		if _, err := q.EnqueueReadBuffer(p, buf, true, 100, 512, bytepool.Host(dst), cluster.Pinned, nil); err != nil {
 			t.Errorf("read: %v", err)
 		}
 	})
 	if !bytes.Equal(src, dst) {
 		t.Fatal("roundtrip corrupted data")
+	}
+}
+
+// TestHostSegments writes each kind of host memory into a written buffer
+// and reads it back into host bytes, on both queue modes: bytes round-trip
+// exactly, zeros from an unwritten store clear the window, and a host
+// segment shorter than the transfer is rejected either way.
+func TestHostSegments(t *testing.T) {
+	const n = 4096
+	pattern := make([]byte, n)
+	for i := range pattern {
+		pattern[i] = byte(i*7 + 1)
+	}
+	sources := []struct {
+		name string
+		seg  func() bytepool.Seg
+		want []byte
+	}{
+		{"host", func() bytepool.Seg { return bytepool.Host(bytes.Clone(pattern)) }, pattern},
+		{"unwritten", func() bytepool.Seg { return bytepool.NewStore(n).Seg(0, n) }, make([]byte, n)},
+		{"written", func() bytepool.Seg {
+			st := bytepool.NewStore(n)
+			copy(st.Bytes(), pattern)
+			return st.Seg(0, n)
+		}, pattern},
+	}
+	for _, m := range queueModes {
+		for _, src := range sources {
+			t.Run(m.name+"/"+src.name, func(t *testing.T) {
+				e, ctx := testRig(t)
+				q := m.mk(ctx, "q")
+				buf := ctx.MustCreateBuffer("b", n)
+				copy(buf.Bytes(), bytes.Repeat([]byte{0xEE}, n))
+				got := make([]byte, n)
+				run(t, e, func(p *sim.Proc) {
+					if _, err := q.EnqueueWriteBuffer(p, buf, true, 0, n, src.seg(), cluster.Pinned, nil); err != nil {
+						t.Errorf("write: %v", err)
+					}
+					if _, err := q.EnqueueReadBuffer(p, buf, true, 0, n, bytepool.Host(got), cluster.Pinned, nil); err != nil {
+						t.Errorf("read: %v", err)
+					}
+					short := src.seg().Slice(0, n-1)
+					if _, err := q.EnqueueWriteBuffer(p, buf, true, 0, n, short, cluster.Pinned, nil); !errors.Is(err, ErrInvalidValue) {
+						t.Errorf("short write: %v", err)
+					}
+					if _, err := q.EnqueueReadBuffer(p, buf, true, 0, n, short, cluster.Pinned, nil); !errors.Is(err, ErrInvalidValue) {
+						t.Errorf("short read: %v", err)
+					}
+				})
+				if !bytes.Equal(got, src.want) {
+					t.Fatalf("read back %v..., want %v...", got[:8], src.want[:8])
+				}
+			})
+		}
+	}
+}
+
+// TestUnwrittenReadMovesNoBytes: reading a never-written buffer into an
+// unwritten host store, on either queue mode, materializes neither. Both
+// are larger than bytepool's largest size class, so materializing either
+// would allocate its full size.
+func TestUnwrittenReadMovesNoBytes(t *testing.T) {
+	const n = 1<<26 + 1
+	for _, m := range queueModes {
+		e, ctx := testRig(t)
+		q := m.mk(ctx, "q")
+		buf := ctx.MustCreateBuffer("b", n)
+		host := bytepool.NewStore(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(t, e, func(p *sim.Proc) {
+			if _, err := q.EnqueueReadBuffer(p, buf, true, 0, n, host.Seg(0, n), cluster.Pinned, nil); err != nil {
+				t.Errorf("%s: read: %v", m.name, err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d >= n {
+			t.Errorf("%s: the read allocated %d bytes, want no materialized store", m.name, d)
+		}
 	}
 }
 
@@ -97,14 +178,14 @@ func TestTransferTiming(t *testing.T) {
 	want := node.PCIeTime(1<<20, cluster.Pageable)
 	run(t, e, func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := q.EnqueueWriteBuffer(p, buf, true, 0, 1<<20, host, cluster.Pageable, nil); err != nil {
+		if _, err := q.EnqueueWriteBuffer(p, buf, true, 0, 1<<20, bytepool.Host(host), cluster.Pageable, nil); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		if got := p.Now().Sub(start); got != want {
 			t.Errorf("pageable write took %v, want %v", got, want)
 		}
 		start = p.Now()
-		if _, err := q.EnqueueReadBuffer(p, buf, true, 0, 1<<20, host, cluster.Pinned, nil); err != nil {
+		if _, err := q.EnqueueReadBuffer(p, buf, true, 0, 1<<20, bytepool.Host(host), cluster.Pinned, nil); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		wantPinned := node.PCIeTime(1<<20, cluster.Pinned)
@@ -123,7 +204,7 @@ func TestNonBlockingReturnsImmediately(t *testing.T) {
 	buf := ctx.MustCreateBuffer("b", 1<<20)
 	host := make([]byte, 1<<20)
 	run(t, e, func(p *sim.Proc) {
-		ev, err := q.EnqueueWriteBuffer(p, buf, false, 0, 1<<20, host, cluster.Pageable, nil)
+		ev, err := q.EnqueueWriteBuffer(p, buf, false, 0, 1<<20, bytepool.Host(host), cluster.Pageable, nil)
 		if err != nil {
 			t.Errorf("write: %v", err)
 		}
@@ -189,7 +270,7 @@ func TestCrossQueueWaitList(t *testing.T) {
 			t.Fatalf("kernel: %v", err)
 		}
 		kev.OnComplete(func(at sim.Time, _ error) { kernelDone = at })
-		rev, err := q1.EnqueueReadBuffer(p, buf, false, 0, 64, host, cluster.Pinned, []*Event{kev})
+		rev, err := q1.EnqueueReadBuffer(p, buf, false, 0, 64, bytepool.Host(host), cluster.Pinned, []*Event{kev})
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -410,20 +491,20 @@ func TestRangeValidation(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		cases := []struct{ off, size int64 }{{-1, 10}, {0, -1}, {90, 20}, {101, 0}}
 		for _, c := range cases {
-			if _, err := q.EnqueueReadBuffer(p, buf, false, c.off, c.size, host, cluster.Pinned, nil); !errors.Is(err, ErrInvalidValue) {
+			if _, err := q.EnqueueReadBuffer(p, buf, false, c.off, c.size, bytepool.Host(host), cluster.Pinned, nil); !errors.Is(err, ErrInvalidValue) {
 				t.Errorf("read [%d,%d): %v", c.off, c.size, err)
 			}
-			if _, err := q.EnqueueWriteBuffer(p, buf, false, c.off, c.size, host, cluster.Pinned, nil); !errors.Is(err, ErrInvalidValue) {
+			if _, err := q.EnqueueWriteBuffer(p, buf, false, c.off, c.size, bytepool.Host(host), cluster.Pinned, nil); !errors.Is(err, ErrInvalidValue) {
 				t.Errorf("write [%d,%d): %v", c.off, c.size, err)
 			}
 		}
 		// Host buffer too small.
-		if _, err := q.EnqueueReadBuffer(p, buf, false, 0, 100, host[:10], cluster.Pinned, nil); !errors.Is(err, ErrInvalidValue) {
+		if _, err := q.EnqueueReadBuffer(p, buf, false, 0, 100, bytepool.Host(host[:10]), cluster.Pinned, nil); !errors.Is(err, ErrInvalidValue) {
 			t.Errorf("short host read: %v", err)
 		}
 		// Released buffer.
 		buf.Release()
-		if _, err := q.EnqueueWriteBuffer(p, buf, false, 0, 10, host, cluster.Pinned, nil); !errors.Is(err, ErrReleasedObject) {
+		if _, err := q.EnqueueWriteBuffer(p, buf, false, 0, 10, bytepool.Host(host), cluster.Pinned, nil); !errors.Is(err, ErrReleasedObject) {
 			t.Errorf("released write: %v", err)
 		}
 	})

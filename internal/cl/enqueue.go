@@ -10,24 +10,25 @@ import (
 )
 
 // EnqueueReadBuffer copies size bytes from the buffer at offset into dst,
-// charging a device→host PCIe transfer. dst is the host buffer; kind is the
-// host memory class it models (the paper's naive implementation uses
-// pageable memory, the tuned one pinned — §III).
+// charging a device→host PCIe transfer. dst is host bytes or a store window,
+// which zeros leave unwritten; kind is the host memory class it models (the
+// paper's naive implementation uses pageable memory, the tuned one pinned —
+// §III).
 //
 // With blocking true the call returns only after the copy completes, like
 // passing CL_TRUE to clEnqueueReadBuffer; the calling process p is required
 // in that case and for the wait-list semantics of the in-order queue.
-func (q *CommandQueue) EnqueueReadBuffer(p *sim.Proc, buf *Buffer, blocking bool, offset, size int64, dst []byte, kind cluster.HostMemKind, waits []*Event) (*Event, error) {
+func (q *CommandQueue) EnqueueReadBuffer(p *sim.Proc, buf *Buffer, blocking bool, offset, size int64, dst bytepool.Seg, kind cluster.HostMemKind, waits []*Event) (*Event, error) {
 	if err := buf.check(offset, size); err != nil {
 		return nil, err
 	}
-	if int64(len(dst)) < size {
-		return nil, fmt.Errorf("%w: host buffer %d bytes < size %d", ErrInvalidValue, len(dst), size)
+	if int64(dst.Len()) < size {
+		return nil, fmt.Errorf("%w: host buffer %d bytes < size %d", ErrInvalidValue, dst.Len(), size)
 	}
 	label := fmt.Sprintf("read %s[%d:%d]", buf.label, offset, offset+size)
 	ev, err := q.Enqueue(label, waits, func(wp *sim.Proc) error {
 		buf.device().DeviceToHost(wp, size, kind)
-		bytepool.Copy(bytepool.Host(dst[:size]), buf.Seg(offset, size))
+		bytepool.Copy(dst, buf.Seg(offset, size))
 		return nil
 	})
 	if err != nil {
@@ -45,17 +46,17 @@ func (q *CommandQueue) EnqueueReadBuffer(p *sim.Proc, buf *Buffer, blocking bool
 // charging a host→device PCIe transfer. The source bytes are captured when
 // the command executes, matching OpenCL's rule that the host must not touch
 // src until a non-blocking write completes.
-func (q *CommandQueue) EnqueueWriteBuffer(p *sim.Proc, buf *Buffer, blocking bool, offset, size int64, src []byte, kind cluster.HostMemKind, waits []*Event) (*Event, error) {
+func (q *CommandQueue) EnqueueWriteBuffer(p *sim.Proc, buf *Buffer, blocking bool, offset, size int64, src bytepool.Seg, kind cluster.HostMemKind, waits []*Event) (*Event, error) {
 	if err := buf.check(offset, size); err != nil {
 		return nil, err
 	}
-	if int64(len(src)) < size {
-		return nil, fmt.Errorf("%w: host buffer %d bytes < size %d", ErrInvalidValue, len(src), size)
+	if int64(src.Len()) < size {
+		return nil, fmt.Errorf("%w: host buffer %d bytes < size %d", ErrInvalidValue, src.Len(), size)
 	}
 	label := fmt.Sprintf("write %s[%d:%d]", buf.label, offset, offset+size)
 	ev, err := q.Enqueue(label, waits, func(wp *sim.Proc) error {
 		buf.device().HostToDevice(wp, size, kind)
-		bytepool.Copy(buf.Seg(offset, size), bytepool.Host(src[:size]))
+		bytepool.Copy(buf.Seg(offset, size), src)
 		return nil
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bytepool"
 	"repro/internal/cluster"
 	"repro/internal/sim"
 )
@@ -62,7 +63,7 @@ func TestSubBufferWorksWithCommands(t *testing.T) {
 	sub, _ := parent.CreateSubBuffer("w", 64, 64)
 	host := bytes.Repeat([]byte{7}, 64)
 	run(t, e, func(p *sim.Proc) {
-		if _, err := q.EnqueueWriteBuffer(p, sub, true, 0, 64, host, cluster.Pinned, nil); err != nil {
+		if _, err := q.EnqueueWriteBuffer(p, sub, true, 0, 64, bytepool.Host(host), cluster.Pinned, nil); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	})
@@ -82,13 +83,13 @@ func TestSubBufferOverUnwrittenParent(t *testing.T) {
 	hi, _ := parent.CreateSubBuffer("hi", 128, 64)
 	got := bytes.Repeat([]byte{0xEE}, 64)
 	run(t, e, func(p *sim.Proc) {
-		if _, err := q.EnqueueReadBuffer(p, hi, true, 0, 64, got, cluster.Pinned, nil); err != nil {
+		if _, err := q.EnqueueReadBuffer(p, hi, true, 0, 64, bytepool.Host(got), cluster.Pinned, nil); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 		if _, err := q.EnqueueCopyBuffer(hi, lo, 0, 0, 64, nil); err != nil {
 			t.Fatalf("copy: %v", err)
 		}
-		if _, err := q.EnqueueWriteBuffer(p, hi, true, 0, 64, bytes.Repeat([]byte{7}, 64), cluster.Pinned, nil); err != nil {
+		if _, err := q.EnqueueWriteBuffer(p, hi, true, 0, 64, bytepool.Host(bytes.Repeat([]byte{7}, 64)), cluster.Pinned, nil); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		if _, err := q.EnqueueCopyBuffer(hi, lo, 0, 0, 64, nil); err != nil {

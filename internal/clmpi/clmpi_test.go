@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cl"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -353,7 +354,7 @@ func TestEventFromMPIRequest(t *testing.T) {
 			mev := r.rts[0].CreateEventFromMPIRequest(req)
 			k := &cl.Kernel{Name: "overlap", Cost: func([]any) time.Duration { return time.Millisecond }}
 			kev, _ := q.EnqueueNDRangeKernel(k, nil, nil)
-			wev, err := q.EnqueueWriteBuffer(p, buf, false, 0, size, host, cluster.Pinned, []*cl.Event{mev, kev})
+			wev, err := q.EnqueueWriteBuffer(p, buf, false, 0, size, bytepool.Host(host), cluster.Pinned, []*cl.Event{mev, kev})
 			if err != nil {
 				t.Fatalf("write: %v", err)
 			}

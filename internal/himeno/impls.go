@@ -38,14 +38,13 @@ func (rk *rank) exchangeSpec(dir direction) (peer, sendLi, ghostLi, sendTag, rec
 func (rk *rank) hostExchange(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm, arr []float32, dirs ...direction) error {
 	g := rk.ep.Node().Sys.GPU
 	pb := rk.size.planeBytes()
-	// incoming is one live direction's ghost plane and its pooled staging
-	// planes. Staging is transient: recycled across timesteps (and across
-	// sweep points) through the shared byte pool; both planes are fully
-	// overwritten (read-back / message delivery) before they are read.
+	// incoming is one live direction's ghost plane and its staging planes,
+	// which are fully overwritten (read-back / message delivery) before
+	// they are read.
 	type incoming struct {
 		ghostLi    int
 		buf        *cl.Buffer
-		send, recv []byte
+		send, recv bytepool.Seg
 	}
 	var (
 		ins  [2]incoming
@@ -57,7 +56,8 @@ func (rk *rank) hostExchange(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm, ar
 		if peer < 0 {
 			continue
 		}
-		in := incoming{ghostLi, recvBuf, bytepool.Get(int(pb)), bytepool.Get(int(pb))}
+		st := &rk.staging[dir]
+		in := incoming{ghostLi, recvBuf, st[0].Seg(0, int(pb)), st[1].Seg(0, int(pb))}
 		if _, err := rk.enqueuePack(q, arr, sendLi, sendBuf, nil); err != nil {
 			return err
 		}
@@ -67,11 +67,11 @@ func (rk *rank) hostExchange(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm, ar
 		if _, err := q.EnqueueReadBuffer(p, sendBuf, true, 0, pb, in.send, cluster.Pinned, nil); err != nil {
 			return err
 		}
-		sreq, err := rk.ep.Isend(p, in.send, peer, sendTag, mpi.Bytes, comm)
+		sreq, err := rk.ep.IsendSeg(p, in.send, peer, sendTag, mpi.Bytes, comm)
 		if err != nil {
 			return err
 		}
-		rreq, err := rk.ep.Irecv(p, in.recv, peer, recvTag, mpi.Bytes, comm)
+		rreq, err := rk.ep.IrecvSeg(p, in.recv, peer, recvTag, mpi.Bytes, comm)
 		if err != nil {
 			return err
 		}
@@ -94,17 +94,7 @@ func (rk *rank) hostExchange(p *sim.Proc, q *cl.CommandQueue, comm *mpi.Comm, ar
 			return err
 		}
 	}
-	if err := q.Finish(p); err != nil {
-		return err
-	}
-	// Every consumer is done: the sends are complete (Waitall) and the
-	// write commands have copied the received planes into the device
-	// buffers (blocking enqueue).
-	for _, in := range ins[:n] {
-		bytepool.Put(in.send)
-		bytepool.Put(in.recv)
-	}
-	return nil
+	return q.Finish(p)
 }
 
 // runSerial is the fully serialized implementation: one kernel over the

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bytepool"
 	"repro/internal/cl"
 	"repro/internal/clmpi"
 	"repro/internal/mpi"
@@ -108,6 +109,9 @@ type rank struct {
 	// Plane staging buffers in device memory (J*K float32 each).
 	sendLo, sendHi, recvLo, recvHi *cl.Buffer
 
+	// hostExchange's host staging planes per direction: send, recv.
+	staging [2][2]bytepool.Store
+
 	gosa float64 // residual accumulated by the last iteration's kernels
 
 	compTime time.Duration // device kernel time (serial impl bookkeeping)
@@ -193,6 +197,9 @@ func newRank(s Size, mode InitMode, n int, data bool, ep *mpi.Endpoint, ctx *cl.
 		copy(rk.wrk, rk.p)
 	}
 	pb := s.planeBytes()
+	for d := range rk.staging {
+		rk.staging[d] = [2]bytepool.Store{*bytepool.NewStore(int(pb)), *bytepool.NewStore(int(pb))}
+	}
 	var err error
 	if rk.sendLo, err = ctx.CreateBuffer("sendLo", pb); err != nil {
 		return nil, err

@@ -214,10 +214,14 @@ func run(eng *sim.Engine, cfg Config) (*Result, error) {
 		}
 	}
 	// The simulation has finished, so no kernel or transfer still holds
-	// the grids.
+	// the grids or the staging planes.
 	for _, rk := range ranks {
 		putGrid(rk.p)
 		putGrid(rk.wrk)
+		for d := range rk.staging {
+			rk.staging[d][0].Release()
+			rk.staging[d][1].Release()
+		}
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package nanopowder
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -160,5 +161,30 @@ func TestPropDivisorsValidate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 64}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPureCostBaselineAllocatesNoCoefficients: a pure-cost Baseline run
+// stages the coefficients through host and device memory that nobody
+// writes, so it allocates far less than one worker's coefficient slice.
+func TestPureCostBaselineAllocatesNoCoefficients(t *testing.T) {
+	const nodes = 4
+	p := DefaultParams()
+	slice := uint64(p.Cells/nodes) * uint64(p.cellCoeffBytes())
+	// Two collections empty the pools, so a recycled block cannot hide an
+	// allocation.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(Config{System: cluster.RICC(), Nodes: nodes, Impl: Baseline, Params: p})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= slice/8 {
+		t.Errorf("run allocated %d bytes, want < %d (1/8 of one worker's coefficient slice)", got, slice/8)
+	} else {
+		t.Logf("run allocated %d bytes; one worker's coefficient slice is %d", got, slice)
 	}
 }

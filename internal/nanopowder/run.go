@@ -286,10 +286,10 @@ func runWorker(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 	wireB := int64(cpn) * cellB
 	srcWire := make([]byte, cpn*8)
 	summary := make([]byte, cpn*8)
-	var hostCoef []byte // baseline staging: pooled, only the Baseline path needs it
+	var hostCoef *bytepool.Store // baseline staging: written only when the run computes data
 	if impl == Baseline {
-		hostCoef = bytepool.Get(int(wireB))
-		defer bytepool.Put(hostCoef)
+		hostCoef = bytepool.NewStore(int(wireB))
+		defer hostCoef.Release()
 	}
 	for step := 0; step < p.Steps; step++ {
 		if _, err := ep.Recv(hp, srcWire, 0, tagSource, mpi.Bytes, comm); err != nil {
@@ -302,10 +302,14 @@ func runWorker(hp *sim.Proc, ep *mpi.Endpoint, comm *mpi.Comm, rt *clmpi.Runtime
 		case Baseline:
 			// Fig. 1 pattern: blocking receive into host memory, then a
 			// serialized write to the device, then the kernel.
-			if _, err := ep.Recv(hp, hostCoef, 0, tagCoeff, mpi.Bytes, comm); err != nil {
+			req, err := ep.IrecvSeg(hp, hostCoef.Seg(0, int(wireB)), 0, tagCoeff, mpi.Bytes, comm)
+			if err != nil {
 				return err
 			}
-			if _, err := q.EnqueueWriteBuffer(hp, coefBuf, true, 0, wireB, hostCoef, cluster.Pageable, nil); err != nil {
+			if _, err := req.Wait(hp); err != nil {
+				return err
+			}
+			if _, err := q.EnqueueWriteBuffer(hp, coefBuf, true, 0, wireB, hostCoef.Seg(0, int(wireB)), cluster.Pageable, nil); err != nil {
 				return err
 			}
 			if _, err := q.EnqueueNDRangeKernel(kernel, nil, nil); err != nil {
