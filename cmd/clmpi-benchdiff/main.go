@@ -22,6 +22,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 
 	"repro/internal/bench"
@@ -59,6 +60,13 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
+	}
+	if *run && base.Host != nil {
+		cur := bench.BenchHost{CPU: bench.BenchCPU(text), Cores: runtime.NumCPU(), Go: runtime.Version()}
+		if diff := bench.HostMismatch(*base.Host, cur); len(diff) > 0 {
+			fmt.Fprintf(os.Stderr, "clmpi-benchdiff: warning: this host differs from %s's in %s; absolute ns/op compares across hosts\n",
+				*baseline, strings.Join(diff, ", "))
+		}
 	}
 	cells := bench.ParseGoBench(text)
 	if len(cells) == 0 {

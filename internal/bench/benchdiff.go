@@ -42,9 +42,49 @@ type DiffSpec struct {
 // BenchBaseline mirrors the BENCH_*.json files at the repository root.
 type BenchBaseline struct {
 	Description string               `json:"description"`
+	Host        *BenchHost           `json:"host,omitempty"`
 	CommitBase  string               `json:"commit_base"`
 	Diff        *DiffSpec            `json:"diff,omitempty"`
 	Grid        map[string]BenchCell `json:"grid"`
+}
+
+// BenchHost is the host fingerprint a baseline was measured on. Absolute
+// ns/op only compares across runs on the same kind of host.
+type BenchHost struct {
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	Cores  int    `json:"cores,omitempty"`
+	Go     string `json:"go,omitempty"`
+	Note   string `json:"note,omitempty"`
+}
+
+// HostMismatch names the fingerprint fields — cpu, cores, go — in which
+// the running host cur differs from the baseline's recorded host. A field
+// the baseline does not record never differs.
+func HostMismatch(base, cur BenchHost) []string {
+	var diff []string
+	if base.CPU != "" && base.CPU != cur.CPU {
+		diff = append(diff, "cpu")
+	}
+	if base.Cores != 0 && base.Cores != cur.Cores {
+		diff = append(diff, "cores")
+	}
+	if base.Go != "" && base.Go != cur.Go {
+		diff = append(diff, "go")
+	}
+	return diff
+}
+
+// BenchCPU returns the CPU that `go test -bench` output names on its
+// "cpu:" header line, or "" if there is none.
+func BenchCPU(out string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			return strings.TrimSpace(cpu)
+		}
+	}
+	return ""
 }
 
 // LoadBenchBaseline parses a BENCH_*.json document.

@@ -56,6 +56,10 @@ func TestDiffBenchAgainstCheckedInBaseline(t *testing.T) {
 			t.Errorf("wild=%s: speedup %.1fx below the 5x acceptance bar", wild, l.NsPerOp/b.NsPerOp)
 		}
 	}
+	// The delta arithmetic below is checked against fixed cell values, so
+	// it holds whatever a re-baseline measures.
+	base.Grid["engine=bucket/ranks=64/out=16/wild=0"] = BenchCell{NsPerOp: 354, BytesPerOp: 240, AllocsPerOp: 2}
+	base.Grid["engine=bucket/ranks=64/out=16/wild=25"] = BenchCell{NsPerOp: 278, BytesPerOp: 240, AllocsPerOp: 2}
 	cells := ParseGoBench(sampleBenchOut)
 	deltas, unmatched, missing := DiffBench(base, cells, "BenchmarkMPIMatching/")
 	if len(deltas) != 2 {
@@ -248,6 +252,51 @@ func TestRepoBaselinesAreDiffable(t *testing.T) {
 			if base.Diff.Trim != "" && strings.HasPrefix(cell, base.Diff.Trim) {
 				t.Errorf("%s: grid cell %q still carries the trim prefix %q", name, cell, base.Diff.Trim)
 			}
+		}
+	}
+}
+
+func TestHostMismatch(t *testing.T) {
+	base := BenchHost{CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", Cores: 2, Go: "go1.24.0"}
+	if d := HostMismatch(base, base); len(d) != 0 {
+		t.Fatalf("same host differs in %v", d)
+	}
+	cur := BenchHost{CPU: "AMD EPYC", Cores: 8, Go: "go1.24.0", Note: "ignored"}
+	if d := HostMismatch(base, cur); strings.Join(d, ",") != "cpu,cores" {
+		t.Fatalf("differs in %v, want cpu,cores", d)
+	}
+	cur = BenchHost{CPU: base.CPU, Cores: 2, Go: "go1.25.1"}
+	if d := HostMismatch(base, cur); strings.Join(d, ",") != "go" {
+		t.Fatalf("differs in %v, want go", d)
+	}
+	// A field the baseline does not record never differs.
+	if d := HostMismatch(BenchHost{CPU: base.CPU}, cur); len(d) != 0 {
+		t.Fatalf("unrecorded fields differ: %v", d)
+	}
+	if cpu := BenchCPU(sampleBenchOut); cpu != base.CPU {
+		t.Fatalf("BenchCPU = %q", cpu)
+	}
+	if cpu := BenchCPU("PASS\n"); cpu != "" {
+		t.Fatalf("BenchCPU without a header = %q", cpu)
+	}
+}
+
+func TestRepoBaselinesRecordHost(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := LoadBenchBaseline(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := base.Host; h == nil || h.CPU == "" || h.Cores == 0 || h.Go == "" || base.CommitBase == "" {
+			t.Errorf("%s: host fingerprint incomplete: %+v, commit_base %q", filepath.Base(p), h, base.CommitBase)
 		}
 	}
 }

@@ -58,8 +58,8 @@ func newEvent(ctx *Context, label string, user bool) *Event {
 		label:  label,
 		user:   user,
 		status: Queued,
-		done:   sim.NewTrigger(ctx.eng, "event "+label),
 	}
+	ev.done = sim.NewTriggerLazy(ctx.eng, ev)
 	now := ctx.eng.Now()
 	ev.QueuedAt = now
 	return ev
@@ -67,6 +67,10 @@ func newEvent(ctx *Context, label string, user bool) *Event {
 
 // Label reports the human-readable command name, used in traces.
 func (ev *Event) Label() string { return ev.label }
+
+// WaitLabel implements sim.Labeler: the deadlock-report annotation of a
+// process blocked on this event.
+func (ev *Event) WaitLabel() string { return "trigger event " + ev.label }
 
 // Status reports the event's current execution status.
 func (ev *Event) Status() ExecStatus { return ev.status }

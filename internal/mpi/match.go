@@ -58,25 +58,57 @@ type matchEngine interface {
 // or the concrete envelope of a pending message.
 type laneKey struct{ src, tag int }
 
-// msgLane is one FIFO of pending messages sharing a concrete (src, tag).
-type msgLane struct{ head, tail *message }
+// lane is one matching lane: the FIFO of pending messages sharing a
+// concrete (src, tag) and the FIFO of posted receives sharing a literal
+// (src, tag). A wildcard key only ever holds receives.
+type lane struct {
+	msgHead, msgTail   *message
+	recvHead, recvTail *recvOp
+}
 
-// recvLane is one FIFO of posted receives sharing a literal (src, tag).
-type recvLane struct{ head, tail *recvOp }
-
-// matchBucket holds one destination rank's matching state. Empty lanes stay
-// cached in the maps: the set of distinct keys is bounded by the traffic's
-// tag diversity (user tags plus the per-round collective tags), so reuse
-// beats reallocation.
+// matchBucket holds one destination rank's matching state. Its lanes live
+// in one slice, indexed by key through a pointer-free map, so a new key
+// costs no heap object of its own and the collector has nothing to scan in
+// the index. Empty lanes stay cached: the set of distinct keys is bounded by
+// the traffic's tag diversity (user tags plus the per-round collective
+// tags), so reuse beats reallocation.
 type matchBucket struct {
-	msgLanes  map[laneKey]*msgLane
-	recvLanes map[laneKey]*recvLane
+	index map[laneKey]int32
+	lanes []lane
 	// arrHead/arrTail thread every pending message of this rank in arrival
 	// order; wildcard receives and probes walk it instead of scanning the
 	// whole communicator.
 	arrHead, arrTail *message
 	msgs, recvs      int
 	msgsHW, recvsHW  int
+}
+
+// laneHint sizes a bucket's lane index and slice on first use: one map
+// group, and the slice's first few doublings skipped. Larger hints cost the
+// many small worlds of a sweep more than they save large ones.
+const laneHint = 8
+
+// lane returns the index of the lane for k, creating the lane if needed.
+func (b *matchBucket) lane(k laneKey) int32 {
+	i, ok := b.index[k]
+	if !ok {
+		if b.index == nil {
+			b.index = make(map[laneKey]int32, laneHint)
+			b.lanes = make([]lane, 0, laneHint)
+		}
+		i = int32(len(b.lanes))
+		b.lanes = append(b.lanes, lane{})
+		b.index[k] = i
+	}
+	return i
+}
+
+// find returns the lane for k, or nil if the bucket never had one.
+func (b *matchBucket) find(k laneKey) *lane {
+	if i, ok := b.index[k]; ok {
+		return &b.lanes[i]
+	}
+	return nil
 }
 
 // bucketMatcher is the production matching engine: one bucket per rank.
@@ -90,21 +122,13 @@ func newBucketMatcher(size int) *bucketMatcher {
 
 func (m *bucketMatcher) addMsg(msg *message) {
 	b := &m.buckets[msg.dst]
-	k := laneKey{msg.src, msg.tag}
-	ln := b.msgLanes[k]
-	if ln == nil {
-		if b.msgLanes == nil {
-			b.msgLanes = make(map[laneKey]*msgLane)
-		}
-		ln = &msgLane{}
-		b.msgLanes[k] = ln
-	}
-	if ln.tail == nil {
-		ln.head, ln.tail = msg, msg
+	ln := &b.lanes[b.lane(laneKey{msg.src, msg.tag})]
+	if ln.msgTail == nil {
+		ln.msgHead, ln.msgTail = msg, msg
 	} else {
-		msg.lanePrev = ln.tail
-		ln.tail.laneNext = msg
-		ln.tail = msg
+		msg.lanePrev = ln.msgTail
+		ln.msgTail.laneNext = msg
+		ln.msgTail = msg
 	}
 	if b.arrTail == nil {
 		b.arrHead, b.arrTail = msg, msg
@@ -121,16 +145,16 @@ func (m *bucketMatcher) addMsg(msg *message) {
 
 func (m *bucketMatcher) removeMsg(msg *message) {
 	b := &m.buckets[msg.dst]
-	ln := b.msgLanes[laneKey{msg.src, msg.tag}]
+	ln := b.find(laneKey{msg.src, msg.tag})
 	if msg.lanePrev != nil {
 		msg.lanePrev.laneNext = msg.laneNext
 	} else {
-		ln.head = msg.laneNext
+		ln.msgHead = msg.laneNext
 	}
 	if msg.laneNext != nil {
 		msg.laneNext.lanePrev = msg.lanePrev
 	} else {
-		ln.tail = msg.lanePrev
+		ln.msgTail = msg.lanePrev
 	}
 	if msg.arrPrev != nil {
 		msg.arrPrev.arrNext = msg.arrNext
@@ -149,21 +173,14 @@ func (m *bucketMatcher) removeMsg(msg *message) {
 
 func (m *bucketMatcher) addRecv(rop *recvOp) {
 	b := &m.buckets[rop.owner]
-	k := laneKey{rop.src, rop.tag}
-	ln := b.recvLanes[k]
-	if ln == nil {
-		if b.recvLanes == nil {
-			b.recvLanes = make(map[laneKey]*recvLane)
-		}
-		ln = &recvLane{}
-		b.recvLanes[k] = ln
-	}
-	if ln.tail == nil {
-		ln.head, ln.tail = rop, rop
+	rop.lane = b.lane(laneKey{rop.src, rop.tag})
+	ln := &b.lanes[rop.lane]
+	if ln.recvTail == nil {
+		ln.recvHead, ln.recvTail = rop, rop
 	} else {
-		rop.lanePrev = ln.tail
-		ln.tail.laneNext = rop
-		ln.tail = rop
+		rop.lanePrev = ln.recvTail
+		ln.recvTail.laneNext = rop
+		ln.recvTail = rop
 	}
 	b.recvs++
 	if b.recvs > b.recvsHW {
@@ -174,16 +191,16 @@ func (m *bucketMatcher) addRecv(rop *recvOp) {
 // removeRecv unlinks a posted receive from its lane.
 func (m *bucketMatcher) removeRecv(rop *recvOp) {
 	b := &m.buckets[rop.owner]
-	ln := b.recvLanes[laneKey{rop.src, rop.tag}]
+	ln := &b.lanes[rop.lane]
 	if rop.lanePrev != nil {
 		rop.lanePrev.laneNext = rop.laneNext
 	} else {
-		ln.head = rop.laneNext
+		ln.recvHead = rop.laneNext
 	}
 	if rop.laneNext != nil {
 		rop.laneNext.lanePrev = rop.lanePrev
 	} else {
-		ln.tail = rop.lanePrev
+		ln.recvTail = rop.lanePrev
 	}
 	rop.laneNext, rop.lanePrev = nil, nil
 	b.recvs--
@@ -191,11 +208,14 @@ func (m *bucketMatcher) removeRecv(rop *recvOp) {
 
 func (m *bucketMatcher) matchMsg(msg *message, consume bool) *recvOp {
 	b := &m.buckets[msg.dst]
+	if b.recvs == 0 {
+		return nil
+	}
 	var best *recvOp
 	consider := func(k laneKey) {
-		if ln := b.recvLanes[k]; ln != nil && ln.head != nil &&
-			(best == nil || ln.head.seq < best.seq) {
-			best = ln.head
+		if ln := b.find(k); ln != nil && ln.recvHead != nil &&
+			(best == nil || ln.recvHead.seq < best.seq) {
+			best = ln.recvHead
 		}
 	}
 	// A message's envelope is always concrete (src is a real rank; user tags
@@ -224,8 +244,8 @@ func (m *bucketMatcher) matchMsg(msg *message, consume bool) *recvOp {
 // legacy communicator-wide scan found first.
 func (b *matchBucket) findMsg(src, tag int) *message {
 	if src != AnySource && tag != AnyTag {
-		if ln := b.msgLanes[laneKey{src, tag}]; ln != nil {
-			return ln.head
+		if ln := b.find(laneKey{src, tag}); ln != nil {
+			return ln.msgHead
 		}
 		return nil
 	}

@@ -138,14 +138,9 @@ func TestBucketMatcherNoPointerRetention(t *testing.T) {
 		if b.arrHead != nil || b.arrTail != nil {
 			t.Fatalf("rank %d arrival list not empty", r)
 		}
-		for k, ln := range b.msgLanes {
-			if ln.head != nil || ln.tail != nil {
-				t.Fatalf("rank %d msg lane %v not empty", r, k)
-			}
-		}
-		for k, ln := range b.recvLanes {
-			if ln.head != nil || ln.tail != nil {
-				t.Fatalf("rank %d recv lane %v not empty", r, k)
+		for k, i := range b.index {
+			if ln := b.lanes[i]; ln != (lane{}) {
+				t.Fatalf("rank %d lane %v not empty", r, k)
 			}
 		}
 	}
@@ -182,14 +177,11 @@ func TestMatchDrainAfterWorkload(t *testing.T) {
 		if b.arrHead != nil || b.arrTail != nil {
 			t.Errorf("rank %d: arrival list not empty", r)
 		}
-		for k, ln := range b.msgLanes {
-			if ln.head != nil {
-				t.Errorf("rank %d: msg lane %v holds seq %d", r, k, ln.head.seq)
-			}
-		}
-		for k, ln := range b.recvLanes {
-			if ln.head != nil {
-				t.Errorf("rank %d: recv lane %v holds seq %d", r, k, ln.head.seq)
+		for k, i := range b.index {
+			if ln := b.lanes[i]; ln.msgHead != nil {
+				t.Errorf("rank %d: msg lane %v holds seq %d", r, k, ln.msgHead.seq)
+			} else if ln.recvHead != nil {
+				t.Errorf("rank %d: recv lane %v holds seq %d", r, k, ln.recvHead.seq)
 			}
 		}
 		hp, hu := w.Comm().MatchQueueHighWater(r)

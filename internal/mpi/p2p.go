@@ -26,33 +26,34 @@ const (
 	CLMem
 )
 
-// message is a posted send awaiting (or matched to) a receive.
+// message is a posted send awaiting (or matched to) a receive. It is the
+// send's one heap object: the request handed to the sender is embedded in
+// it, and delivery runs from its fields with no closure per message.
 type message struct {
+	w             *World // the world the message is posted in
 	src, dst, tag int
 	seq           uint64
 	size          int
 	eager         bool
+	ssend         bool // a synchronous send (Ssend)
 	// direct marks an intra-node copy elision: a matching receive was
 	// already posted when the send arrived, so delivery fills the
 	// receiver-owned buffer straight from the sender's (no intermediate
 	// payload capture). Set only when matching is synchronous with the send.
 	direct bool
 	// Cross-partition markers (see partition.go). xArrived: an injected
-	// eager envelope whose payload came with it (req is nil — the sender's
-	// request completed on its own shard). xRndv: an injected rendezvous
-	// envelope whose data phase runs as a separate cross event once the
-	// receiver grants clear-to-send (req is nil here too).
+	// eager envelope whose payload came with it (req is unused — the
+	// sender's request completed on its own shard). xRndv: an injected
+	// rendezvous envelope whose data phase runs as a separate cross event
+	// once the receiver grants clear-to-send (req is unused here too).
 	xArrived bool
 	xRndv    bool
+	landed   bool         // an eager payload is at the receiver (see eagerLanded)
 	payload  bytepool.Seg // eager: captured copy (bytepool.Capture); rendezvous/direct: empty
 	sendBuf  bytepool.Seg // rendezvous (and direct self-sends): the live send buffer
-	arrived  sim.Trigger  // data available at the receiver (eager/local)
-	req      *Request
+	req      Request
 
-	// The local wire transfer (eager body or rendezvous data phase) and,
-	// for a rendezvous, the matched receive and its queue depths sampled at
-	// match time.
-	wire   wireXfer
+	// The matched receive and the queue depths sampled at match time.
 	rop    *recvOp
 	pd, ud int32
 
@@ -63,17 +64,28 @@ type message struct {
 	arrNext, arrPrev   *message
 }
 
-// recvOp is a posted receive awaiting a message.
+// recvOp is a posted receive awaiting a message. Like message, it is the
+// receive's one heap object, with the request embedded.
 type recvOp struct {
 	owner    int // the rank that posted the receive
 	src, tag int // may be AnySource / AnyTag
 	seq      uint64
 	buf      bytepool.Seg
-	req      *Request
+	req      Request
 
-	// Intrusive matcher links: the literal (src, tag) lane FIFO.
+	// Intrusive matcher links: the literal (src, tag) lane FIFO, and the
+	// lane's index in the owner's bucket while the receive is posted.
 	laneNext, lanePrev *recvOp
+	lane               int32
 }
+
+func (m *message) opLabel() string { return sendLabel(m.ssend, m.src, m.dst, m.tag) }
+func (m *message) opSeq() uint64   { return m.seq }
+
+func (r *recvOp) opLabel() string {
+	return fmt.Sprintf("irecv %d<-%d tag %d", r.owner, r.src, r.tag)
+}
+func (r *recvOp) opSeq() uint64 { return r.seq }
 
 // Isend starts a nonblocking send of buf to rank dest with the given tag,
 // like MPI_Isend. With dtype CLMem the registered hook takes over.
@@ -111,16 +123,12 @@ func (ep *Endpoint) postSend(buf bytepool.Seg, dest, tag int, comm *Comm) *Reque
 		// cross-partition transport (see partition.go).
 		return ps.crossSend(ep, buf, dest, tag, comm, false)
 	}
-	msg := w.getMsg()
-	msg.src, msg.dst, msg.tag, msg.seq = ep.rank, dest, tag, w.nextSeq()
-	msg.size = buf.Len()
-	msg.req = newReqCoded(w.eng, reqIsend, ep.rank, dest, tag)
-	msg.req.seq = msg.seq
+	msg := w.newMsg(ep.rank, dest, tag, w.nextSeq(), buf.Len())
+	msg.req.init(w.eng, msg)
 	switch {
 	case dest == ep.rank:
 		// Self-message: a shared-memory copy, no NIC involved.
 		msg.eager = true
-		msg.arrived.Init(w.eng, "self-msg")
 		if rop := comm.firstMatch(msg); rop != nil && msg.size <= rop.buf.Len() {
 			// Copy elision: the receive is already posted, and matching
 			// happens synchronously below, so delivery can fill the
@@ -132,13 +140,12 @@ func (ep *Endpoint) postSend(buf bytepool.Seg, dest, tag int, comm *Comm) *Reque
 			msg.payload = bytepool.Capture(buf)
 		}
 		d := localOverhead + secondsToDur(float64(msg.size)/ep.Node().Sys.CPU.MemBW)
-		msg.arrived.FireAfter(d, nil)
+		w.eng.AfterCall(d, eagerLanded, msg)
 		msg.req.completeAfter(d, Status{}, nil)
 	case msg.size <= EagerThreshold:
 		msg.eager = true
 		msg.payload = bytepool.Capture(buf)
-		msg.arrived.Init(w.eng, "eager-msg")
-		msg.startWire(w)
+		msg.startWire()
 	default:
 		msg.sendBuf = buf // rendezvous: transfer happens at match time
 	}
@@ -148,7 +155,7 @@ func (ep *Endpoint) postSend(buf bytepool.Seg, dest, tag int, comm *Comm) *Reque
 		Seq: msg.seq, Bytes: msg.size, Eager: msg.eager, At: w.eng.Now(),
 		PostedDepth: pd, UnexpectedDepth: ud})
 	comm.matchPostedMsg(msg)
-	return msg.req
+	return &msg.req
 }
 
 // Irecv starts a nonblocking receive into buf from rank src (or AnySource)
@@ -183,14 +190,8 @@ func (ep *Endpoint) IrecvSeg(p *sim.Proc, buf bytepool.Seg, src, tag int, dtype 
 // internal collective traffic.
 func (ep *Endpoint) postRecv(buf bytepool.Seg, src, tag int, comm *Comm) *Request {
 	w := ep.world
-	rop := w.getRop()
-	rop.owner = ep.rank
-	rop.src, rop.tag, rop.seq, rop.buf = src, tag, w.nextSeq(), buf
-	rop.req = newReqCoded(w.eng, reqIrecv, ep.rank, src, tag)
-	rop.req.seq = rop.seq
-	// deliver may recycle rop through the world's pool (partitioned runs),
-	// so everything needed after it runs is snapshotted here.
-	req, seq := rop.req, rop.seq
+	rop := &recvOp{owner: ep.rank, src: src, tag: tag, seq: w.nextSeq(), buf: buf}
+	rop.req.init(w.eng, rop)
 	// Take the earliest pending message in arrival order (non-overtaking per
 	// sender); only an unmatched receive joins the posted queue.
 	msg := comm.match.takeMsg(rop)
@@ -199,12 +200,12 @@ func (ep *Endpoint) postRecv(buf bytepool.Seg, src, tag int, comm *Comm) *Reques
 	}
 	pd, ud := comm.match.depths(ep.rank)
 	w.observe(MsgEvent{Kind: MsgRecvPosted, Src: src, Dst: ep.rank, Tag: tag,
-		Seq: seq, Bytes: buf.Len(), At: w.eng.Now(),
+		Seq: rop.seq, Bytes: buf.Len(), At: w.eng.Now(),
 		PostedDepth: pd, UnexpectedDepth: ud})
 	if msg != nil {
 		comm.deliver(msg, rop)
 	}
-	return req
+	return &rop.req
 }
 
 // matches reports whether a posted receive accepts a message. Wildcard tags

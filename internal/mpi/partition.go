@@ -82,7 +82,7 @@ func NewPartWorld(pe *sim.PartitionedEngine, sys cluster.System, n int) *PartWor
 			pw: pw, idx: i, lo: lo, hi: hi, w: w,
 			eps:   make([]*Endpoint, hi-lo),
 			pend:  make(map[uint64]*xsend),
-			await: make(map[uint64]*xawait),
+			await: make(map[uint64]*message),
 		}
 		pw.shards[i] = w
 	}
@@ -188,10 +188,11 @@ type partShard struct {
 	eps []*Endpoint
 
 	// pend: cross rendezvous sends awaiting the receiver's clear-to-send,
-	// by message sequence. await: matched cross rendezvous receives awaiting
-	// the data phase. Both are touched only from this shard's engine.
+	// by message sequence. await: matched cross rendezvous envelopes (their
+	// receive op in rop) awaiting the data phase. Both are touched only from
+	// this shard's engine.
 	pend  map[uint64]*xsend
-	await map[uint64]*xawait
+	await map[uint64]*message
 }
 
 // local reports whether rank lives on this shard.
@@ -217,7 +218,7 @@ const (
 )
 
 // xsend is a cross-partition message in flight: the sender's side of it,
-// and the state of the wireXfer legs that carry each phase across — the
+// and the phase that the wireXfer legs carrying it across run — the
 // transmit leg on the source shard, then the receive leg on the target
 // shard, one at a time. Unlike message it never enters a matcher. Not
 // pooled: the final reference is dropped on the target shard's side,
@@ -226,28 +227,18 @@ type xsend struct {
 	src, dst, tag int
 	seq           uint64
 	size          int
+	kind          uint8 // xEager, xRTS or xData
+	ssend         bool
 	// buf is the captured payload of an eager send, and the live send
 	// buffer of a rendezvous until its data leg's transmit ends and
 	// captures it.
 	buf     bytepool.Seg
-	req     *Request
+	req     Request
 	recvSeq uint64 // set by the clear-to-send grant
-	wire    wireXfer
 }
 
-// xawait is a receiver-side matched cross rendezvous waiting for its data
-// phase. The matcher's message and recvOp are recycled at match time; this
-// carries the few fields delivery needs.
-type xawait struct {
-	src, dst, tag int
-	seq           uint64
-	size          int
-	buf           bytepool.Seg
-	req           *Request
-	st            Status
-	recvSeq       uint64
-	pd, ud        int
-}
+func (x *xsend) opLabel() string { return sendLabel(x.ssend, x.src, x.dst, x.tag) }
+func (x *xsend) opSeq() uint64   { return x.seq }
 
 // crossSend posts a send whose destination lives on another partition.
 // Called in the sending rank's process context.
@@ -256,21 +247,15 @@ func (ps *partShard) crossSend(ep *Endpoint, buf bytepool.Seg, dest, tag int, co
 	if comm != w.world {
 		panic("mpi: cross-partition traffic is only supported on MPI_COMM_WORLD")
 	}
-	x := &xsend{src: ep.rank, dst: dest, tag: tag, seq: w.nextSeq(), size: buf.Len()}
-	x.wire.xs = x
-	kind := reqIsend
-	if ssend {
-		kind = reqSsend
-	}
-	x.req = newReqCoded(w.eng, kind, ep.rank, dest, tag)
-	x.req.seq = x.seq
+	x := &xsend{src: ep.rank, dst: dest, tag: tag, seq: w.nextSeq(), size: buf.Len(), ssend: ssend}
+	x.req.init(w.eng, x)
 	eager := !ssend && x.size <= EagerThreshold
 	if eager {
 		x.buf = bytepool.Capture(buf)
-		x.wire.kind = xEager
+		x.kind = xEager
 	} else {
 		x.buf = buf
-		x.wire.kind = xRTS
+		x.kind = xRTS
 		ps.pend[x.seq] = x
 	}
 	if !ssend {
@@ -279,15 +264,15 @@ func (ps *partShard) crossSend(ep *Endpoint, buf bytepool.Seg, dest, tag int, co
 		w.observe(MsgEvent{Kind: MsgSendPosted, Src: x.src, Dst: x.dst, Tag: x.tag,
 			Seq: x.seq, Bytes: x.size, Eager: eager, At: w.eng.Now()})
 	}
-	x.wire.spawn(w, legTx)
-	return x.req
+	w.spawnXfer(legTx, nil, x)
+	return &x.req
 }
 
 // txDone is a transmit leg's tail on the source shard, once the last byte
 // left at instant now: an eager or data phase completes the sender, and
 // the receive leg starts on the target shard one wire latency later.
 func (x *xsend) txDone(w *World, now sim.Time) {
-	switch x.wire.kind {
+	switch x.kind {
 	case xEager:
 		w.observe(MsgEvent{Kind: MsgWireDone, Src: x.src, Dst: x.dst, Tag: x.tag,
 			Seq: x.seq, Bytes: x.size, Eager: true, At: now})
@@ -303,14 +288,14 @@ func (x *xsend) txDone(w *World, now sim.Time) {
 	ps := w.part
 	to := ps.pw.owner(x.dst)
 	tw := ps.pw.shards[to]
-	ps.pw.pe.Cross(ps.idx, to, now.Add(w.clus.Sys.NIC.WireLatency), func() { x.wire.spawn(tw, legRx) })
+	ps.pw.pe.Cross(ps.idx, to, now.Add(w.clus.Sys.NIC.WireLatency), func() { tw.spawnXfer(legRx, nil, x) })
 }
 
 // rxDone is a receive leg's tail on the target shard, once the last byte
 // arrived at instant now: an envelope enters the destination's matcher, or
 // a data phase completes the matched receive.
 func (x *xsend) rxDone(w *World, now sim.Time) {
-	if x.wire.kind == xData {
+	if x.kind == xData {
 		w.part.completeData(x, now)
 		return
 	}
@@ -323,10 +308,8 @@ func (x *xsend) rxDone(w *World, now sim.Time) {
 // envelopes await a data phase.
 func (ps *partShard) inject(x *xsend) {
 	w := ps.w
-	msg := w.getMsg()
-	msg.src, msg.dst, msg.tag, msg.seq = x.src, x.dst, x.tag, x.seq
-	msg.size = x.size
-	if x.wire.kind == xEager {
+	msg := w.newMsg(x.src, x.dst, x.tag, x.seq, x.size)
+	if x.kind == xEager {
 		msg.eager = true
 		msg.xArrived = true
 		msg.payload = x.buf
@@ -337,16 +320,6 @@ func (ps *partShard) inject(x *xsend) {
 	comm := w.world
 	comm.match.addMsg(msg)
 	comm.matchPostedMsg(msg)
-}
-
-// awaitData records where a matched cross rendezvous must deliver once its
-// data phase arrives. Called from deliver; msg and rop are recycled by the
-// caller, so every needed field is copied out.
-func (ps *partShard) awaitData(msg *message, rop *recvOp, st Status, pd, ud int) {
-	ps.await[msg.seq] = &xawait{
-		src: msg.src, dst: msg.dst, tag: msg.tag, seq: msg.seq, size: msg.size,
-		buf: rop.buf, req: rop.req, st: st, recvSeq: rop.seq, pd: pd, ud: ud,
-	}
 }
 
 // ctsBack grants (or denies) a cross rendezvous sender its clear-to-send.
@@ -377,24 +350,23 @@ func (ps *partShard) handleCTS(seq uint64, want bool, recvSeq uint64) {
 		return
 	}
 	x.recvSeq = recvSeq
-	x.wire.kind = xData
-	x.wire.spawn(ps.w, legTx)
+	x.kind = xData
+	ps.w.spawnXfer(legTx, nil, x)
 }
 
 // completeData finishes a matched cross rendezvous receive: the data has
 // fully arrived at the receive path at instant now, so the payload lands in
 // the receiver's buffer and the receive completes.
 func (ps *partShard) completeData(x *xsend, now sim.Time) {
-	a := ps.await[x.seq]
-	if a == nil {
+	msg := ps.await[x.seq]
+	if msg == nil {
 		panic(fmt.Sprintf("mpi: data phase for unknown message seq %d", x.seq))
 	}
 	delete(ps.await, x.seq)
-	bytepool.Copy(a.buf, x.buf)
+	bytepool.Copy(msg.rop.buf, x.buf)
 	bytepool.Free(x.buf)
 	x.buf = bytepool.Seg{}
-	a.req.complete(a.st, nil)
-	ps.w.observe(MsgEvent{Kind: MsgDelivered, Src: a.src, Dst: a.dst, Tag: a.tag,
-		Seq: a.seq, RecvSeq: a.recvSeq, Bytes: a.size, At: now,
-		PostedDepth: a.pd, UnexpectedDepth: a.ud})
+	msg.rop.req.complete(msg.status(), nil)
+	ps.w.observe(msg.delivered(now))
+	ps.w.putMsg(msg)
 }

@@ -14,6 +14,12 @@ type prober struct {
 	tr       *sim.Trigger
 }
 
+// WaitLabel implements sim.Labeler: the deadlock-report annotation of a
+// process blocked in the probe.
+func (pr *prober) WaitLabel() string {
+	return fmt.Sprintf("trigger probe %d<-%d tag %d", pr.owner, pr.src, pr.tag)
+}
+
 // probeMatches reuses the receive-matching rules for a probe filter.
 func probeMatches(pr *prober, msg *message) bool {
 	if msg.dst != pr.owner {
@@ -53,10 +59,8 @@ func (ep *Endpoint) Probe(p *sim.Proc, src, tag int, comm *Comm) (Status, error)
 		if ok {
 			return st, nil
 		}
-		pr := &prober{
-			owner: ep.rank, src: src, tag: tag,
-			tr: sim.NewTrigger(ep.world.eng, fmt.Sprintf("probe %d<-%d tag %d", ep.rank, src, tag)),
-		}
+		pr := &prober{owner: ep.rank, src: src, tag: tag}
+		pr.tr = sim.NewTriggerLazy(ep.world.eng, pr)
 		comm.probers = append(comm.probers, pr)
 		pr.tr.Wait(p)
 		// A message for us arrived; loop to pick up its envelope (it may
@@ -96,12 +100,10 @@ func (ep *Endpoint) Ssend(p *sim.Proc, buf []byte, dest, tag int, comm *Comm) er
 		_, err := req.Wait(p)
 		return err
 	}
-	msg := w.getMsg()
-	msg.src, msg.dst, msg.tag, msg.seq = ep.rank, dest, tag, w.nextSeq()
-	msg.size = len(buf)
+	msg := w.newMsg(ep.rank, dest, tag, w.nextSeq(), len(buf))
 	msg.sendBuf = bytepool.Host(buf) // rendezvous path: completes only on match
-	msg.req = newReqCoded(w.eng, reqSsend, ep.rank, dest, tag)
-	msg.req.seq = msg.seq
+	msg.ssend = true
+	msg.req.init(w.eng, msg)
 	comm.match.addMsg(msg)
 	comm.matchPostedMsg(msg)
 	_, err := msg.req.Wait(p)

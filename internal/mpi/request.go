@@ -7,85 +7,87 @@ import (
 	"repro/internal/sim"
 )
 
-// reqKind codes the diagnostic identity of a transport request, so the
-// label string — pure diagnostics, read only by deadlock reports and Label
-// — is formatted lazily instead of once per operation on the hot path.
-type reqKind uint8
-
-const (
-	reqUser reqKind = iota
-	reqIsend
-	reqIrecv
-	reqSsend
-)
+// reqOwner is the operation a request is embedded in — a message, a
+// receive op, a cross send or a user operation. It names and numbers the
+// request, so the label string, pure diagnostics read only by deadlock
+// reports and Label, is formatted on demand instead of once per operation.
+type reqOwner interface {
+	opLabel() string
+	opSeq() uint64
+}
 
 // Request tracks a nonblocking operation, like MPI_Request. It completes at
-// most once; Wait and Test observe the final status and error.
+// most once; Wait and Test observe the final status and error. A request
+// is embedded in the operation that owns it, so it lives exactly as long as
+// its holder and costs no allocation of its own. Its completion
+// trigger fires with the operation's error as payload, which is where
+// Wait and Test read the error from.
 type Request struct {
-	label   string
-	kind    reqKind
-	a, b, c int    // coded label operands (ranks and tag)
-	seq     uint64 // owning message / receive-op sequence (0 = none)
-	done    sim.Trigger
-	status  Status
-	err     error
+	op     reqOwner
+	done   sim.Trigger
+	status Status
 }
 
 // Seq reports the sequence number of the message (sends) or receive
 // operation (receives) behind this request, matching the Seq field of the
 // world's MsgEvent notifications, or 0 for requests with no transport
 // operation (user requests).
-func (r *Request) Seq() uint64 { return r.seq }
+func (r *Request) Seq() uint64 { return r.op.opSeq() }
+
+// userOp is the operation behind a user request: a label, and no transport
+// sequence.
+type userOp struct {
+	req   Request
+	label string
+}
+
+func (u *userOp) opLabel() string { return u.label }
+func (u *userOp) opSeq() uint64   { return 0 }
 
 // NewUserRequest creates an unattached request plus its completion function,
 // for runtimes that layer custom transfers over MPI (the CL_MEM hook). The
 // completion function may be called once, from a simulated process.
 func NewUserRequest(w *World, label string) (*Request, func(status Status, err error)) {
-	r := newRequest(w.eng, label)
+	u := &userOp{label: label}
+	u.req.init(w.eng, u)
+	r := &u.req
 	return r, func(status Status, err error) { r.complete(status, err) }
 }
 
-func newRequest(e *sim.Engine, label string) *Request {
-	r := &Request{label: label}
-	r.done.Init(e, "request "+label)
-	return r
-}
-
-// newReqCoded creates a transport request whose label and deadlock wait
-// label are derived on demand from (kind, a, b, c). Byte-for-byte the same
-// strings as the eager newRequest form, without the two fmt.Sprintf calls
-// per operation.
-func newReqCoded(e *sim.Engine, kind reqKind, a, b, c int) *Request {
-	r := &Request{kind: kind, a: a, b: b, c: c}
-	r.done.InitLazy(e, r)
-	return r
+// init readies the request embedded in operation op.
+func (r *Request) init(e *sim.Engine, op reqOwner) {
+	r.op = op
+	r.done.Init(e, r)
 }
 
 // complete finishes the request now.
 func (r *Request) complete(status Status, err error) {
-	r.status, r.err = status, err
+	r.status = status
 	r.done.Fire(err)
 }
 
 // completeAfter finishes the request d of virtual time from now.
 func (r *Request) completeAfter(d time.Duration, status Status, err error) {
-	r.status, r.err = status, err
+	r.status = status
 	r.done.FireAfter(d, err)
 }
 
+// err reports the operation's error once the request has completed.
+func (r *Request) err() error {
+	err, _ := r.done.Payload().(error)
+	return err
+}
+
 // Label reports the request's diagnostic name.
-func (r *Request) Label() string {
-	if r.label == "" {
-		switch r.kind {
-		case reqIsend:
-			r.label = fmt.Sprintf("isend %d->%d tag %d", r.a, r.b, r.c)
-		case reqIrecv:
-			r.label = fmt.Sprintf("irecv %d<-%d tag %d", r.a, r.b, r.c)
-		case reqSsend:
-			r.label = fmt.Sprintf("ssend %d->%d tag %d", r.a, r.b, r.c)
-		}
+func (r *Request) Label() string { return r.op.opLabel() }
+
+// sendLabel formats a send request's label.
+func sendLabel(ssend bool, src, dst, tag int) string {
+	kind := "isend"
+	if ssend {
+		kind = "ssend"
 	}
-	return r.label
+	return fmt.Sprintf("%s %d->%d tag %d", kind, src, dst, tag)
 }
 
 // WaitLabel implements sim.Labeler: the deadlock-report label of a process
@@ -97,7 +99,7 @@ func (r *Request) WaitLabel() string { return "trigger request " + r.Label() }
 // receive status (zero Status for sends) and the operation's error.
 func (r *Request) Wait(p *sim.Proc) (Status, error) {
 	r.done.Wait(p)
-	return r.status, r.err
+	return r.status, r.err()
 }
 
 // Test reports without blocking whether the operation has completed, and if
@@ -106,7 +108,7 @@ func (r *Request) Test() (bool, Status, error) {
 	if !r.done.Fired() {
 		return false, Status{}, nil
 	}
-	return true, r.status, r.err
+	return true, r.status, r.err()
 }
 
 // Done exposes the completion trigger so other runtimes can chain on it —
@@ -155,7 +157,7 @@ func Waitany(p *sim.Proc, reqs ...*Request) (int, Status, error) {
 		// wait on a single request returns when that one fires, after
 		// which the scan above may also discover earlier-indexed winners
 		// completed at the same instant.
-		any := sim.NewTrigger(p.Engine(), "waitany")
+		any := sim.NewTriggerLazy(p.Engine(), sim.Label("waitany"))
 		for _, r := range reqs {
 			if r != nil {
 				r.done.Chain(any)

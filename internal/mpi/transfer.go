@@ -41,9 +41,10 @@ func chargeWire(l *sim.Link, pname string, n int64, start, end sim.Time, ov time
 // message runs two legs of it in turn: a transmit leg holding only tx on
 // the source shard, then a receive leg holding only rx on the target shard
 // (partition.go). Each leg queues per message on the links, so every link
-// is a FIFO of messages in both engines. The state lives in the object the
-// transport already allocated — the message, or the cross send — so a
-// transfer allocates nothing of its own.
+// is a FIFO of messages in both engines. The state, its Proc included,
+// comes from the world's pool when the occupancy is spawned and goes back
+// when it ends, so a message carries none of it and a transfer allocates
+// nothing in steady state.
 type wireXfer struct {
 	proc  sim.Proc
 	w     *World   // the world the occupancy runs in
@@ -51,7 +52,6 @@ type wireXfer struct {
 	xs    *xsend   // a cross leg's send; nil on a local transfer
 	start sim.Time // the occupancy's first instant, once the links are held
 	leg   uint8    // legLocal, legTx or legRx
-	kind  uint8    // a cross leg's phase: xEager, xRTS or xData
 	state uint8
 }
 
@@ -71,9 +71,11 @@ const (
 	xferDone
 )
 
-// spawn starts the occupancy as leg on w's engine.
-func (x *wireXfer) spawn(w *World, leg uint8) {
-	x.w, x.leg, x.state = w, leg, xferBackplane
+// spawnXfer starts one occupancy as leg on w's engine: the local transfer
+// of msg, or a leg of the cross send xs.
+func (w *World) spawnXfer(leg uint8, msg *message, xs *xsend) {
+	x := w.xfers.Get()
+	x.w, x.leg, x.msg, x.xs = w, leg, msg, xs
 	w.eng.SpawnStep(x, &x.proc)
 }
 
@@ -83,7 +85,7 @@ func (x *wireXfer) ends() (src, dst int, n int64) {
 	if m := x.msg; m != nil {
 		return m.src, m.dst, int64(m.size)
 	}
-	if x.kind == xRTS {
+	if x.xs.kind == xRTS {
 		return x.xs.src, x.xs.dst, 0
 	}
 	return x.xs.src, x.xs.dst, int64(x.xs.size)
@@ -93,7 +95,7 @@ func (x *wireXfer) ends() (src, dst int, n int64) {
 func (x *wireXfer) StepName() string {
 	src, dst, _ := x.ends()
 	kind := "eager"
-	if (x.msg != nil && !x.msg.eager) || (x.xs != nil && x.kind != xEager) {
+	if (x.msg != nil && !x.msg.eager) || (x.xs != nil && x.xs.kind != xEager) {
 		kind = "rndv"
 	}
 	return fmt.Sprintf("%s %d->%d", kind, src, dst)
@@ -169,47 +171,56 @@ func (x *wireXfer) Step(p *sim.Proc) {
 	case x.leg == legRx:
 		x.xs.rxDone(w, now)
 	case x.msg.eager:
-		x.eagerDone(now)
+		x.msg.eagerDone(now)
 	default:
-		x.rndvDone(now)
+		x.msg.rndvDone(now)
 	}
+	w.endXfer(x)
 }
 
 // eagerDone is a local eager transfer's tail, once the last byte left at
 // instant now: the sender completes, and the payload arrives one wire
 // latency later.
-func (x *wireXfer) eagerDone(now sim.Time) {
-	w, msg := x.w, x.msg
+func (msg *message) eagerDone(now sim.Time) {
+	w := msg.w
 	w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
 		Seq: msg.seq, Bytes: msg.size, Eager: true, At: now})
 	// The NIC has the data: the sender's buffer is free.
 	msg.req.complete(Status{}, nil)
-	msg.arrived.FireAfter(w.clus.Sys.NIC.WireLatency, nil)
+	w.eng.AfterCall(w.clus.Sys.NIC.WireLatency, eagerLanded, msg)
 }
 
 // rndvDone is a local rendezvous data phase's tail, once the last byte left
 // at instant now: the payload lands, the sender completes, and the receive
 // completes one wire latency later.
-func (x *wireXfer) rndvDone(now sim.Time) {
-	w, msg, rop := x.w, x.msg, x.msg.rop
-	pd, ud := int(msg.pd), int(msg.ud)
+func (msg *message) rndvDone(now sim.Time) {
+	w, rop := msg.w, msg.rop
 	w.observe(MsgEvent{Kind: MsgWireDone, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
 		Seq: msg.seq, RecvSeq: rop.seq, Bytes: msg.size, At: now,
-		PostedDepth: pd, UnexpectedDepth: ud})
+		PostedDepth: int(msg.pd), UnexpectedDepth: int(msg.ud)})
 	bytepool.Copy(rop.buf, msg.sendBuf)
 	// Sender's buffer is reusable once the NIC is done with it.
 	msg.req.complete(Status{}, nil)
 	lat := w.clus.Sys.NIC.WireLatency
-	rop.req.completeAfter(lat, Status{Source: msg.src, Tag: msg.tag, Count: msg.size}, nil)
-	w.observe(MsgEvent{Kind: MsgDelivered, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
-		Seq: msg.seq, RecvSeq: rop.seq, Bytes: msg.size, Eager: msg.eager, At: now.Add(lat),
-		PostedDepth: pd, UnexpectedDepth: ud})
+	rop.req.completeAfter(lat, msg.status(), nil)
+	w.observe(msg.delivered(now.Add(lat)))
 }
 
 // startWire runs msg's local wire transfer.
-func (msg *message) startWire(w *World) {
-	msg.wire.msg = msg
-	msg.wire.spawn(w, legLocal)
+func (msg *message) startWire() { msg.w.spawnXfer(legLocal, msg, nil) }
+
+// status is the receive status of a matched message.
+func (msg *message) status() Status {
+	return Status{Source: msg.src, Tag: msg.tag, Count: msg.size}
+}
+
+// delivered is the MsgDelivered event of a matched message landing at
+// instant at, with the queue depths sampled at match time, so its payload
+// does not depend on unrelated traffic between match and delivery.
+func (msg *message) delivered(at sim.Time) MsgEvent {
+	return MsgEvent{Kind: MsgDelivered, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
+		Seq: msg.seq, RecvSeq: msg.rop.seq, Bytes: msg.size, Eager: msg.eager, At: at,
+		PostedDepth: int(msg.pd), UnexpectedDepth: int(msg.ud)}
 }
 
 // deliver finalizes a matched (message, receive) pair.
@@ -217,21 +228,13 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 	w := c.world
 	now := w.eng.Now()
 	// Queue depths are sampled once, at match time (both sides have already
-	// left the queues); the delivered event reuses them so its payload does
-	// not depend on unrelated traffic between match and delivery.
+	// left the queues).
 	pd, ud := c.match.depths(msg.dst)
-	// Snapshot the receive sequence: the delivered closure may run after the
-	// recvOp has been recycled through the world's pool.
-	rseq := rop.seq
-	delivered := func(at sim.Time) MsgEvent {
-		return MsgEvent{Kind: MsgDelivered, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
-			Seq: msg.seq, RecvSeq: rseq, Bytes: msg.size, Eager: msg.eager, At: at,
-			PostedDepth: pd, UnexpectedDepth: ud}
-	}
+	msg.rop, msg.pd, msg.ud = rop, int32(pd), int32(ud)
 	w.observe(MsgEvent{Kind: MsgMatched, Src: msg.src, Dst: msg.dst, Tag: msg.tag,
-		Seq: msg.seq, RecvSeq: rseq, Bytes: msg.size, Eager: msg.eager, At: now,
+		Seq: msg.seq, RecvSeq: rop.seq, Bytes: msg.size, Eager: msg.eager, At: now,
 		PostedDepth: pd, UnexpectedDepth: ud})
-	st := Status{Source: msg.src, Tag: msg.tag, Count: msg.size}
+	st := msg.status()
 	if msg.size > rop.buf.Len() {
 		// Truncation is the receiver's error; the sender completes
 		// normally (its data was accepted by the transport).
@@ -252,11 +255,12 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 		// Nothing will read the captured copy: recycle it now.
 		bytepool.Free(msg.payload)
 		msg.payload = bytepool.Seg{}
-		w.observe(delivered(now))
+		w.observe(msg.delivered(now))
 		if msg.xArrived || msg.xRndv {
 			w.putMsg(msg)
 		}
-		w.putRop(rop)
+		// An eager payload still in flight has no receive left to fill.
+		msg.rop = nil
 		return
 	}
 	if msg.xArrived {
@@ -267,50 +271,31 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 		bytepool.Free(msg.payload)
 		msg.payload = bytepool.Seg{}
 		rop.req.complete(st, nil)
-		w.observe(delivered(now))
-		w.putRop(rop)
+		w.observe(msg.delivered(now))
 		w.putMsg(msg)
 		return
 	}
 	if msg.xRndv {
-		// Cross-partition rendezvous: record where the data phase must land,
-		// then grant the remote sender its clear-to-send. Delivery happens
-		// when the data event arrives (partition.go completeData).
-		w.part.awaitData(msg, rop, st, pd, ud)
-		w.part.ctsBack(msg, true, rseq)
-		w.putRop(rop)
-		w.putMsg(msg)
+		// Cross-partition rendezvous: park the matched message until its
+		// data phase arrives (partition.go completeData), then grant the
+		// remote sender its clear-to-send.
+		w.part.await[msg.seq] = msg
+		w.part.ctsBack(msg, true, rop.seq)
 		return
 	}
 	if msg.eager {
 		// Data travels independently of matching; the receive completes
 		// when the payload has arrived (it may already have).
-		buf := rop.buf
-		req := rop.req
 		if msg.direct {
 			// Intra-node copy elision: matching is synchronous with the
 			// send, so the sender's buffer still holds the payload — fill
 			// the receiver-owned buffer directly, skipping the staged copy.
-			bytepool.Copy(buf, msg.sendBuf)
+			bytepool.Copy(rop.buf, msg.sendBuf)
 			msg.sendBuf = bytepool.Seg{}
 		}
-		msg.arrived.OnFire(func(at sim.Time, _ any) {
-			// A direct delivery has no payload; copying and freeing the
-			// empty segment is a no-op.
-			bytepool.Copy(buf, msg.payload)
-			bytepool.Free(msg.payload)
-			msg.payload = bytepool.Seg{}
-			req.status = st
-			if at < now {
-				// Payload beat the receive: delivery is at match time.
-				at = now
-			}
-			w.observe(delivered(at))
-		})
-		msg.arrived.Chain(req.Done())
-		// The receive op's buffer and request now live in locals and the
-		// closure above; the op itself is done.
-		w.putRop(rop)
+		if msg.landed {
+			msg.land()
+		}
 		return
 	}
 	if msg.src == msg.dst {
@@ -319,12 +304,37 @@ func (c *Comm) deliver(msg *message, rop *recvOp) {
 		bytepool.Copy(rop.buf, msg.sendBuf)
 		msg.req.completeAfter(d, Status{}, nil)
 		rop.req.completeAfter(d, st, nil)
-		w.observe(delivered(now.Add(d)))
+		w.observe(msg.delivered(now.Add(d)))
 		return
 	}
 	// Rendezvous: run the wire transfer now that both sides exist.
-	msg.rop, msg.pd, msg.ud = rop, int32(pd), int32(ud)
-	msg.startWire(w)
+	msg.startWire()
+}
+
+// eagerLanded marks an eager payload as arrived at the receiver and, if a
+// receive has already matched the message, delivers it. It runs from a
+// timer with the message as its argument, so arrival costs no trigger and
+// no closure.
+func eagerLanded(arg any) {
+	msg := arg.(*message)
+	msg.landed = true
+	if msg.rop != nil {
+		msg.land()
+	}
+}
+
+// land completes the matched receive of an eager message whose payload is
+// at the receiver, at the engine's current instant: the landing if the
+// receive was first, the match if the payload was.
+func (msg *message) land() {
+	rop := msg.rop
+	// A direct delivery has no payload; copying and freeing the empty
+	// segment is a no-op.
+	bytepool.Copy(rop.buf, msg.payload)
+	bytepool.Free(msg.payload)
+	msg.payload = bytepool.Seg{}
+	msg.w.observe(msg.delivered(msg.w.eng.Now()))
+	rop.req.complete(msg.status(), nil)
 }
 
 // Send is the blocking send, like MPI_Send: it returns when the send buffer

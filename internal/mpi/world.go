@@ -24,10 +24,13 @@ type World struct {
 
 	// part is non-nil when this world is one shard of a PartWorld: sends to
 	// non-local ranks route through the cross-partition transport, and
-	// engine-owned transport objects recycle through the pools below.
+	// injected cross envelopes recycle through msgPool.
 	part    *partShard
 	msgPool sim.Pool[message]
-	ropPool sim.Pool[recvOp]
+	// xfers recycles the step state of wire occupancies: taken when a leg
+	// is spawned, returned when it ends (see endXfer).
+	xfers     sim.Pool[wireXfer]
+	spentXfer *wireXfer
 }
 
 // NewWorld creates a job spanning every node of the cluster.
@@ -54,37 +57,38 @@ func (w *World) nextSeq() uint64 {
 	return w.seq
 }
 
-// getMsg returns a message, recycled in partitioned worlds.
-func (w *World) getMsg() *message {
+// newMsg returns a message with its envelope set, recycled in partitioned
+// worlds.
+func (w *World) newMsg(src, dst, tag int, seq uint64, size int) *message {
+	var m *message
 	if w.part != nil {
-		return w.msgPool.Get()
+		m = w.msgPool.Get()
+	} else {
+		m = &message{}
 	}
-	return &message{}
+	m.w, m.src, m.dst, m.tag, m.seq, m.size = w, src, dst, tag, seq, size
+	return m
 }
 
-// putMsg recycles an engine-owned message in partitioned worlds. The caller
-// must guarantee no reference survives (unlinked from the matcher, payload
-// released, no pending trigger callbacks).
+// putMsg recycles an engine-owned message in partitioned worlds: an
+// injected cross envelope, whose embedded request was never handed out. The
+// caller must guarantee no reference survives (unlinked from the matcher,
+// payload released, no pending trigger callbacks).
 func (w *World) putMsg(m *message) {
 	if w.part != nil {
 		w.msgPool.Put(m)
 	}
 }
 
-// getRop returns a receive op, recycled in partitioned worlds.
-func (w *World) getRop() *recvOp {
-	if w.part != nil {
-		return w.ropPool.Get()
+// endXfer recycles a finished occupancy's step state. The engine retires
+// the step's embedded Proc only after Step returns, so x waits in a
+// one-deep slot and goes back to the pool when the next occupancy on w
+// ends — by then x's Proc has long been retired.
+func (w *World) endXfer(x *wireXfer) {
+	if y := w.spentXfer; y != nil {
+		w.xfers.Put(y)
 	}
-	return &recvOp{}
-}
-
-// putRop recycles a receive op in partitioned worlds; same ownership
-// contract as putMsg.
-func (w *World) putRop(r *recvOp) {
-	if w.part != nil {
-		w.ropPool.Put(r)
-	}
+	w.spentXfer = x
 }
 
 // Comm returns the world communicator.

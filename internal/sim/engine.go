@@ -106,15 +106,15 @@ func (e *DeadlockError) Error() string {
 // down.
 type abortPanic struct{}
 
-// timerEvent wakes a process, fires a trigger, or runs a callback at a
+// timerEvent wakes a process, fires a trigger, or calls a function at a
 // future instant.
 type timerEvent struct {
-	at          Time
-	seq         uint64
-	proc        *Proc    // woken if non-nil
-	trig        *Trigger // else fired with trigPayload if non-nil
-	trigPayload any
-	fn          func() // otherwise run in scheduler context
+	at   Time
+	seq  uint64
+	proc *Proc         // woken if non-nil
+	trig *Trigger      // else fired with arg as payload if non-nil
+	fn   func(arg any) // otherwise called with arg in scheduler context
+	arg  any
 }
 
 // timerBefore reports whether a fires before b (time, then schedule order).
@@ -420,10 +420,10 @@ func (e *Engine) Stats() Stats {
 	return Stats{Procs: e.spawned, Timers: e.seq, Now: e.now}
 }
 
-// at schedules fn to run in scheduler context at instant t.
-func (e *Engine) at(t Time, fn func()) {
+// at schedules fn(arg) to run in scheduler context at instant t.
+func (e *Engine) at(t Time, fn func(arg any), arg any) {
 	e.seq++
-	e.pushTimer(timerEvent{at: t, seq: e.seq, fn: fn})
+	e.pushTimer(timerEvent{at: t, seq: e.seq, fn: fn, arg: arg})
 }
 
 // atProc schedules process p to wake at instant t.
@@ -437,7 +437,7 @@ func (e *Engine) atProc(t Time, p *Proc) {
 // the per-message hot path and the closure would be one allocation each.
 func (e *Engine) atTrigger(t Time, tr *Trigger, payload any) {
 	e.seq++
-	e.pushTimer(timerEvent{at: t, seq: e.seq, trig: tr, trigPayload: payload})
+	e.pushTimer(timerEvent{at: t, seq: e.seq, trig: tr, arg: payload})
 }
 
 // pushTimer inserts a timer, keeping the earliest event in the
@@ -545,13 +545,23 @@ func (e *Engine) popTimer() timerEvent {
 // is the building block for modelled asynchronous hardware (a NIC
 // delivering a message, a DMA engine completing).
 func (e *Engine) After(d time.Duration, fn func()) {
+	e.AfterCall(d, callFunc, fn)
+}
+
+// callFunc runs an After function; a func value boxes without allocating.
+func callFunc(fn any) { fn.(func())() }
+
+// AfterCall is After for fn(arg): with fn a package-level function and arg
+// a pointer, scheduling it allocates no closure, which suits per-message
+// machinery.
+func (e *Engine) AfterCall(d time.Duration, fn func(arg any), arg any) {
 	if d < 0 {
 		d = 0
 	}
 	if e.stopped {
 		return
 	}
-	e.at(e.now.Add(d), fn)
+	e.at(e.now.Add(d), fn, arg)
 }
 
 // wake moves a parked process to the ready queue.
@@ -590,9 +600,9 @@ func (e *Engine) schedule() {
 			case ev.proc != nil:
 				e.wake(ev.proc)
 			case ev.trig != nil:
-				ev.trig.Fire(ev.trigPayload)
+				ev.trig.Fire(ev.arg)
 			default:
-				ev.fn() // may append to e.ready or push timers
+				ev.fn(ev.arg) // may append to e.ready or push timers
 			}
 			continue
 		}

@@ -181,6 +181,10 @@ func (w *WaitGroup) Add(delta int) {
 	}
 }
 
+// WaitLabel implements Labeler: the deadlock-report annotation of a process
+// blocked on this group.
+func (w *WaitGroup) WaitLabel() string { return "trigger waitgroup " + w.label }
+
 // Done decrements the count by one.
 func (w *WaitGroup) Done() { w.Add(-1) }
 
@@ -190,7 +194,7 @@ func (w *WaitGroup) Wait(p *Proc) {
 		return
 	}
 	if w.done == nil {
-		w.done = NewTrigger(w.eng, "waitgroup "+w.label)
+		w.done = NewTriggerLazy(w.eng, w)
 	}
 	w.done.Wait(p)
 }

@@ -11,38 +11,50 @@ import "time"
 // A Trigger may carry an arbitrary payload set at Fire time, so it doubles
 // as a single-assignment future.
 //
-// The hot paths are allocation-conscious: the deadlock label is formatted
-// only when a report needs it, the first waiter and the first callback live
-// in inline slots (almost every trigger has at most one of each), and a
-// zero Trigger can be readied in place with Init/InitLazy so owners can
-// embed it instead of allocating separately.
+// The hot paths are allocation-conscious. The deadlock label is a Labeler,
+// resolved only when a report needs it; a constant Label or an owner that
+// labels itself costs nothing. The first waiter, the first callback and the
+// first chained trigger live in inline slots (almost every trigger has at
+// most one of each); the rest share one lazily allocated overflow record.
+// A zero Trigger can be readied in place with Init, so owners can embed it
+// instead of allocating separately.
 type Trigger struct {
 	eng     *Engine
-	label   string
-	lblr    Labeler // lazy label source when label is empty
+	lbl     Labeler
 	fired   bool
 	firedAt Time
 	payload any
-	w0      *Proc   // first waiter
-	waiters []*Proc // overflow waiters
-	// callbacks run in scheduler context when the trigger fires; they must
-	// not block. Used for OpenCL-style event callbacks.
-	cb0       func(at Time, payload any)
-	callbacks []func(at Time, payload any)
-	// chained triggers fire (same instant, same payload) right after the
-	// callbacks. Dedicated slots rather than closures over the callback list:
-	// chaining is the per-message hot path, and the inline slot makes it
+	w0      *Proc // first waiter
+	// cb0 runs in scheduler context when the trigger fires; it must not
+	// block. Used for OpenCL-style event callbacks.
+	cb0 func(at Time, payload any)
+	// chain0 fires (same instant, same payload) right after the callbacks.
+	// A dedicated slot rather than a closure over the callback list:
+	// chaining is a per-message hot path, and the slot makes it
 	// allocation-free.
 	chain0 *Trigger
-	chains []*Trigger
+	more   *triggerMore
 }
+
+// triggerMore holds a trigger's second and later waiters, callbacks and
+// chained triggers, in registration order after the inline slots.
+type triggerMore struct {
+	waiters   []*Proc
+	callbacks []func(at Time, payload any)
+	chains    []*Trigger
+}
+
+// Label is a trigger's deadlock label given as a plain string. A constant
+// Label converts to a Labeler without allocating.
+type Label string
+
+// WaitLabel implements Labeler.
+func (l Label) WaitLabel() string { return "trigger " + string(l) }
 
 // NewTrigger creates an unfired trigger. The label appears in deadlock
 // reports of processes blocked on it.
 func NewTrigger(e *Engine, label string) *Trigger {
-	t := &Trigger{}
-	t.Init(e, label)
-	return t
+	return NewTriggerLazy(e, Label(label))
 }
 
 // NewTriggerLazy creates an unfired trigger whose deadlock label is supplied
@@ -50,29 +62,24 @@ func NewTrigger(e *Engine, label string) *Trigger {
 // formatting on the happy path.
 func NewTriggerLazy(e *Engine, l Labeler) *Trigger {
 	t := &Trigger{}
-	t.InitLazy(e, l)
+	t.Init(e, l)
 	return t
 }
 
 // Init readies a zero Trigger in place, for owners that embed one in a
 // larger allocation. It must be called before any other method, and the
 // trigger must not be copied afterwards.
-func (t *Trigger) Init(e *Engine, label string) {
-	t.eng, t.label = e, label
-}
-
-// InitLazy is Init with a lazily formatted deadlock label.
-func (t *Trigger) InitLazy(e *Engine, l Labeler) {
-	t.eng, t.lblr = e, l
+func (t *Trigger) Init(e *Engine, l Labeler) {
+	t.eng, t.lbl = e, l
 }
 
 // WaitLabel implements Labeler: the deadlock-report annotation of a process
 // blocked on this trigger.
 func (t *Trigger) WaitLabel() string {
-	if t.lblr != nil {
-		return t.lblr.WaitLabel()
+	if t.lbl == nil {
+		return "trigger "
 	}
-	return "trigger " + t.label
+	return t.lbl.WaitLabel()
 }
 
 // Fired reports whether the trigger has fired.
@@ -96,30 +103,29 @@ func (t *Trigger) Fire(payload any) {
 	t.fired = true
 	t.firedAt = at
 	t.payload = payload
+	var m triggerMore
+	if t.more != nil {
+		m, t.more = *t.more, nil
+	}
 	if p := t.w0; p != nil {
 		t.w0 = nil
 		t.eng.wake(p)
 	}
-	for _, p := range t.waiters {
+	for _, p := range m.waiters {
 		t.eng.wake(p)
 	}
-	t.waiters = nil
-	cb := t.cb0
-	cbs := t.callbacks
-	t.cb0, t.callbacks = nil, nil
-	if cb != nil {
+	if cb := t.cb0; cb != nil {
+		t.cb0 = nil
 		cb(at, payload)
 	}
-	for _, cb := range cbs {
+	for _, cb := range m.callbacks {
 		cb(at, payload)
 	}
-	ch := t.chain0
-	chs := t.chains
-	t.chain0, t.chains = nil, nil
-	if ch != nil {
+	if ch := t.chain0; ch != nil {
+		t.chain0 = nil
 		ch.Fire(payload)
 	}
-	for _, ch := range chs {
+	for _, ch := range m.chains {
 		ch.Fire(payload)
 	}
 }
@@ -135,15 +141,24 @@ func (t *Trigger) FireAfter(d time.Duration, payload any) {
 	e.atTrigger(e.now.Add(d), t, payload)
 }
 
+// overflow returns the trigger's overflow record, allocating it on first use.
+func (t *Trigger) overflow() *triggerMore {
+	if t.more == nil {
+		t.more = &triggerMore{}
+	}
+	return t.more
+}
+
 // Wait blocks process p until the trigger fires and returns its payload.
 func (t *Trigger) Wait(p *Proc) any {
 	if t.fired {
 		return t.payload
 	}
-	if t.w0 == nil && len(t.waiters) == 0 {
+	if t.w0 == nil {
 		t.w0 = p
 	} else {
-		t.waiters = append(t.waiters, p)
+		m := t.overflow()
+		m.waiters = append(m.waiters, p)
 	}
 	p.waitLblr = t
 	t.eng.park(p, "")
@@ -160,10 +175,11 @@ func (t *Trigger) OnFire(fn func(at Time, payload any)) {
 		fn(t.firedAt, t.payload)
 		return
 	}
-	if t.cb0 == nil && len(t.callbacks) == 0 {
+	if t.cb0 == nil {
 		t.cb0 = fn
 	} else {
-		t.callbacks = append(t.callbacks, fn)
+		m := t.overflow()
+		m.callbacks = append(m.callbacks, fn)
 	}
 }
 
@@ -175,10 +191,11 @@ func (t *Trigger) Chain(other *Trigger) {
 		other.Fire(t.payload)
 		return
 	}
-	if t.chain0 == nil && len(t.chains) == 0 {
+	if t.chain0 == nil {
 		t.chain0 = other
 	} else {
-		t.chains = append(t.chains, other)
+		m := t.overflow()
+		m.chains = append(m.chains, other)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -182,10 +183,11 @@ func TestSchedulerContextSchedulesWork(t *testing.T) {
 			}
 		})
 		for _, w := range []struct {
-			tr *Trigger
-			at *Time
-		}{{b, &bAt}, {c, &cAt}, {d, &dAt}} {
-			e.Spawn("waiter "+w.tr.label, func(p *Proc) {
+			name string
+			tr   *Trigger
+			at   *Time
+		}{{"b", b, &bAt}, {"c", c, &cAt}, {"d", d, &dAt}} {
+			e.Spawn("waiter "+w.name, func(p *Proc) {
 				w.tr.Wait(p)
 				*w.at = p.Now()
 			})
@@ -276,5 +278,86 @@ func TestWaitAllNilAndEmpty(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTriggerOverflowOrder registers one to five waiters, callbacks and
+// chained triggers — past the inline slots into the overflow record — and
+// checks that each kind runs in registration order.
+func TestTriggerOverflowOrder(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		e := NewEngine()
+		tr := NewTrigger(e, "t")
+		var woke, called, chained []int
+		for i := 0; i < n; i++ {
+			e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+				if v := tr.Wait(p); v != "x" {
+					t.Errorf("waiter %d got payload %v", i, v)
+				}
+				woke = append(woke, i)
+			})
+			tr.OnFire(func(_ Time, v any) {
+				if v != "x" {
+					t.Errorf("callback %d got payload %v", i, v)
+				}
+				called = append(called, i)
+			})
+			ch := NewTrigger(e, "ch")
+			ch.OnFire(func(Time, any) { chained = append(chained, i) })
+			tr.Chain(ch)
+		}
+		e.Spawn("firer", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			tr.Fire("x")
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string][]int{"waiters": woke, "callbacks": called, "chains": chained} {
+			if len(got) != n {
+				t.Fatalf("n=%d: %d %s ran", n, len(got), name)
+			}
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("n=%d: %s ran in order %v", n, name, got)
+				}
+			}
+		}
+	}
+}
+
+// noteFire is a callback that allocates nothing to call.
+func noteFire(Time, any) {}
+
+// TestTriggerInlineSlotsAllocateNothing: with at most one waiter, one
+// callback and one chained trigger, readying, registering, firing and
+// waiting cost no allocation.
+func TestTriggerInlineSlotsAllocateNothing(t *testing.T) {
+	const runs = 100
+	e := NewEngine()
+	trs := make([]Trigger, runs+1)
+	chs := make([]Trigger, runs+1)
+	var allocs float64
+	e.Spawn("main", func(p *Proc) {
+		i := 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			tr, ch := &trs[i], &chs[i]
+			i++
+			tr.Init(e, Label("t"))
+			ch.Init(e, Label("ch"))
+			tr.OnFire(noteFire)
+			tr.Chain(ch)
+			tr.FireAfter(time.Microsecond, nil)
+			tr.Wait(p)
+			if !ch.Fired() {
+				t.Error("chained trigger did not fire")
+			}
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("one waiter, callback and chain allocated %v times, want 0", allocs)
 	}
 }
