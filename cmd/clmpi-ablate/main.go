@@ -20,11 +20,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/cl"
+	"repro/internal/cli"
 	"repro/internal/clmpi"
 	"repro/internal/cluster"
 	"repro/internal/himeno"
@@ -38,13 +37,12 @@ func main() {
 	system := flag.String("system", "", "run the strategy/ring/eager studies on this system (preset name or spec file path) instead of the paper defaults")
 	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = all host cores, 1 = serial)")
 	flag.Parse()
-	sweep.SetWorkers(*parallel)
+	// Every flag is checked before any work starts: a bad value exits 2.
 	if *system != "" {
 		sys, err := cluster.Resolve(*system)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-			os.Exit(2)
-		}
+		tool.BadFlag(err)
+		// The studies it applies to are two-node transfers of up to 32 MiB.
+		tool.BadFlag(clmpi.CheckP2P(sys, 32<<20))
 		studySystem = &sys
 	}
 	studies := map[string]func(){
@@ -54,12 +52,12 @@ func main() {
 		"eager":    eagerStudy,
 		"ipoib":    ipoibStudy,
 	}
-	if *only != "" {
-		fn, ok := studies[*only]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "clmpi-ablate: unknown study %q\n", *only)
-			os.Exit(2)
-		}
+	fn, ok := studies[*only]
+	if *only != "" && !ok {
+		tool.BadFlag(fmt.Errorf("unknown study %q", *only))
+	}
+	tool.Start(*parallel, "", "")
+	if ok {
 		fn()
 		return
 	}
@@ -68,6 +66,8 @@ func main() {
 		fmt.Println()
 	}
 }
+
+var tool = cli.New("clmpi-ablate")
 
 // studySystem, when non-nil, replaces the paper-default systems in the
 // strategy, ring and eager studies. The gpuaware study stays on Cichlid
@@ -94,18 +94,12 @@ func ipoibStudy() {
 	var rows [][]string
 	for _, sys := range []cluster.System{cluster.RICC(), cluster.RICCVerbs()} {
 		bw, err := bench.MeasureP2P(sys, clmpi.Pipelined, 1<<20, 32<<20)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(err)
 		res, err := himeno.Run(himeno.Config{
 			System: sys, Nodes: 16, Size: himeno.SizeM, Iters: 4,
 			Impl: himeno.CLMPI, Mode: himeno.OfficialInit,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(err)
 		rows = append(rows, []string{sys.NIC.Model, fmt.Sprintf("%.0f", bw/1e6), fmt.Sprintf("%.2f", res.GFLOPS)})
 	}
 	fmt.Print(bench.FormatTable(headers, rows))
@@ -122,10 +116,7 @@ func strategyStudy() {
 	}
 	for _, sys := range systems {
 		tunedOpts, err := clmpi.Tune(sys)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(err)
 		// The (size, strategy) grid plus the tuned column is 18 independent
 		// measurements per system: fan it out over the sweep pool and read
 		// the indexed results back in table order.
@@ -135,14 +126,11 @@ func strategyStudy() {
 		grid, err := sweep.Map(len(sizes)*cols, func(i int) (float64, error) {
 			size, k := sizes[i/cols], i%cols
 			if k == len(sts) {
-				return measureOn(sys, tunedOpts, size), nil
+				return clmpi.MeasureP2P(sys, tunedOpts, size, nil)
 			}
 			return bench.MeasureP2P(sys, sts[k], 0, size)
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(err)
 		for si, size := range sizes {
 			row := []string{sys.Name, fmt.Sprintf("%dKiB", size>>10)}
 			vals := grid[si*cols : (si+1)*cols]
@@ -170,7 +158,8 @@ func ringStudy() {
 	headers := []string{"ring buffers", "MB/s"}
 	var rows [][]string
 	for _, depth := range []int{1, 2, 3, 4, 8} {
-		bw := measureWithOptions(clmpi.Options{Strategy: clmpi.Pipelined, PipelineBlock: 1 << 20, RingBuffers: depth}, 32<<20)
+		bw, err := clmpi.MeasureP2P(studyOr(cluster.RICC), clmpi.Options{Strategy: clmpi.Pipelined, PipelineBlock: 1 << 20, RingBuffers: depth}, 32<<20, nil)
+		tool.Check(err)
 		rows = append(rows, []string{fmt.Sprintf("%d", depth), fmt.Sprintf("%.0f", bw/1e6)})
 	}
 	fmt.Print(bench.FormatTable(headers, rows))
@@ -192,10 +181,7 @@ func gpuAwareStudy() {
 			System: cluster.Cichlid(), Nodes: 4, Size: himeno.SizeS, Iters: 4,
 			Impl: impl, Mode: himeno.OfficialInit,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(err)
 		rows = append(rows, []string{impl.String(), fmt.Sprintf("%.2f", res.GFLOPS), notes[impl]})
 	}
 	fmt.Print(bench.FormatTable(headers, rows))
@@ -217,43 +203,6 @@ func eagerStudy() {
 	fmt.Print(bench.FormatTable(headers, rows))
 }
 
-// measureWithOptions runs a single device→device transfer with the options.
-func measureWithOptions(opts clmpi.Options, size int64) float64 {
-	return measureOn(studyOr(cluster.RICC), opts, size)
-}
-
-// measureOn runs a single device→device transfer on the given system.
-func measureOn(system cluster.System, opts clmpi.Options, size int64) float64 {
-	eng := sim.NewEngine()
-	clus := cluster.New(eng, system, 2)
-	world := mpi.NewWorld(clus)
-	fab := clmpi.New(world, opts)
-	var elapsed time.Duration
-	world.LaunchRanks("abl", func(p *sim.Proc, ep *mpi.Endpoint) {
-		ctx := cl.NewContext(cl.NewDevice(eng, ep.Node()), "abl")
-		rt := fab.Attach(ctx, ep)
-		q := ctx.NewQueue("q")
-		buf := ctx.MustCreateBuffer("b", size)
-		defer buf.Release() // recycle the block across ablation points
-		if ep.Rank() == 0 {
-			start := p.Now()
-			if _, err := rt.EnqueueSendBuffer(p, q, buf, true, 0, size, 1, 0, world.Comm(), nil); err != nil {
-				fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-				os.Exit(1)
-			}
-			elapsed = p.Now().Sub(start)
-		} else if _, err := rt.EnqueueRecvBuffer(p, q, buf, true, 0, size, 0, 0, world.Comm(), nil); err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-			os.Exit(1)
-		}
-	})
-	if err := eng.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-		os.Exit(1)
-	}
-	return float64(size) / elapsed.Seconds()
-}
-
 // measureLatency times a single host-to-host message end to end.
 func measureLatency(size int) time.Duration {
 	eng := sim.NewEngine()
@@ -268,9 +217,6 @@ func measureLatency(size int) time.Duration {
 			arrived = p.Now().Duration()
 		}
 	})
-	if err := eng.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-ablate: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Check(eng.Run())
 	return arrived
 }

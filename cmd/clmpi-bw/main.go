@@ -23,13 +23,10 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/clmpi"
 	"repro/internal/cluster"
-	"repro/internal/obs"
-	"repro/internal/profiling"
-	"repro/internal/sweep"
 	"repro/internal/trace"
-	"repro/internal/trace/critpath"
 )
 
 func main() {
@@ -49,145 +46,48 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
-	// Every flag is checked before any work starts: a bad value exits 2.
-	badFlag := func(err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	// Every run is configured and checked before any work starts: a bad
+	// flag exits 2.
+	tool := cli.New("clmpi-bw")
 	sys, err := cluster.Resolve(*system)
-	badFlag(err)
+	tool.BadFlag(err)
 	st, block, err := clmpi.ParseStrategy(*strategyName)
-	badFlag(err)
-	badFlag(checkFlags(*outstanding, *wild, *parallelWorld, *msg))
+	tool.BadFlag(err)
+	tool.BadFlag(clmpi.CheckP2P(sys, *msg))
 	var counts []int
 	if *ranks != "" {
-		counts, err = parseRanks(*ranks, *parallelWorld)
-		badFlag(err)
+		for _, f := range strings.Split(*ranks, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				tool.BadFlag(fmt.Errorf("bad -ranks entry %q", f))
+			}
+			counts = append(counts, n)
+		}
 	}
-	sweep.SetWorkers(*parallel)
-	stopProfiling, perr := profiling.Start(*cpuprofile, *memprofile)
-	if perr != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", perr)
-		os.Exit(1)
-	}
-	defer stopProfiling()
+	tool.BadFlag(bench.CheckMatchScale(sys, counts, *outstanding, *wild, 2, *parallelWorld))
+	tool.Start(*parallel, *cpuprofile, *memprofile)
+	defer tool.Stop()
 	fmt.Printf("Figure 8(%s): point-to-point sustained bandwidth on %s\n\n",
-		panelLabel(sys.Name), sys.Name)
+		cli.PanelLabel(sys.Name), sys.Name)
 	headers, rows, err := bench.Fig8(sys)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Check(err)
 	fmt.Print(bench.FormatTable(headers, rows))
 
 	if counts != nil {
 		fmt.Printf("\nLarge-world matching scaling on %s (%d outstanding ops/rank, %d%% wildcards)\n\n",
 			sys.Name, *outstanding, *wild)
-		var sm *obs.Sim
-		if *obsReport && *parallelWorld > 1 {
-			sm = obs.NewSim(obs.NewRegistry(), obs.NewRecorder(*parallelWorld, 0))
-			sm.DeadlockDump = os.Stderr
-		}
-		points, err := bench.MatchScalePartitionedObs(sys, counts, *outstanding, *wild, 2, *parallelWorld, sm)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
-			os.Exit(1)
-		}
-		h, r := bench.MatchScaleTable(points)
-		fmt.Print(bench.FormatTable(h, r))
-		if sm != nil {
-			fmt.Printf("\nHost-time attribution (all partitioned points pooled)\n\n")
-			sm.Report(os.Stdout)
-		}
+		tool.Check(cli.MatchScale(sys, counts, *outstanding, *wild, 2, *parallelWorld, *obsReport))
 	}
 
-	if *traceOut == "" && !*metrics && !*critReport && *flame == "" {
+	traced := cli.TraceOutputs{Metrics: *metrics, Critpath: *critReport, Flame: *flame, Chrome: *traceOut}
+	if !traced.Any() {
 		return
 	}
 	trc := trace.New()
 	bw, err := bench.MeasureP2PTraced(sys, st, block, *msg, trc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-bw: traced transfer: %v\n", err)
-		os.Exit(1)
+		tool.Check(fmt.Errorf("traced transfer: %w", err))
 	}
 	fmt.Printf("\ntraced transfer: %s, %d bytes, %.1f MB/s\n", st, *msg, bw/1e6)
-	if *metrics {
-		fmt.Printf("\n%s", trc.Bus().Metrics().Format())
-	}
-	if *critReport || *flame != "" {
-		a := critpath.Analyze(trc.Bus())
-		if *critReport {
-			fmt.Printf("\n%s", a.Report())
-		}
-		if *flame != "" {
-			if err := os.WriteFile(*flame, []byte(a.Folded()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote folded stacks (render with flamegraph.pl or speedscope): %s\n", *flame)
-		}
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
-			os.Exit(1)
-		}
-		if err := trc.Bus().WriteChrome(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-bw: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote Chrome trace (load in chrome://tracing or Perfetto): %s\n", *traceOut)
-	}
-}
-
-// panelLabel maps the two paper systems onto their figure panel letters;
-// any other system labels the panel with its lower-cased name.
-func panelLabel(name string) string {
-	switch strings.ToLower(name) {
-	case "cichlid":
-		return "a"
-	case "ricc":
-		return "b"
-	}
-	return strings.ToLower(name)
-}
-
-// checkFlags rejects the numeric flag values no run can use.
-func checkFlags(outstanding, wild, parallelWorld int, msg int64) error {
-	switch {
-	case outstanding < 1:
-		return fmt.Errorf("bad -outstanding %d (want >= 1)", outstanding)
-	case wild < 0 || wild > 100:
-		return fmt.Errorf("bad -wild %d (want a percentage in [0, 100])", wild)
-	case parallelWorld < 0:
-		return fmt.Errorf("bad -parallel-world %d (want >= 0)", parallelWorld)
-	case msg < 1:
-		return fmt.Errorf("bad -msg %d (want >= 1 byte)", msg)
-	}
-	return nil
-}
-
-// parseRanks parses a comma-separated list of world sizes, each of which
-// must hold at least one rank per -parallel-world partition.
-func parseRanks(s string, parallelWorld int) ([]int, error) {
-	var counts []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad -ranks entry %q (want integers >= 2)", f)
-		}
-		if n < parallelWorld {
-			return nil, fmt.Errorf("-ranks entry %d cannot span -parallel-world %d partitions", n, parallelWorld)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
+	tool.Check(traced.Write(os.Stdout, trc.Bus()))
 }

@@ -22,10 +22,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/cluster/calib"
 )
@@ -37,60 +39,40 @@ func main() {
 	out := flag.String("o", "", "output file (default: stdout)")
 	flag.Parse()
 
+	tool := cli.New("clmpi-calib")
 	if *base == "" {
-		fmt.Fprintln(os.Stderr, "clmpi-calib: -base is required (a preset name or a spec file path)")
-		os.Exit(2)
+		tool.BadFlag(errors.New("-base is required (a preset name or a spec file path)"))
 	}
 	sys, err := cluster.Resolve(*base)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-calib: %v\n", err)
-		os.Exit(2)
-	}
+	tool.BadFlag(err)
 
 	var data []byte
 	if *synth {
 		m := calib.Synthesize(sys)
 		data, err = json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-calib: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(err)
 		data = append(data, '\n')
 	} else {
 		if *measured == "" {
-			fmt.Fprintln(os.Stderr, "clmpi-calib: -m measurements.json is required (or pass -synth to generate a template)")
-			os.Exit(2)
+			tool.BadFlag(errors.New("-m measurements.json is required (or pass -synth to generate a template)"))
 		}
 		raw, err := os.ReadFile(*measured)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-calib: %v\n", err)
-			os.Exit(2)
-		}
+		tool.BadFlag(err)
 		var m calib.Measurements
 		if err := json.Unmarshal(raw, &m); err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-calib: %s: %v\n", *measured, err)
-			os.Exit(2)
+			tool.BadFlag(fmt.Errorf("%s: %w", *measured, err))
 		}
 		fitted, err := calib.Fit(sys, m)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-calib: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(err)
 		data, err = cluster.EncodeSpec(fitted)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-calib: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(err)
 	}
 
 	if *out == "" {
 		os.Stdout.Write(data)
 		return
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-calib: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Check(os.WriteFile(*out, data, 0o644))
 	what := "spec"
 	if *synth {
 		what = "measurement template"

@@ -20,10 +20,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
-	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/trace"
 	"repro/internal/trace/critpath"
 )
@@ -36,44 +35,24 @@ func main() {
 	pprofOut := flag.String("pprof", "", "write a gzipped pprof profile.proto to this file")
 	flag.Parse()
 
-	if *in == "" && !slices.Contains(bench.TracePresetNames(), *preset) {
-		// Bad flag values exit 2, runtime failures exit 1, like the other
-		// tools.
-		fmt.Fprintf(os.Stderr, "clmpi-critpath: unknown preset %q (have: %s)\n",
-			*preset, strings.Join(bench.TracePresetNames(), ", "))
-		os.Exit(2)
+	tool := cli.New("clmpi-critpath")
+	if *in == "" {
+		tool.BadFlag(bench.CheckTracePreset(*preset))
 	}
 	bus, err := loadBus(*in, *preset)
-	if err != nil {
-		fail(err)
-	}
+	tool.Check(err)
 	a := critpath.Analyze(bus)
 
 	if *report == "-" {
 		fmt.Print(a.Report())
 	} else if *report != "" {
-		if err := os.WriteFile(*report, []byte(a.Report()), 0o644); err != nil {
-			fail(err)
-		}
+		tool.Check(os.WriteFile(*report, []byte(a.Report()), 0o644))
 	}
 	if *folded != "" {
-		if err := os.WriteFile(*folded, []byte(a.Folded()), 0o644); err != nil {
-			fail(err)
-		}
+		tool.Check(os.WriteFile(*folded, []byte(a.Folded()), 0o644))
 	}
 	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := a.WriteProfile(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fail(err)
-		}
+		tool.Check(cli.CreateFile(*pprofOut, a.WriteProfile))
 		fmt.Fprintf(os.Stderr, "wrote pprof profile (open with `go tool pprof -top %s`)\n", *pprofOut)
 	}
 }
@@ -92,9 +71,4 @@ func loadBus(in, preset string) (*trace.Bus, error) {
 		return nil, err
 	}
 	return trc.Bus(), nil
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "clmpi-critpath: %v\n", err)
-	os.Exit(1)
 }

@@ -22,27 +22,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/himeno"
-	"repro/internal/profiling"
-	"repro/internal/sweep"
-	"repro/internal/trace/critpath"
 )
-
-// panelLabel maps the two paper systems onto their figure panel letters;
-// any other system labels the panel with its lower-cased name.
-func panelLabel(name string) string {
-	switch strings.ToLower(name) {
-	case "cichlid":
-		return "a"
-	case "ricc":
-		return "b"
-	}
-	return strings.ToLower(name)
-}
 
 func main() {
 	system := flag.String("system", "cichlid", "system to simulate: a preset name (cichlid, ricc, ricc-verbs, hopper) or a spec file path")
@@ -58,79 +43,41 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
-	sweep.SetWorkers(*parallel)
-	stopProfiling, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-himeno: %v\n", err)
-		os.Exit(1)
-	}
-	defer stopProfiling()
+	// Every run is configured and checked before any work starts: a bad
+	// flag exits 2.
+	tool := cli.New("clmpi-himeno")
 	sys, err := cluster.Resolve(*system)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-himeno: %v\n", err)
-		os.Exit(2)
-	}
+	tool.BadFlag(err)
 	size, err := himeno.SizeByName(*sizeName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-himeno: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Printf("Figure 9(%s): Himeno %s sustained performance on %s (%d iterations)\n\n",
-		panelLabel(sys.Name), size.Name, sys.Name, *iters)
+	tool.BadFlag(err)
 	impls := []himeno.Impl{himeno.Serial, himeno.HandOpt, himeno.CLMPI}
 	if *all {
 		impls = append(impls, himeno.GPUAware, himeno.CLMPIOutOfOrder)
 	}
-	points, err := bench.Fig9With(sys, size, *iters, impls)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-himeno: %v\n", err)
-		os.Exit(1)
+	nodeCounts := bench.Fig9Nodes(sys, size)
+	for _, nodes := range nodeCounts {
+		tool.BadFlag(himeno.Config{System: sys, Nodes: nodes, Size: size, Iters: *iters}.Check())
 	}
+	tool.BadFlag(himeno.Config{System: sys, Nodes: *traceNodes, Size: size, Iters: *iters, Impl: himeno.CLMPI}.Check())
+	tool.Start(*parallel, *cpuprofile, *memprofile)
+	defer tool.Stop()
+	fmt.Printf("Figure 9(%s): Himeno %s sustained performance on %s (%d iterations)\n\n",
+		cli.PanelLabel(sys.Name), size.Name, sys.Name, *iters)
+	points, err := bench.Fig9Sweep(sys, size, *iters, impls, nodeCounts)
+	tool.Check(err)
 	headers, rows := bench.Fig9Table(points)
 	fmt.Print(bench.FormatTable(headers, rows))
 
-	if *traceOut == "" && !*metrics && !*critReport && *flame == "" {
+	traced := cli.TraceOutputs{Metrics: *metrics, Critpath: *critReport, Flame: *flame, Chrome: *traceOut}
+	if !traced.Any() {
 		return
 	}
 	trc, _, err := bench.TraceHimeno(sys, himeno.CLMPI, size, *traceNodes, *iters)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-himeno: traced run: %v\n", err)
-		os.Exit(1)
+		tool.Check(fmt.Errorf("traced run: %w", err))
 	}
 	overlap, nicUtil := bench.ObservedOverlap(trc)
 	fmt.Printf("\ntraced clMPI run: %d nodes, overlap ratio %.3f, peak NIC utilization %.1f%%\n",
 		*traceNodes, overlap, 100*nicUtil)
-	if *metrics {
-		fmt.Printf("\n%s", trc.Bus().Metrics().Format())
-	}
-	if *critReport || *flame != "" {
-		a := critpath.Analyze(trc.Bus())
-		if *critReport {
-			fmt.Printf("\n%s", a.Report())
-		}
-		if *flame != "" {
-			if err := os.WriteFile(*flame, []byte(a.Folded()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "clmpi-himeno: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote folded stacks (render with flamegraph.pl or speedscope): %s\n", *flame)
-		}
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-himeno: %v\n", err)
-			os.Exit(1)
-		}
-		if err := trc.Bus().WriteChrome(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-himeno: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote Chrome trace (load in chrome://tracing or Perfetto): %s\n", *traceOut)
-	}
+	tool.Check(traced.Write(os.Stdout, trc.Bus()))
 }

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 )
 
@@ -43,18 +44,15 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout")
 	flag.Parse()
 
+	tool := cli.New("clmpi-loadgen")
 	// The spec file rides along verbatim inside every job body; the daemon
 	// canonicalizes it, so formatting differences cannot defeat the cache.
 	var inlineSpec []byte
 	if *specFile != "" {
 		raw, err := os.ReadFile(*specFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-loadgen: %v\n", err)
-			os.Exit(2)
-		}
+		tool.BadFlag(err)
 		if !json.Valid(raw) {
-			fmt.Fprintf(os.Stderr, "clmpi-loadgen: %s: not valid JSON\n", *specFile)
-			os.Exit(2)
+			tool.BadFlag(fmt.Errorf("%s: not valid JSON", *specFile))
 		}
 		inlineSpec = raw
 	}
@@ -62,8 +60,7 @@ func main() {
 	client := &http.Client{Timeout: *timeout}
 	base := "http://" + *addr
 	if _, err := client.Get(base + "/healthz"); err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-loadgen: daemon not reachable: %v\n", err)
-		os.Exit(1)
+		tool.Check(fmt.Errorf("daemon not reachable: %w", err))
 	}
 
 	summary := Summary{Addr: *addr, Jobs: *jobs, Bursts: *bursts}
@@ -97,10 +94,7 @@ func main() {
 	data = append(data, '\n')
 	os.Stdout.Write(data)
 	if *out != "" {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-loadgen: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(os.WriteFile(*out, data, 0o644))
 	}
 	if !ok {
 		os.Exit(2)

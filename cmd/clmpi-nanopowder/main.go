@@ -15,9 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/nanopowder"
 )
@@ -27,21 +27,21 @@ func main() {
 	steps := flag.Int("steps", 3, "simulation steps to time")
 	bins := flag.Int("bins", 256, "particle size bins per cell")
 	flag.Parse()
+	// Every run is configured and checked before any work starts: a bad
+	// flag exits 2.
+	tool := cli.New("clmpi-nanopowder")
 	sys, err := cluster.Resolve(*system)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-nanopowder: %v\n", err)
-		os.Exit(2)
-	}
+	tool.BadFlag(err)
 	params := nanopowder.DefaultParams()
 	params.Steps = *steps
 	params.Bins = *bins
+	for _, cfg := range bench.Fig10Runs(sys, params) {
+		tool.BadFlag(cfg.Check())
+	}
 	fmt.Printf("Figure 10: nanopowder growth simulation on %s (%d cells, %d bins, %.0f MB coefficients/step)\n\n",
 		sys.Name, params.Cells, params.Bins, float64(params.TotalCoeffBytes())/1e6)
 	points, err := bench.Fig10On(sys, params)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-nanopowder: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Check(err)
 	headers, rows := bench.Fig10Table(points)
 	fmt.Print(bench.FormatTable(headers, rows))
 }

@@ -19,13 +19,12 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
+	"repro/internal/clmpi"
 	"repro/internal/cluster"
 	"repro/internal/himeno"
 	"repro/internal/nanopowder"
-	"repro/internal/obs"
-	"repro/internal/profiling"
 	"repro/internal/sweep"
-	"repro/internal/trace/critpath"
 )
 
 func main() {
@@ -40,35 +39,43 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
-	// Every flag is checked before any work starts: a bad value exits 2.
+	// Every run is configured and checked before any work starts: a bad
+	// flag exits 2.
 	var sweepSystems []cluster.System
 	for _, arg := range strings.Split(*systemsFlag, ",") {
 		sys, err := cluster.Resolve(strings.TrimSpace(arg))
-		badFlag(err)
+		tool.BadFlag(err)
 		sweepSystems = append(sweepSystems, sys)
 	}
 	counts := []int{64, 128, 256, 512}
+	himenoSize, himenoIters := himeno.SizeM, 6
+	params := nanopowder.DefaultParams()
 	if *quick {
 		counts = []int{64, 128}
+		himenoSize, himenoIters = himeno.SizeS, 3
+		params = nanopowder.Params{Cells: 40, Bins: 96, Steps: 2, SubSteps: 120}
 	}
 	if *ranks != 0 {
 		counts = append(counts, *ranks)
 	}
-	badFlag(checkScaling(*ranks, *parallelWorld, counts))
-	sweep.SetWorkers(*parallel)
-	stop, err := profiling.Start(*cpuprofile, *memprofile)
-	check(err)
-	stopProfiling = stop
-	defer stop()
-
-	himenoSize := himeno.SizeM
-	himenoIters := 6
-	params := nanopowder.DefaultParams()
-	if *quick {
-		himenoSize = himeno.SizeS
-		himenoIters = 3
-		params = nanopowder.Params{Cells: 40, Bins: 96, Steps: 2, SubSteps: 120}
+	for _, sys := range sweepSystems {
+		tool.BadFlag(clmpi.CheckP2P(sys, bench.Fig8Sizes()[0]))
+		for _, nodes := range bench.Fig9Nodes(sys, himenoSize) {
+			tool.BadFlag(himeno.Config{System: sys, Nodes: nodes, Size: himenoSize, Iters: himenoIters}.Check())
+		}
 	}
+	tool.BadFlag(bench.CheckMatchScale(cluster.RICC(), counts, 32, 25, 2, *parallelWorld))
+	verification := bench.Verification{
+		Himeno:      himeno.Config{System: cluster.Cichlid(), Size: himeno.SizeXS, Iters: himenoIters, Mode: himeno.ScrambledInit},
+		HimenoNodes: []int{4},
+		Powder: nanopowder.Config{
+			System: cluster.RICC(), Params: nanopowder.Params{Cells: 8, Bins: 96, Steps: 2, SubSteps: 50},
+		},
+		PowderNodes: []int{4},
+	}
+	tool.BadFlag(verification.Check())
+	tool.Start(*parallel, *cpuprofile, *memprofile)
+	defer tool.Stop()
 
 	section("Table I — system specifications")
 	fmt.Print(bench.Table1())
@@ -83,24 +90,24 @@ func main() {
 	rendered, err := sweep.Map(len(panels), func(i int) (string, error) {
 		return bench.Fig4(panels[i].impl, himeno.SizeS, 2)
 	})
-	check(err)
+	tool.Check(err)
 	for i, panel := range panels {
 		fmt.Printf("%s\n\n%s\n", panel.name, rendered[i])
 	}
 
 	for _, sys := range sweepSystems {
 		section(fmt.Sprintf("Figure 8(%s) — p2p sustained bandwidth, %s",
-			panelLabel(sys.Name), sys.Name))
+			cli.PanelLabel(sys.Name), sys.Name))
 		headers, rows, err := bench.Fig8(sys)
-		check(err)
+		tool.Check(err)
 		fmt.Print(bench.FormatTable(headers, rows))
 	}
 
 	for _, sys := range sweepSystems {
 		section(fmt.Sprintf("Figure 9(%s) — Himeno %s sustained performance, %s (%d iterations)",
-			panelLabel(sys.Name), himenoSize.Name, sys.Name, himenoIters))
+			cli.PanelLabel(sys.Name), himenoSize.Name, sys.Name, himenoIters))
 		points, err := bench.Fig9(sys, himenoSize, himenoIters)
-		check(err)
+		tool.Check(err)
 		headers, rows := bench.Fig9Table(points)
 		fmt.Print(bench.FormatTable(headers, rows))
 	}
@@ -108,7 +115,7 @@ func main() {
 	section(fmt.Sprintf("Figure 10 — nanopowder growth simulation, RICC (%.0f MB coefficients/step)",
 		float64(params.TotalCoeffBytes())/1e6))
 	points, err := bench.Fig10(params)
-	check(err)
+	tool.Check(err)
 	headers, rows := bench.Fig10Table(points)
 	fmt.Print(bench.FormatTable(headers, rows))
 
@@ -117,145 +124,40 @@ func main() {
 	} else {
 		section(fmt.Sprintf("Large-world matching scaling — dense wildcard exchange, RICC fabric, %v ranks", counts))
 	}
-	var sm *obs.Sim
-	if *obsReport && *parallelWorld > 1 {
-		sm = obs.NewSim(obs.NewRegistry(), obs.NewRecorder(*parallelWorld, 0))
-		sm.DeadlockDump = os.Stderr
-	}
-	scale, err := bench.MatchScalePartitionedObs(cluster.RICC(), counts, 32, 25, 2, *parallelWorld, sm)
-	check(err)
-	headers, rows = bench.MatchScaleTable(scale)
-	fmt.Print(bench.FormatTable(headers, rows))
-	if sm != nil {
-		// Deliberately inside this section: the spec gate's byte compare
-		// filters the whole matching-scaling block (its host-ms column is
-		// nondeterministic anyway), so the host-time report rides in the
-		// already-excluded region.
-		fmt.Printf("\nHost-time attribution (all partitioned points pooled)\n\n")
-		sm.Report(os.Stdout)
-	}
+	// The -obs-report attribution deliberately prints inside this section:
+	// the spec gate's byte compare filters the whole matching-scaling block
+	// (its host-ms column is nondeterministic anyway), so the host-time
+	// report rides in the already-excluded region.
+	tool.Check(cli.MatchScale(cluster.RICC(), counts, 32, 25, 2, *parallelWorld, *obsReport))
 
 	if *critReport || *flame != "" {
-		section("Critical-path profile — traced clMPI Himeno run (2 Cichlid nodes)")
+		// The report opens the section, and the flame file's announcement
+		// stands apart after a blank line.
+		fmt.Print(banner("Critical-path profile — traced clMPI Himeno run (2 Cichlid nodes)"))
 		trc, _, err := bench.TraceHimeno(cluster.Cichlid(), himeno.CLMPI, himeno.SizeS, 2, himenoIters)
-		check(err)
-		a := critpath.Analyze(trc.Bus())
-		if *critReport {
-			fmt.Print(a.Report())
+		tool.Check(err)
+		if !*critReport {
+			fmt.Println()
 		}
+		tool.Check(cli.TraceOutputs{Critpath: *critReport}.Write(os.Stdout, trc.Bus()))
 		if *flame != "" {
-			check(os.WriteFile(*flame, []byte(a.Folded()), 0o644))
-			fmt.Printf("\nwrote folded stacks (render with flamegraph.pl or speedscope): %s\n", *flame)
+			fmt.Println()
+			tool.Check(cli.TraceOutputs{Flame: *flame}.Write(os.Stdout, trc.Bus()))
 		}
 	}
 
 	section("Verification — distributed implementations vs host references")
-	verifySummary(himenoIters)
-}
-
-// panelLabel maps the two paper systems onto their figure panel letters;
-// any other system labels the panel with its lower-cased name.
-func panelLabel(name string) string {
-	switch strings.ToLower(name) {
-	case "cichlid":
-		return "a"
-	case "ricc":
-		return "b"
-	}
-	return strings.ToLower(name)
-}
-
-func section(title string) {
-	fmt.Printf("\n================================================================\n%s\n================================================================\n\n", title)
-}
-
-// badFlag exits 2 with a one-line message if err is a rejected flag value.
-func badFlag(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-repro: %v\n", err)
-		os.Exit(2)
-	}
-}
-
-// checkScaling rejects the matching-scaling flag values no run can use:
-// every world size in counts must hold at least one rank per partition.
-func checkScaling(ranks, parallelWorld int, counts []int) error {
-	switch {
-	case ranks < 0 || ranks == 1:
-		return fmt.Errorf("bad -ranks %d (want 0 or >= 2)", ranks)
-	case parallelWorld < 0:
-		return fmt.Errorf("bad -parallel-world %d (want >= 0)", parallelWorld)
-	}
-	for _, n := range counts {
-		if n < parallelWorld {
-			return fmt.Errorf("a %d-rank world cannot span -parallel-world %d partitions", n, parallelWorld)
-		}
-	}
-	return nil
-}
-
-// stopProfiling flushes any active profiles; check calls it before a fatal
-// exit so partial profiles are still written.
-var stopProfiling = func() {}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-repro: %v\n", err)
-		stopProfiling()
-		os.Exit(1)
-	}
-}
-
-// verifySummary is a compact version of clmpi-verify. Every verification run
-// is an independent simulation, so they fan out over the sweep pool; output
-// order stays fixed because results come back indexed.
-func verifySummary(iters int) {
-	wantGrid, _ := himeno.Reference(himeno.SizeXS, iters, himeno.ScrambledInit)
-	himenoImpls := []himeno.Impl{himeno.Serial, himeno.HandOpt, himeno.CLMPI, himeno.GPUAware, himeno.CLMPIOutOfOrder}
-	himenoOK, err := sweep.Map(len(himenoImpls), func(i int) (bool, error) {
-		res, err := himeno.Run(himeno.Config{
-			System: cluster.Cichlid(), Nodes: 4, Size: himeno.SizeXS, Iters: iters,
-			Impl: himenoImpls[i], Mode: himeno.ScrambledInit, Verify: true,
-		})
-		if err != nil {
-			return false, err
-		}
-		for i := range res.Grid {
-			if res.Grid[i] != wantGrid[i] {
-				return false, nil
-			}
-		}
-		return true, nil
-	})
-	check(err)
+	himenoVerdicts, powderVerdicts, _ := verification.Run()
 	okAll := true
-	for i, impl := range himenoImpls {
-		okAll = okAll && himenoOK[i]
-		fmt.Printf("Himeno %-16s 4 nodes: bitwise match = %v\n", impl.String(), himenoOK[i])
+	for _, v := range himenoVerdicts {
+		tool.Check(v.Err)
+		okAll = okAll && v.OK()
+		fmt.Printf("Himeno %-16s %d nodes: bitwise match = %v\n", v.Impl, v.Nodes, v.OK())
 	}
-	params := nanopowder.Params{Cells: 8, Bins: 96, Steps: 2, SubSteps: 50}
-	wantCells := nanopowder.Reference(params)
-	npImpls := []nanopowder.Impl{nanopowder.Baseline, nanopowder.CLMPI}
-	npOK, err := sweep.Map(len(npImpls), func(i int) (bool, error) {
-		res, err := nanopowder.Run(nanopowder.Config{
-			System: cluster.RICC(), Nodes: 4, Impl: npImpls[i], Params: params, Verify: true,
-		})
-		if err != nil {
-			return false, err
-		}
-		for c := range wantCells {
-			for k := range wantCells[c] {
-				if res.Final[c][k] != wantCells[c][k] {
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	})
-	check(err)
-	for i, impl := range npImpls {
-		okAll = okAll && npOK[i]
-		fmt.Printf("Nanopowder %-12s 4 nodes: bitwise match = %v\n", impl.String(), npOK[i])
+	for _, v := range powderVerdicts {
+		tool.Check(v.Err)
+		okAll = okAll && v.OK()
+		fmt.Printf("Nanopowder %-12s %d nodes: bitwise match = %v\n", v.Impl, v.Nodes, v.OK())
 	}
 	if !okAll {
 		fmt.Println("\nVERIFICATION FAILED")
@@ -263,3 +165,12 @@ func verifySummary(iters int) {
 	}
 	fmt.Println("\nall verifications passed")
 }
+
+var tool = cli.New("clmpi-repro")
+
+// banner is a section heading; section prints it followed by a blank line.
+func banner(title string) string {
+	return fmt.Sprintf("\n================================================================\n%s\n================================================================\n", title)
+}
+
+func section(title string) { fmt.Println(banner(title)) }

@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/serve"
 )
@@ -41,15 +42,13 @@ func main() {
 	obsReport := flag.Bool("obs-report", false, "print the host-time attribution report (stall/simulate/advert/merge per shard, pooled over all partitioned jobs) to stderr at shutdown")
 	flag.Parse()
 
+	tool := cli.New("clmpi-serve")
 	var registered map[string]cluster.System
 	if *systemsFlag != "" {
 		registered = make(map[string]cluster.System)
 		for _, path := range strings.Split(*systemsFlag, ",") {
 			sys, err := cluster.LoadFile(strings.TrimSpace(path))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "clmpi-serve: %v\n", err)
-				os.Exit(2)
-			}
+			tool.BadFlag(err)
 			registered[strings.ToLower(sys.Name)] = sys
 		}
 	}
@@ -61,10 +60,7 @@ func main() {
 		ParallelWorld: *parallelWorld,
 		Systems:       registered,
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-serve: %v\n", err)
-		os.Exit(1)
-	}
+	tool.Check(err)
 	// A client that trickles its headers or parks an idle keep-alive
 	// connection must not hold a connection forever. There is deliberately
 	// no WriteTimeout: POST /v1/jobs?wait=1 holds its response until the
@@ -103,16 +99,14 @@ func main() {
 	select {
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "clmpi-serve: %v\n", err)
-			os.Exit(1)
+			tool.Check(err)
 		}
 	case <-ctx.Done():
 		fmt.Fprintln(os.Stderr, "clmpi-serve: shutting down")
 		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-serve: shutdown: %v\n", err)
-			os.Exit(1)
+			tool.Check(fmt.Errorf("shutdown: %w", err))
 		}
 	}
 	if *obsReport {

@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/cluster"
 )
 
@@ -36,21 +37,16 @@ func main() {
 	outDir := flag.String("o", "", "export every built-in preset as a canonical spec file into this directory instead of printing Table I")
 	flag.Parse()
 
+	tool := cli.New("clmpi-sysinfo")
 	if *outDir != "" {
-		if err := exportPresets(*outDir); err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-sysinfo: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(exportPresets(*outDir))
 		return
 	}
 
 	var systems []cluster.System
 	for _, arg := range strings.Split(*systemsFlag, ",") {
 		sys, err := cluster.Resolve(strings.TrimSpace(arg))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-sysinfo: %v\n", err)
-			os.Exit(2)
-		}
+		tool.BadFlag(err)
 		systems = append(systems, sys)
 	}
 	fmt.Println("Table I: system specifications (simulated)")

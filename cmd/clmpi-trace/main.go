@@ -28,13 +28,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/himeno"
-	"repro/internal/trace"
-	"repro/internal/trace/critpath"
 )
 
 func main() {
@@ -45,16 +43,15 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print each panel's metrics")
 	outDir := flag.String("o", "", "write the clMPI panel's full profiling bundle (Chrome trace, native trace, critical-path report, folded stacks, pprof profile) into this directory")
 	flag.Parse()
+	// Every run is configured and checked before any work starts: a bad
+	// flag exits 2.
+	tool := cli.New("clmpi-trace")
 	sys, err := cluster.Resolve(*system)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-trace: %v\n", err)
-		os.Exit(2)
-	}
+	tool.BadFlag(err)
 	size, err := himeno.SizeByName(*sizeName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-trace: %v\n", err)
-		os.Exit(2)
-	}
+	tool.BadFlag(err)
+	// Every panel is a two-node run.
+	tool.BadFlag(himeno.Config{System: sys, Nodes: 2, Size: size, Iters: *iters}.Check())
 	for _, impl := range []struct {
 		panel string
 		impl  himeno.Impl
@@ -64,72 +61,13 @@ func main() {
 		{"(c) clMPI (event-driven overlap)", himeno.CLMPI},
 	} {
 		trc, out, err := bench.Fig4TracedOn(sys, impl.impl, size, *iters)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "clmpi-trace: %v\n", err)
-			os.Exit(1)
-		}
+		tool.Check(err)
 		fmt.Printf("Figure 4%s — Himeno %s, 2 nodes on %s, %d iterations\n\n%s\n", impl.panel, size.Name, sys.Name, *iters, out)
 		if *metrics {
 			fmt.Printf("metrics %s\n%s\n", impl.panel, trc.Bus().Metrics().Format())
 		}
-		if *traceOut != "" && impl.impl == himeno.CLMPI {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "clmpi-trace: %v\n", err)
-				os.Exit(1)
-			}
-			if err := trc.Bus().WriteChrome(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "clmpi-trace: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote Chrome trace (load in chrome://tracing or Perfetto): %s\n", *traceOut)
-		}
-		if *outDir != "" && impl.impl == himeno.CLMPI {
-			if err := writeBundle(*outDir, trc.Bus()); err != nil {
-				fmt.Fprintf(os.Stderr, "clmpi-trace: %v\n", err)
-				os.Exit(1)
-			}
+		if impl.impl == himeno.CLMPI {
+			tool.Check(cli.TraceOutputs{Chrome: *traceOut, Bundle: *outDir}.Write(os.Stdout, trc.Bus()))
 		}
 	}
-}
-
-// writeBundle dumps one traced run as a self-contained profiling directory.
-func writeBundle(dir string, b *trace.Bus) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	a := critpath.Analyze(b)
-	writeTo := func(name string, fn func(f *os.File) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := writeTo("trace.json", func(f *os.File) error { return b.WriteChrome(f) }); err != nil {
-		return err
-	}
-	if err := writeTo("trace.native", func(f *os.File) error { return b.WriteNative(f) }); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "critpath.txt"), []byte(a.Report()), 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "critpath.folded"), []byte(a.Folded()), 0o644); err != nil {
-		return err
-	}
-	if err := writeTo("profile.pb.gz", func(f *os.File) error { return a.WriteProfile(f) }); err != nil {
-		return err
-	}
-	fmt.Printf("wrote profiling bundle to %s: trace.json (chrome://tracing), trace.native (clmpi-critpath -in), critpath.txt, critpath.folded (flamegraph.pl), profile.pb.gz (go tool pprof)\n", dir)
-	return nil
 }

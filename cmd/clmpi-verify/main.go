@@ -7,7 +7,7 @@
 // Usage:
 //
 //	clmpi-verify
-//	clmpi-verify -size S -nodes 4
+//	clmpi-verify -size S -iters 2
 package main
 
 import (
@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/himeno"
 	"repro/internal/nanopowder"
@@ -25,71 +26,37 @@ func main() {
 	sizeName := flag.String("size", "XS", "Himeno size for verification runs")
 	iters := flag.Int("iters", 4, "Himeno iterations")
 	flag.Parse()
+	tool := cli.New("clmpi-verify")
 	size, err := himeno.SizeByName(*sizeName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clmpi-verify: %v\n", err)
-		os.Exit(2)
+	tool.BadFlag(err)
+	v := bench.Verification{
+		Himeno:      himeno.Config{System: cluster.Cichlid(), Size: size, Iters: *iters, Mode: himeno.ScrambledInit},
+		HimenoNodes: []int{1, 2, 4},
+		Powder: nanopowder.Config{
+			System: cluster.RICC(), Params: nanopowder.Params{Cells: 8, Bins: 96, Steps: 3, SubSteps: 50},
+		},
+		PowderNodes: []int{1, 2, 4, 8},
 	}
+	tool.BadFlag(v.Check())
+
+	himenoVerdicts, powderVerdicts, gosa := v.Run()
 	failures := 0
-
-	fmt.Printf("Himeno %s, %d iterations — final grids vs host reference (bitwise):\n\n", size.Name, *iters)
-	wantGrid, wantGosa := himeno.Reference(size, *iters, himeno.ScrambledInit)
-	var rows [][]string
-	for _, impl := range []himeno.Impl{himeno.Serial, himeno.HandOpt, himeno.CLMPI, himeno.GPUAware, himeno.CLMPIOutOfOrder} {
-		for _, nodes := range []int{1, 2, 4} {
-			res, err := himeno.Run(himeno.Config{
-				System: cluster.Cichlid(), Nodes: nodes, Size: size, Iters: *iters,
-				Impl: impl, Mode: himeno.ScrambledInit, Verify: true,
-			})
-			verdict := "OK"
-			if err != nil {
-				verdict = "ERROR: " + err.Error()
+	table := func(column string, verdicts []bench.Verdict) {
+		var rows [][]string
+		for _, vd := range verdicts {
+			if !vd.OK() {
 				failures++
-			} else {
-				for i := range res.Grid {
-					if res.Grid[i] != wantGrid[i] {
-						verdict = fmt.Sprintf("MISMATCH at cell %d", i)
-						failures++
-						break
-					}
-				}
 			}
-			rows = append(rows, []string{impl.String(), fmt.Sprintf("%d", nodes), verdict})
+			rows = append(rows, []string{vd.Impl, fmt.Sprintf("%d", vd.Nodes), vd.String()})
 		}
+		fmt.Print(bench.FormatTable([]string{"implementation", "nodes", column}, rows))
 	}
-	fmt.Print(bench.FormatTable([]string{"implementation", "nodes", "grid"}, rows))
-	fmt.Printf("\nreference gosa: %.9e\n\n", wantGosa)
-
+	fmt.Printf("Himeno %s, %d iterations — final grids vs host reference (bitwise):\n\n", size.Name, *iters)
+	table("grid", himenoVerdicts)
+	fmt.Printf("\nreference gosa: %.9e\n\n", gosa)
 	fmt.Println("Nanopowder — final populations vs host reference (bitwise):")
 	fmt.Println()
-	params := nanopowder.Params{Cells: 8, Bins: 96, Steps: 3, SubSteps: 50}
-	wantCells := nanopowder.Reference(params)
-	rows = nil
-	for _, impl := range []nanopowder.Impl{nanopowder.Baseline, nanopowder.CLMPI} {
-		for _, nodes := range []int{1, 2, 4, 8} {
-			res, err := nanopowder.Run(nanopowder.Config{
-				System: cluster.RICC(), Nodes: nodes, Impl: impl, Params: params, Verify: true,
-			})
-			verdict := "OK"
-			if err != nil {
-				verdict = "ERROR: " + err.Error()
-				failures++
-			} else {
-			outer:
-				for c := range wantCells {
-					for k := range wantCells[c] {
-						if res.Final[c][k] != wantCells[c][k] {
-							verdict = fmt.Sprintf("MISMATCH cell %d bin %d", c, k)
-							failures++
-							break outer
-						}
-					}
-				}
-			}
-			rows = append(rows, []string{impl.String(), fmt.Sprintf("%d", nodes), verdict})
-		}
-	}
-	fmt.Print(bench.FormatTable([]string{"implementation", "nodes", "state"}, rows))
+	table("state", powderVerdicts)
 
 	fmt.Println()
 	if failures > 0 {

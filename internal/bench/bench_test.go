@@ -178,3 +178,36 @@ func TestTable1MentionsBothSystems(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPathsRejectBeforeBuilding: every run path asks its own check
+// first, so a configuration beyond the system is an error from the run,
+// never a panic from cluster construction.
+func TestRunPathsRejectBeforeBuilding(t *testing.T) {
+	oneNode := cluster.Cichlid()
+	oneNode.MaxNodes = 1
+	backplane := cluster.RICC()
+	backplane.NIC.Backplane = 1e9
+	runs := map[string]func() error{
+		"himeno.Run": func() error {
+			_, err := himeno.Run(himeno.Config{System: cluster.Cichlid(), Nodes: 8, Size: himeno.SizeS, Iters: 1, Impl: himeno.CLMPI})
+			return err
+		},
+		"nanopowder.Run": func() error {
+			_, err := nanopowder.Run(nanopowder.Config{System: oneNode, Nodes: 2, Params: nanopowder.Params{Cells: 8, Bins: 8, Steps: 1}})
+			return err
+		},
+		"MeasureP2P": func() error {
+			_, err := MeasureP2P(oneNode, clmpi.Pinned, 0, 1<<20)
+			return err
+		},
+		"MatchScalePointObs": func() error {
+			_, err := MatchScalePointObs(backplane, 8, 4, 25, 1, 2, nil)
+			return err
+		},
+	}
+	for name, run := range runs {
+		if err := run(); err == nil {
+			t.Errorf("%s accepted a configuration its check rejects", name)
+		}
+	}
+}

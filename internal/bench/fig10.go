@@ -26,27 +26,33 @@ func Fig10(params nanopowder.Params) ([]Fig10Point, error) {
 	return Fig10On(cluster.RICC(), params)
 }
 
-// Fig10On is Fig10 on an arbitrary system; node counts beyond the system's
-// size are dropped from the sweep.
-func Fig10On(sys cluster.System, params nanopowder.Params) ([]Fig10Point, error) {
-	var nodeCounts []int
+// Fig10Runs returns Figure 10's runs on sys, nodes outer and
+// implementations inner; node counts beyond the system's size are dropped
+// from the sweep.
+func Fig10Runs(sys cluster.System, params nanopowder.Params) []nanopowder.Config {
+	var runs []nanopowder.Config
 	for _, n := range Fig10Nodes() {
-		if sys.MaxNodes == 0 || n <= sys.MaxNodes {
-			nodeCounts = append(nodeCounts, n)
+		if sys.CheckNodes(n) == nil {
+			for _, impl := range []nanopowder.Impl{nanopowder.Baseline, nanopowder.CLMPI} {
+				runs = append(runs, nanopowder.Config{System: sys, Nodes: n, Impl: impl, Params: params})
+			}
 		}
 	}
-	impls := []nanopowder.Impl{nanopowder.Baseline, nanopowder.CLMPI}
-	// Flat (nodes, impl) grid over the sweep pool; indexed results keep the
-	// point order identical to the serial loop.
-	out, err := sweep.Map(len(nodeCounts)*len(impls), func(i int) (Fig10Point, error) {
-		nodes, impl := nodeCounts[i/len(impls)], impls[i%len(impls)]
-		res, err := nanopowder.Run(nanopowder.Config{
-			System: sys, Nodes: nodes, Impl: impl, Params: params,
-		})
+	return runs
+}
+
+// Fig10On is Fig10 on an arbitrary system, over Fig10Runs.
+func Fig10On(sys cluster.System, params nanopowder.Params) ([]Fig10Point, error) {
+	runs := Fig10Runs(sys, params)
+	// The runs go over the sweep pool; indexed results keep the point order
+	// identical to the serial loop.
+	out, err := sweep.Map(len(runs), func(i int) (Fig10Point, error) {
+		cfg := runs[i]
+		res, err := nanopowder.Run(cfg)
 		if err != nil {
-			return Fig10Point{}, fmt.Errorf("fig10 n=%d %v: %w", nodes, impl, err)
+			return Fig10Point{}, fmt.Errorf("fig10 n=%d %v: %w", cfg.Nodes, cfg.Impl, err)
 		}
-		return Fig10Point{Nodes: nodes, Impl: impl, StepTime: res.StepTime}, nil
+		return Fig10Point{Nodes: cfg.Nodes, Impl: cfg.Impl, StepTime: res.StepTime}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -36,18 +36,14 @@ func Fig9Nodes(sys cluster.System, size himeno.Size) []int {
 // Fig9 measures the Himeno sustained performance of the paper's three
 // implementations across the node sweep.
 func Fig9(sys cluster.System, size himeno.Size, iters int) ([]Fig9Point, error) {
-	return Fig9With(sys, size, iters, []himeno.Impl{himeno.Serial, himeno.HandOpt, himeno.CLMPI})
+	return Fig9Sweep(sys, size, iters, []himeno.Impl{himeno.Serial, himeno.HandOpt, himeno.CLMPI}, Fig9Nodes(sys, size))
 }
 
-// Fig9With is Fig9 over an arbitrary implementation set (e.g. including the
-// §II GPU-aware comparison and the out-of-order variant).
-func Fig9With(sys cluster.System, size himeno.Size, iters int, impls []himeno.Impl) ([]Fig9Point, error) {
-	return Fig9Sweep(sys, size, iters, impls, Fig9Nodes(sys, size))
-}
-
-// Fig9Sweep is the fully parameterized form: arbitrary implementations and
-// node counts. Node counts that the size cannot accommodate (fewer than two
-// interior planes per rank) are an error, as in himeno.Run.
+// Fig9Sweep is the fully parameterized form: arbitrary implementations
+// (e.g. including the §II GPU-aware comparison and the out-of-order
+// variant) and node counts. Node counts that the size cannot accommodate
+// (fewer than two interior planes per rank) are an error, as in
+// himeno.Run.
 func Fig9Sweep(sys cluster.System, size himeno.Size, iters int, impls []himeno.Impl, nodeCounts []int) ([]Fig9Point, error) {
 	// Every (nodes, impl) cell is an independent engine: fan the flat grid
 	// out over the sweep pool. Results come back indexed, so the point order
@@ -131,17 +127,13 @@ func Fig9Table(points []Fig9Point) (headers []string, rows [][]string) {
 // the given implementation on Cichlid, traced and rendered as ASCII Gantt
 // lanes.
 func Fig4(impl himeno.Impl, size himeno.Size, iters int) (string, error) {
-	_, out, err := Fig4Traced(impl, size, iters)
+	_, out, err := Fig4TracedOn(cluster.Cichlid(), impl, size, iters)
 	return out, err
 }
 
-// Fig4Traced is Fig4 returning the tracer as well, so callers can export
-// the same run as Chrome trace_event JSON or read its bus's Metrics.
-func Fig4Traced(impl himeno.Impl, size himeno.Size, iters int) (*trace.Tracer, string, error) {
-	return Fig4TracedOn(cluster.Cichlid(), impl, size, iters)
-}
-
-// Fig4TracedOn is Fig4Traced on an arbitrary system.
+// Fig4TracedOn is Fig4 on an arbitrary system, returning the tracer as
+// well, so callers can export the same run as Chrome trace_event JSON or
+// read its bus's Metrics.
 func Fig4TracedOn(sys cluster.System, impl himeno.Impl, size himeno.Size, iters int) (*trace.Tracer, string, error) {
 	trc, _, err := TraceHimeno(sys, impl, size, 2, iters)
 	if err != nil {

@@ -47,6 +47,36 @@ type MatchPoint struct {
 	Adverts uint64 `json:"Adverts,omitempty"`
 }
 
+// CheckMatchScale reports whether a matching-scaling sweep on sys can run:
+// outstanding >= 1, wildPct in [0, 100], rounds >= 1, and at every point at
+// least two ranks and 0 (the serial engine) to ranks partitions that sys can
+// be split into. The system's size never limits a point.
+func CheckMatchScale(sys cluster.System, rankCounts []int, outstanding, wildPct, rounds, parts int) error {
+	switch {
+	case outstanding < 1:
+		return fmt.Errorf("matchscale: need >=1 outstanding op per rank (got %d)", outstanding)
+	case wildPct < 0 || wildPct > 100:
+		return fmt.Errorf("matchscale: wildcard percentage %d out of range [0, 100]", wildPct)
+	case rounds < 1:
+		return fmt.Errorf("matchscale: need >=1 round (got %d)", rounds)
+	case parts < 0:
+		return fmt.Errorf("matchscale: negative partition count %d", parts)
+	case parts > 1:
+		if err := sys.CheckPartitioned(); err != nil {
+			return err
+		}
+	}
+	for _, ranks := range rankCounts {
+		if ranks < 2 {
+			return fmt.Errorf("matchscale: need >=2 ranks (got %d)", ranks)
+		}
+		if parts > ranks {
+			return fmt.Errorf("matchscale: %d ranks cannot span %d partitions", ranks, parts)
+		}
+	}
+	return nil
+}
+
 // matchWorkload runs the dense exchange once and returns the filled point:
 // on the serial engine when parts <= 1, else on a parts-way partitioned
 // engine driven by `workers` host cores. Message k of rank r goes to rank
@@ -60,13 +90,8 @@ type MatchPoint struct {
 // HostMS and the scheduling counters (Windows/Stalls/Adverts). attach, when
 // non-nil, instruments the partitioned world before its ranks launch.
 func matchWorkload(sys cluster.System, ranks, outstanding, wildPct, rounds, parts, workers int, attach func(*mpi.PartWorld)) (MatchPoint, error) {
-	switch {
-	case outstanding < 1:
-		return MatchPoint{}, fmt.Errorf("matchscale: need >=1 outstanding op per rank (got %d)", outstanding)
-	case ranks < 2 || rounds < 1:
-		return MatchPoint{}, fmt.Errorf("matchscale: need >=2 ranks, >=1 round (got ranks=%d rounds=%d)", ranks, rounds)
-	case parts > ranks:
-		return MatchPoint{}, fmt.Errorf("matchscale: %d ranks cannot span %d partitions", ranks, parts)
+	if err := CheckMatchScale(sys, []int{ranks}, outstanding, wildPct, rounds, parts); err != nil {
+		return MatchPoint{}, err
 	}
 	outstanding = min(outstanding, ranks-1)
 	if sys.MaxNodes < ranks {

@@ -3,14 +3,11 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/cl"
 	"repro/internal/clmpi"
 	"repro/internal/cluster"
 	"repro/internal/himeno"
 	"repro/internal/mpi"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -39,22 +36,22 @@ func TraceHimeno(sys cluster.System, impl himeno.Impl, size himeno.Size, nodes, 
 // the paper reports on: "cichlid" (the GPU cluster of Table 1) and "ricc"
 // (the RICC supercomputer), each running the clMPI Himeno solver on two
 // nodes for two iterations at the XS size.
-// TracePresetNames lists the valid TracePreset arguments, for flag
-// validation.
-func TracePresetNames() []string { return []string{"cichlid", "ricc"} }
-
 func TracePreset(name string) (*trace.Tracer, error) {
-	var sys cluster.System
-	switch name {
-	case "cichlid":
-		sys = cluster.Cichlid()
-	case "ricc":
-		sys = cluster.RICC()
-	default:
-		return nil, fmt.Errorf("unknown preset %q (have: cichlid, ricc)", name)
+	if err := CheckTracePreset(name); err != nil {
+		return nil, err
 	}
-	trc, _, err := TraceHimeno(sys, himeno.CLMPI, himeno.SizeXS, 2, 2)
+	trc, _, err := TraceHimeno(tracePresets[name](), himeno.CLMPI, himeno.SizeXS, 2, 2)
 	return trc, err
+}
+
+var tracePresets = map[string]func() cluster.System{"cichlid": cluster.Cichlid, "ricc": cluster.RICC}
+
+// CheckTracePreset reports whether TracePreset knows name.
+func CheckTracePreset(name string) error {
+	if tracePresets[name] == nil {
+		return fmt.Errorf("unknown preset %q (have: cichlid, ricc)", name)
+	}
+	return nil
 }
 
 // TracePartitioned runs the dense wildcard exchange (the matching-scaling
@@ -103,52 +100,9 @@ func ObservedOverlap(trc *trace.Tracer) (overlap, nicUtil float64) {
 // MeasureP2PTraced is MeasureP2P with full observability: when trc is
 // non-nil, queues, MPI protocol, and cluster links record onto its bus.
 func MeasureP2PTraced(sys cluster.System, st clmpi.Strategy, block, size int64, trc *trace.Tracer) (float64, error) {
-	eng := sim.NewEngine()
-	clus := cluster.New(eng, sys, 2)
-	world := mpi.NewWorld(clus)
-	opts := clmpi.Options{Strategy: st}
-	if block > 0 {
-		opts.PipelineBlock = block
+	opts := clmpi.Options{Strategy: st, PipelineBlock: block}
+	if trc == nil { // a nil *trace.Tracer would be a non-nil Instrumenter
+		return clmpi.MeasureP2P(sys, opts, size, nil)
 	}
-	fab := clmpi.New(world, opts)
-	if trc != nil {
-		trc.Instrument(clus, world, fab)
-	}
-	var elapsed time.Duration
-	var firstErr error
-	world.LaunchRanks("bw", func(p *sim.Proc, ep *mpi.Endpoint) {
-		ctx := cl.NewContext(cl.NewDevice(eng, ep.Node()), fmt.Sprintf("bw%d", ep.Rank()))
-		if trc != nil {
-			trc.InstrumentContext(ctx)
-		}
-		rt := fab.Attach(ctx, ep)
-		q := ctx.NewQueue(fmt.Sprintf("bwq%d", ep.Rank()))
-		buf, err := ctx.CreateBuffer("payload", size)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		// Release recycles the backing block so a sweep's next point reuses
-		// it instead of allocating a fresh multi-megabyte slice.
-		defer buf.Release()
-		if ep.Rank() == 0 {
-			start := p.Now()
-			if _, err := rt.EnqueueSendBuffer(p, q, buf, true, 0, size, 1, 0, world.Comm(), nil); err != nil {
-				firstErr = err
-				return
-			}
-			elapsed = p.Now().Sub(start)
-		} else {
-			if _, err := rt.EnqueueRecvBuffer(p, q, buf, true, 0, size, 0, 0, world.Comm(), nil); err != nil {
-				firstErr = err
-			}
-		}
-	})
-	if err := eng.Run(); err != nil {
-		return 0, err
-	}
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return float64(size) / elapsed.Seconds(), nil
+	return clmpi.MeasureP2P(sys, opts, size, trc)
 }

@@ -3,6 +3,7 @@ package clmpi
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/cl"
 	"repro/internal/cluster"
@@ -80,7 +81,7 @@ func Tune(sys cluster.System) (Options, error) {
 	// strictly-better candidate wins ties) the serial loop computes.
 	bws, err := sweep.Map(len(sizes)*len(cands), func(i int) (float64, error) {
 		size, cand := sizes[i/len(cands)], cands[i%len(cands)]
-		bw, err := probe(sys, cand.st, cand.block, size)
+		bw, err := MeasureP2P(sys, Options{Strategy: cand.st, PipelineBlock: cand.block}, size, nil)
 		if err != nil {
 			return 0, fmt.Errorf("clmpi: tuning probe (%v, %d): %w", cand.st, size, err)
 		}
@@ -120,29 +121,53 @@ func Tune(sys cluster.System) (Options, error) {
 	return opts.withDefaults(), nil
 }
 
-// probe measures one candidate's sustained device→device bandwidth on a
-// scratch simulation of the system.
-func probe(sys cluster.System, st Strategy, block, size int64) (float64, error) {
+// Instrumenter records the layers of a measured run, as *trace.Tracer does:
+// Instrument before the ranks launch, InstrumentContext for each rank's
+// context.
+type Instrumenter interface {
+	Instrument(*cluster.Cluster, *mpi.World, *Fabric)
+	InstrumentContext(*cl.Context)
+}
+
+// CheckP2P reports whether a point-to-point measurement of size bytes can
+// run on sys: at least one byte, on a system with two nodes.
+func CheckP2P(sys cluster.System, size int64) error {
+	if size < 1 {
+		return fmt.Errorf("p2p: message size %d out of range (want >= 1 byte)", size)
+	}
+	return sys.CheckNodes(2)
+}
+
+// MeasureP2P measures the sustained bandwidth (bytes/s) of one
+// device→device transfer of size bytes between two nodes of sys under
+// opts. rec, when non-nil, records the run.
+func MeasureP2P(sys cluster.System, opts Options, size int64, rec Instrumenter) (float64, error) {
+	if err := CheckP2P(sys, size); err != nil {
+		return 0, err
+	}
 	eng := sim.NewEngine()
 	clus := cluster.New(eng, sys, 2)
 	world := mpi.NewWorld(clus)
-	opts := Options{Strategy: st}
-	if block > 0 {
-		opts.PipelineBlock = block
-	}
 	fab := New(world, opts)
-	var seconds float64
+	if rec != nil {
+		rec.Instrument(clus, world, fab)
+	}
+	var elapsed time.Duration
 	var firstErr error
-	world.LaunchRanks("tune", func(p *sim.Proc, ep *mpi.Endpoint) {
-		ctx := cl.NewContext(cl.NewDevice(eng, ep.Node()), fmt.Sprintf("tune%d", ep.Rank()))
+	world.LaunchRanks("bw", func(p *sim.Proc, ep *mpi.Endpoint) {
+		ctx := cl.NewContext(cl.NewDevice(eng, ep.Node()), fmt.Sprintf("bw%d", ep.Rank()))
+		if rec != nil {
+			rec.InstrumentContext(ctx)
+		}
 		rt := fab.Attach(ctx, ep)
-		q := ctx.NewQueue(fmt.Sprintf("tq%d", ep.Rank()))
-		buf, err := ctx.CreateBuffer("probe", size)
+		q := ctx.NewQueue(fmt.Sprintf("bwq%d", ep.Rank()))
+		buf, err := ctx.CreateBuffer("payload", size)
 		if err != nil {
 			firstErr = err
 			return
 		}
-		// Recycle the probe block across candidate measurements.
+		// Release recycles the backing block so a sweep's next point reuses
+		// it instead of allocating a fresh multi-megabyte slice.
 		defer buf.Release()
 		if ep.Rank() == 0 {
 			start := p.Now()
@@ -150,7 +175,7 @@ func probe(sys cluster.System, st Strategy, block, size int64) (float64, error) 
 				firstErr = err
 				return
 			}
-			seconds = p.Now().Sub(start).Seconds()
+			elapsed = p.Now().Sub(start)
 		} else if _, err := rt.EnqueueRecvBuffer(p, q, buf, true, 0, size, 0, 0, world.Comm(), nil); err != nil {
 			firstErr = err
 		}
@@ -161,7 +186,7 @@ func probe(sys cluster.System, st Strategy, block, size int64) (float64, error) 
 	if firstErr != nil {
 		return 0, firstErr
 	}
-	return float64(size) / seconds, nil
+	return float64(size) / elapsed.Seconds(), nil
 }
 
 // lookup returns the tuned entry for a size, or false if no table is set.

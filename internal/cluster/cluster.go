@@ -221,6 +221,29 @@ type Cluster struct {
 	Backplane *sim.Semaphore
 }
 
+// CheckNodes is the one node-count rule: an n-node world needs at least one
+// node and at most MaxNodes (0 = unbounded). The run packages ask it before
+// building a cluster, and New panics on what it rejects.
+func (s System) CheckNodes(n int) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("cluster: need at least one node (got %d)", n)
+	case s.MaxNodes > 0 && n > s.MaxNodes:
+		return fmt.Errorf("cluster: system %s has only %d nodes, requested %d", s.Name, s.MaxNodes, n)
+	}
+	return nil
+}
+
+// CheckPartitioned reports whether the system's clusters can be split over
+// a partitioned engine: no partition can own a shared switch backplane.
+// NewPartial panics on what it rejects.
+func (s System) CheckPartitioned() error {
+	if s.NIC.Backplane > 0 {
+		return fmt.Errorf("cluster: system %s has a shared backplane, which a partitioned world cannot split", s.Name)
+	}
+	return nil
+}
+
 // New builds a cluster of n nodes of the given system on engine e.
 func New(e *sim.Engine, sys System, n int) *Cluster {
 	return NewPartial(e, sys, n, 0, n)
@@ -234,18 +257,16 @@ func New(e *sim.Engine, sys System, n int) *Cluster {
 // resource and cannot be split conservatively, so systems with one reject
 // partial construction.
 func NewPartial(e *sim.Engine, sys System, n, lo, hi int) *Cluster {
-	if n < 1 {
-		panic("cluster: need at least one node")
+	if err := sys.CheckNodes(n); err != nil {
+		panic(err.Error())
 	}
 	if lo < 0 || hi > n || lo >= hi {
 		panic(fmt.Sprintf("cluster: node range [%d,%d) invalid for %d nodes", lo, hi, n))
 	}
-	if sys.MaxNodes > 0 && n > sys.MaxNodes {
-		panic(fmt.Sprintf("cluster: system %s has only %d nodes, requested %d", sys.Name, sys.MaxNodes, n))
-	}
-	partial := hi-lo < n
-	if partial && sys.NIC.Backplane > 0 {
-		panic("cluster: partitioned clusters do not support a shared backplane")
+	if hi-lo < n {
+		if err := sys.CheckPartitioned(); err != nil {
+			panic(err.Error())
+		}
 	}
 	c := &Cluster{Eng: e, Sys: sys, Nodes: make([]*Node, n)}
 	if sys.NIC.Backplane > 0 {

@@ -167,14 +167,11 @@ func putGrid(g []float32) {
 }
 
 // newRank builds the local state for rank r of n. With data false it
-// allocates no grid.
+// allocates no grid. Config.Check keeps n within Size.MaxNodes, so every
+// rank owns the two planes its A/B split needs.
 func newRank(s Size, mode InitMode, n int, data bool, ep *mpi.Endpoint, ctx *cl.Context, rt *clmpi.Runtime) (*rank, error) {
 	lo, hi := decompose(s, n, ep.Rank())
 	own := hi - lo
-	if own < 2 {
-		return nil, fmt.Errorf("himeno: rank %d owns %d planes; need ≥2 for the A/B split (size %s, %d nodes)",
-			ep.Rank(), own, s.Name, n)
-	}
 	rk := &rank{
 		size: s, mode: mode, ep: ep, ctx: ctx, rt: rt, data: data,
 		lo: lo, hi: hi, own: own, half: own / 2,

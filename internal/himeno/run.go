@@ -64,17 +64,30 @@ type Result struct {
 	CheckpointVerified bool
 }
 
+// Check reports whether cfg can run: at least one iteration, a node count
+// the size can split (Size.MaxNodes) and the system holds, and
+// checkpointing only under the CLMPI implementation. Run asks it first;
+// callers that must reject a configuration before any output ask it too.
+func (cfg Config) Check() error {
+	switch {
+	case cfg.Iters < 1:
+		return fmt.Errorf("himeno: iterations must be positive, got %d", cfg.Iters)
+	case cfg.Nodes < 1 || cfg.Nodes > cfg.Size.MaxNodes():
+		return fmt.Errorf("himeno: node count %d out of range [1, %d] for size %s", cfg.Nodes, cfg.Size.MaxNodes(), cfg.Size.Name)
+	case cfg.CheckpointEvery > 0 && cfg.Impl != CLMPI:
+		return fmt.Errorf("himeno: checkpointing requires the CLMPI implementation, not %v", cfg.Impl)
+	}
+	return cfg.System.CheckNodes(cfg.Nodes)
+}
+
 // Run executes one configuration on a fresh simulated cluster and returns
 // the measured result.
 func Run(cfg Config) (*Result, error) { return run(sim.NewEngine(), cfg) }
 
 // run executes cfg on eng, which must be fresh.
 func run(eng *sim.Engine, cfg Config) (*Result, error) {
-	if cfg.Iters <= 0 {
-		return nil, fmt.Errorf("himeno: iterations must be positive, got %d", cfg.Iters)
-	}
-	if cfg.Nodes < 1 {
-		return nil, fmt.Errorf("himeno: need at least one node")
+	if err := cfg.Check(); err != nil {
+		return nil, err
 	}
 	clus := cluster.New(eng, cfg.System, cfg.Nodes)
 	world := mpi.NewWorld(clus)
@@ -109,10 +122,6 @@ func run(eng *sim.Engine, cfg Config) (*Result, error) {
 		}
 		rk.trc = cfg.Trace
 		if cfg.CheckpointEvery > 0 {
-			if cfg.Impl != CLMPI {
-				fail(fmt.Errorf("himeno: checkpointing requires the CLMPI implementation, not %v", cfg.Impl))
-				return
-			}
 			path := cfg.CheckpointPath
 			if path == "" {
 				path = "himeno.ckpt"

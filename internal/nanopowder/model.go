@@ -25,7 +25,6 @@ package nanopowder
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -223,15 +222,4 @@ func Reference(p Params) [][]float64 {
 		}
 	}
 	return cells
-}
-
-// validate checks a configuration against the paper's decomposition rule.
-func (p Params) validate(nodes int) error {
-	if p.Cells <= 0 || p.Bins <= 0 || p.Steps <= 0 {
-		return fmt.Errorf("nanopowder: non-positive parameters %+v", p)
-	}
-	if nodes < 1 || p.Cells%nodes != 0 {
-		return fmt.Errorf("nanopowder: node count %d must divide the %d cells (§V-D)", nodes, p.Cells)
-	}
-	return nil
 }

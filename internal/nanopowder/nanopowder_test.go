@@ -148,12 +148,12 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestPropDivisorsValidate: validate accepts exactly the divisors.
+// TestPropDivisorsValidate: Check accepts exactly the divisors.
 func TestPropDivisorsValidate(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%64) + 1
 		p := DefaultParams()
-		err := p.validate(n)
+		err := Config{System: cluster.RICC(), Nodes: n, Params: p}.Check()
 		if p.Cells%n == 0 {
 			return err == nil
 		}

@@ -73,16 +73,31 @@ type Result struct {
 	Final [][]float64
 }
 
+// Check reports whether cfg can run: positive parameters (SubSteps may be
+// 0), a node count that divides the cells (the paper's decomposition rule,
+// §V-D) and that the system holds. Run asks it first; callers that must
+// reject a configuration before any output ask it too.
+func (cfg Config) Check() error {
+	p := cfg.Params
+	if p.Cells <= 0 || p.Bins <= 0 || p.Steps <= 0 || p.SubSteps < 0 {
+		return fmt.Errorf("nanopowder: non-positive parameters %+v", p)
+	}
+	if cfg.Nodes < 1 || p.Cells%cfg.Nodes != 0 {
+		return fmt.Errorf("nanopowder: node count %d must divide the %d cells (§V-D)", cfg.Nodes, p.Cells)
+	}
+	return cfg.System.CheckNodes(cfg.Nodes)
+}
+
 // Run executes one configuration on a fresh simulated cluster.
 func Run(cfg Config) (*Result, error) { return run(sim.NewEngine(), cfg, nil) }
 
 // run executes cfg on eng, which must be fresh, recording the cluster, MPI
 // and fabric layers onto trc when it is non-nil.
 func run(eng *sim.Engine, cfg Config, trc *trace.Tracer) (*Result, error) {
-	p := cfg.Params
-	if err := p.validate(cfg.Nodes); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
+	p := cfg.Params
 	clus := cluster.New(eng, cfg.System, cfg.Nodes)
 	world := mpi.NewWorld(clus)
 	fab := clmpi.New(world, clmpi.Options{})

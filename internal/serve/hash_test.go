@@ -117,7 +117,7 @@ func TestNormalizeValidation(t *testing.T) {
 		{"nodes above size", JobSpec{System: "ricc", Workload: "himeno", Nodes: []int{16, 32}}, "out of range [1, 31] for size XS"},
 		{"bad himeno size", JobSpec{System: "cichlid", Workload: "himeno", Size: "XXL"}, "unknown size"},
 		{"bad iters", JobSpec{System: "cichlid", Workload: "himeno", Iters: 65}, "out of range"},
-		{"parallel_world above ranks", JobSpec{System: "cichlid", Workload: "matchscale", Ranks: []int{8, 2}, ParallelWorld: 3}, "exceeds the smallest rank count 2"},
+		{"parallel_world above ranks", JobSpec{System: "cichlid", Workload: "matchscale", Ranks: []int{8, 2}, ParallelWorld: 3}, "2 ranks cannot span 3 partitions"},
 	}
 	for _, tc := range cases {
 		if _, err := Normalize(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {

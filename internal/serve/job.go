@@ -199,8 +199,8 @@ func Normalize(spec JobSpec) (JobSpec, error) {
 			n.Sizes = bench.Fig8Sizes()
 		}
 		for _, s := range n.Sizes {
-			if s <= 0 || s > maxP2PBytes {
-				return JobSpec{}, fmt.Errorf("serve: message size %d out of range (0, %d]", s, int64(maxP2PBytes))
+			if s > maxP2PBytes {
+				return JobSpec{}, fmt.Errorf("serve: message size %d out of range (daemon cap %d)", s, int64(maxP2PBytes))
 			}
 		}
 	case "himeno":
@@ -229,16 +229,11 @@ func Normalize(spec JobSpec) (JobSpec, error) {
 		if len(n.Nodes) == 0 {
 			n.Nodes = bench.Fig9Nodes(sys, size)
 		}
-		for _, nodes := range n.Nodes {
-			if nodes <= 0 || nodes > size.MaxNodes() {
-				return JobSpec{}, fmt.Errorf("serve: node count %d out of range [1, %d] for size %s", nodes, size.MaxNodes(), size.Name)
-			}
-		}
 		if n.Iters == 0 {
 			n.Iters = 2
 		}
-		if n.Iters < 0 || n.Iters > 64 {
-			return JobSpec{}, fmt.Errorf("serve: iters %d out of range [1, 64]", n.Iters)
+		if n.Iters > 64 {
+			return JobSpec{}, fmt.Errorf("serve: iters %d out of range (daemon cap 64)", n.Iters)
 		}
 	case "matchscale":
 		if len(n.Strategies) > 0 || len(n.Sizes) > 0 || len(n.Impls) > 0 ||
@@ -248,19 +243,13 @@ func Normalize(spec JobSpec) (JobSpec, error) {
 		if len(n.Ranks) == 0 {
 			n.Ranks = []int{256, 1024, 4096}
 		}
-		minRanks := n.Ranks[0]
 		for _, r := range n.Ranks {
-			if r < 2 || r > 100000 {
-				return JobSpec{}, fmt.Errorf("serve: rank count %d out of range [2, 100000]", r)
+			if r > 100000 {
+				return JobSpec{}, fmt.Errorf("serve: rank count %d out of range (daemon cap 100000)", r)
 			}
-			minRanks = min(minRanks, r)
 		}
-		if n.ParallelWorld < 0 || n.ParallelWorld > 64 {
-			return JobSpec{}, fmt.Errorf("serve: parallel_world %d out of range [0, 64]", n.ParallelWorld)
-		}
-		if n.ParallelWorld > minRanks {
-			// Every partition needs at least one rank of every point.
-			return JobSpec{}, fmt.Errorf("serve: parallel_world %d exceeds the smallest rank count %d", n.ParallelWorld, minRanks)
+		if n.ParallelWorld > 64 {
+			return JobSpec{}, fmt.Errorf("serve: parallel_world %d out of range (daemon cap 64)", n.ParallelWorld)
 		}
 		if n.ParallelWorld == 1 {
 			// One partition is the serial engine; canonicalize so the two
@@ -270,10 +259,52 @@ func Normalize(spec JobSpec) (JobSpec, error) {
 	default:
 		return JobSpec{}, fmt.Errorf("serve: unknown workload %q (want p2p, himeno, or matchscale)", spec.Workload)
 	}
-	if pts := n.NumPoints(); pts == 0 || pts > maxJobPoints {
+	pts := n.NumPoints()
+	if pts == 0 || pts > maxJobPoints {
 		return JobSpec{}, fmt.Errorf("serve: job expands to %d points (want 1..%d)", pts, maxJobPoints)
 	}
+	for i := range pts {
+		if err := n.checkPoint(sys, i); err != nil {
+			return JobSpec{}, fmt.Errorf("serve: %w", err)
+		}
+	}
 	return n, nil
+}
+
+// Every matchscale point runs the dense wildcard exchange with this many
+// outstanding ops per rank, this wildcard percentage, and this many rounds.
+const matchOutstanding, matchWildPct, matchRounds = 8, 25, 1
+
+// checkPoint asks the package that runs grid point i of a normalized spec
+// whether the point can start on sys, so no accepted job fails its run.
+func (s JobSpec) checkPoint(sys cluster.System, i int) error {
+	switch s.Workload {
+	case "himeno":
+		cfg, err := s.himenoConfig(sys, i)
+		if err != nil {
+			return err
+		}
+		return cfg.Check()
+	case "matchscale":
+		return bench.CheckMatchScale(sys, s.Ranks[i:i+1], matchOutstanding, matchWildPct, matchRounds, s.ParallelWorld)
+	}
+	return clmpi.CheckP2P(sys, s.Sizes[i%len(s.Sizes)])
+}
+
+// himenoConfig is the run configuration of himeno grid point i.
+func (s JobSpec) himenoConfig(sys cluster.System, i int) (himeno.Config, error) {
+	impl, err := himeno.ParseImpl(s.Impls[i/len(s.Nodes)])
+	if err != nil {
+		return himeno.Config{}, err
+	}
+	size, err := himeno.SizeByName(s.Size)
+	if err != nil {
+		return himeno.Config{}, err
+	}
+	return himeno.Config{
+		System: sys, Nodes: s.Nodes[i%len(s.Nodes)], Size: size, Iters: s.Iters,
+		Impl: impl, Mode: himeno.OfficialInit,
+	}, nil
 }
 
 // NumPoints reports how many grid points a normalized spec expands to.
@@ -328,30 +359,23 @@ func RunPointObs(spec JobSpec, i int, sm *obs.Sim) (PointResult, error) {
 	}
 	if spec.Workload == "matchscale" {
 		ranks := spec.Ranks[i]
-		pt, err := bench.MatchScalePointObs(sys, ranks, 8, 25, 1, spec.ParallelWorld, sm)
+		pt, err := bench.MatchScalePointObs(sys, ranks, matchOutstanding, matchWildPct, matchRounds, spec.ParallelWorld, sm)
 		if err != nil {
 			return PointResult{}, fmt.Errorf("serve: matchscale ranks=%d: %w", ranks, err)
 		}
 		return PointResult{Ranks: ranks, Messages: pt.Messages, SimMS: pt.SimMS}, nil
 	}
 	if spec.Workload == "himeno" {
-		implName, nodes := spec.Impls[i/len(spec.Nodes)], spec.Nodes[i%len(spec.Nodes)]
-		impl, err := himeno.ParseImpl(implName)
+		cfg, err := spec.himenoConfig(sys, i)
 		if err != nil {
 			return PointResult{}, err
 		}
-		size, err := himeno.SizeByName(spec.Size)
+		implName := spec.Impls[i/len(spec.Nodes)]
+		res, err := himeno.Run(cfg)
 		if err != nil {
-			return PointResult{}, err
+			return PointResult{}, fmt.Errorf("serve: himeno %s n=%d: %w", implName, cfg.Nodes, err)
 		}
-		res, err := himeno.Run(himeno.Config{
-			System: sys, Nodes: nodes, Size: size, Iters: spec.Iters,
-			Impl: impl, Mode: himeno.OfficialInit,
-		})
-		if err != nil {
-			return PointResult{}, fmt.Errorf("serve: himeno %s n=%d: %w", implName, nodes, err)
-		}
-		return PointResult{Impl: implName, Nodes: nodes, GFLOPS: res.GFLOPS}, nil
+		return PointResult{Impl: implName, Nodes: cfg.Nodes, GFLOPS: res.GFLOPS}, nil
 	}
 	stName, size := spec.Strategies[i/len(spec.Sizes)], spec.Sizes[i%len(spec.Sizes)]
 	st, block, err := clmpi.ParseStrategy(stName)

@@ -251,6 +251,31 @@ func TestServerRejects(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesUnrunnableJobs: a job with a point its run package
+// rejects gets a 400 at submission, and the daemon keeps serving.
+func TestServerSurvivesUnrunnableJobs(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	for _, body := range unrunnableBodies(t) {
+		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400 (%s)", body, resp.StatusCode, raw)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the rejected jobs: %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestServerWaitTimeoutFree: submitting without wait returns immediately
 // with a running status that later converges to done.
 func TestServerWaitTimeoutFree(t *testing.T) {

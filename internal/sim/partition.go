@@ -179,6 +179,7 @@ type PartitionedEngine struct {
 	cond     *sync.Cond
 	state    []shardState
 	dirty    []bool // floor advanced while the shard was mid-step
+	next     []Time // quiesceLocked's per-shard next-event times
 	runq     []int
 	qhead    int
 	blockedN int
@@ -220,6 +221,7 @@ func NewPartitionedEngineMatrix(la [][]time.Duration) *PartitionedEngine {
 		floors: make([]atomic.Int64, k),
 		state:  make([]shardState, k),
 		dirty:  make([]bool, k),
+		next:   make([]Time, k),
 	}
 	pe.cond = sync.NewCond(&pe.mu)
 	for from := range la {
@@ -574,7 +576,7 @@ func (pe *PartitionedEngine) quiesceLocked() {
 			}
 		}
 	}
-	next := make([]Time, k)
+	next := pe.next
 	for i, s := range pe.shards {
 		if n, ok := s.nextEventTime(); ok {
 			next[i] = n

@@ -17,6 +17,7 @@
 package sweep
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,15 +41,17 @@ func Workers() int {
 }
 
 // SetWorkers sets the default pool width for subsequent Map/Each calls.
-// n <= 0 restores the default (GOMAXPROCS). The cmd tools' -parallel flag
-// lands here; 1 forces fully serial execution.
-func SetWorkers(n int) {
+// 0 restores the default (GOMAXPROCS), 1 forces fully serial execution, and
+// a negative width is rejected, leaving the width as it was. The cmd tools'
+// -parallel flag lands here.
+func SetWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("sweep: negative worker count %d (want 0 for all host cores, or >= 1)", n)
+	}
 	defaultMu.Lock()
 	defer defaultMu.Unlock()
-	if n < 0 {
-		n = 0
-	}
 	defaultWorkers = n
+	return nil
 }
 
 // Map evaluates fn(0..n-1) with the default pool width and returns the

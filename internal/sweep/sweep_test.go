@@ -110,6 +110,9 @@ func TestSetWorkers(t *testing.T) {
 	if Workers() != 3 {
 		t.Fatalf("Workers() = %d after SetWorkers(3)", Workers())
 	}
+	if err := SetWorkers(-1); err == nil || Workers() != 3 {
+		t.Fatalf("SetWorkers(-1) = %v, Workers() = %d; want an error and the width kept", err, Workers())
+	}
 	SetWorkers(0)
 	if Workers() < 1 {
 		t.Fatalf("Workers() = %d after reset", Workers())
